@@ -46,10 +46,12 @@ from .approx import (
     FractionalSolution,
     Infeasible,
     LinearProgram,
+    LpModel,
     approximate_ged,
     approximate_qap,
     build_alpha_lp,
     complete_matching,
+    lp_model,
     m_bound,
     round_apec,
     solve_lp,

@@ -5,6 +5,11 @@ assignment polytope constrains every linearised coefficient row to an
 interval around the scaled partial-sum estimate b_alpha; its fractional
 optimum is rounded to a partial matching which is then completed greedily.
 The best completed assignment over all alphas (by true QAP cost) wins.
+
+The constraint matrix does not depend on alpha, so it is built once per
+instance (LpModel) and shared by every alpha and by both LP backends; each
+alpha adds only its objective and row bounds (LinearProgram).  Each LP is
+solved cold.  HiGHS solutions are converted to rationals unverified.
 """
 
 from __future__ import annotations
@@ -14,30 +19,97 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog as _scipy_linprog
+from scipy.optimize._highspy import _core as _highs
+from scipy.sparse import csc_array
 
 from .errors import BudgetExceededError
 from .graphs import Assignment, Graph, PartialInjection, edit_cost
-from .qap import QapInstance, b_alpha, ged_to_qap, qap_cost, weighted_ged_to_qap
+from .qap import QapInstance, ged_to_qap, qap_cost, weighted_ged_to_qap
 from .rationals import as_fraction
 from . import simplex
 
 
-@dataclass(frozen=True)
-class LinearProgram:
-    """Interval-constrained assignment LP for one alpha.
+@dataclass(frozen=True, eq=False)
+class LpModel:
+    """The alpha-independent part of every interval LP of one QAP instance.
 
-    Variables are x(v, v') indexed v*n + v'.  The assignment equalities
-    (unit row and column sums, nonnegativity) are always part of the
-    program; `rows` adds, per pair (v, v'), the coefficient vector a(v,v')
-    with the two-sided bound lo <= a . x <= hi.
+    Variables are x(v, v') indexed v*n + v'.  Row v*n + v' of `block` is the
+    coefficient vector a(v, v') (entry w*n + w' is c(v, v', w, w')), times the
+    common denominator `denom`, so the block is exact.  Both backends read
+    their constraint matrix from here; per alpha only the objective and the
+    row bounds change.
     """
 
     n: int
-    objective: tuple  # length n^2 of Fractions (the b_alpha values)
-    rows: tuple  # entries ((v, v'), coeffs tuple of length n^2, lo, hi)
+    block: np.ndarray  # (n^2, n^2) integers: the coefficients times denom
+    denom: int
+
+    @cached_property
+    def assignment(self) -> np.ndarray:
+        """The 2n unit-sum rows: one per source v, then one per target v'."""
+        n = self.n
+        eye = np.eye(n, dtype=np.int64)
+        return np.vstack([np.repeat(eye, n, axis=1), np.tile(eye, n)])
+
+    @cached_property
+    def csc(self):
+        """(start, index, value) of [block / denom; assignment] in float CSC form.
+
+        Plain lists: HiGHS copies them in several times faster than arrays.
+        """
+        block, denom = self.block, self.denom
+        if denom < 2**53 and np.abs(block).max(initial=0) < 2**53:
+            floats = block / denom  # exact operands: rounded once, as float(Fraction)
+        else:
+            floats = [[c / denom for c in row] for row in block.tolist()]
+        matrix = csc_array(np.vstack([floats, self.assignment]))
+        return matrix.indptr.tolist(), matrix.indices.tolist(), matrix.data.tolist()
+
+    @cached_property
+    def rows(self) -> tuple:
+        """The rows a(v, v') as tuples of Fractions, for the exact simplex."""
+        denom = self.denom
+        return tuple(
+            tuple(Fraction(c, denom) for c in row) for row in self.block.tolist()
+        )
+
+
+def lp_model(q: QapInstance) -> LpModel:
+    """The LP model shared by every alpha of q, from its exact coefficient block."""
+    block, denom = q.scaled_block()
+    return LpModel(q.n, block, denom)
+
+
+@dataclass(frozen=True, eq=False)
+class LinearProgram:
+    """Interval-constrained assignment LP for one alpha.
+
+    Minimise sum b(v,v') x(v,v') over the assignment polytope (unit row and
+    column sums, x >= 0) subject to b(v,v') - slack <= a(v,v') . x <=
+    b(v,v') + slack for every pair, where b = b_num / b_den is b_alpha.
+    """
+
+    model: LpModel
+    b_num: np.ndarray  # (n^2,) integers
+    b_den: int
+    slack: Fraction
+
+    @property
+    def n(self) -> int:
+        return self.model.n
+
+    @property
+    def objective(self) -> tuple:
+        """b_alpha(v, v') as Fractions, indexed v*n + v'."""
+        return tuple(Fraction(b, self.b_den) for b in self.b_num.tolist())
+
+    @property
+    def bounds(self) -> tuple:
+        """(lo, hi) of the row a(v, v') as Fractions, indexed v*n + v'."""
+        return tuple((b - self.slack, b + self.slack) for b in self.objective)
 
 
 @dataclass(frozen=True)
@@ -78,61 +150,86 @@ def m_bound(b, eps, d: int, k_values: int, c_m=1, n: int | None = None) -> int:
     return m
 
 
-def build_alpha_lp(q: QapInstance, alpha: PartialInjection, eps) -> LinearProgram:
-    """LP: minimise sum b_alpha(v,v') x(v,v') with a(v,v') . x in [b +- eps*n/3]."""
+def build_alpha_lp(model: LpModel, alpha: PartialInjection, eps) -> LinearProgram:
+    """LP: minimise sum b_alpha(v,v') x(v,v') with a(v,v') . x in [b +- eps*n/3].
+
+    b_alpha(v, v') = (n/|alpha|) * sum of c(v, v', w, w') over alpha, for all
+    pairs at once: a sum of the block's alpha columns.
+    """
     if len(alpha) == 0:
         raise ValueError("alpha must be nonempty")
     eps = as_fraction(eps)
-    n = q.n
-    slack = eps * n / 3
-    objective = []
-    rows = []
-    for v in range(n):
-        for vp in range(n):
-            b = b_alpha(q, alpha, v, vp)
-            objective.append(b)
-            coeffs = tuple(
-                q.c(v, vp, w, wp) for w in range(n) for wp in range(n)
-            )
-            rows.append(((v, vp), coeffs, b - slack, b + slack))
-    return LinearProgram(n, tuple(objective), tuple(rows))
+    n = model.n
+    columns = [w * n + wp for w, wp in alpha]
+    b_num = n * model.block[:, columns].sum(axis=1)
+    return LinearProgram(model, b_num, len(alpha) * model.denom, eps * n / 3)
 
 
-def _assignment_equalities(n: int):
-    a_eq, b_eq = [], []
-    for v in range(n):
-        row = [Fraction(0)] * (n * n)
-        for vp in range(n):
-            row[v * n + vp] = Fraction(1)
-        a_eq.append(row)
-        b_eq.append(Fraction(1))
-    for vp in range(n):
-        row = [Fraction(0)] * (n * n)
-        for v in range(n):
-            row[v * n + vp] = Fraction(1)
-        a_eq.append(row)
-        b_eq.append(Fraction(1))
-    return a_eq, b_eq
+def _highs_solve(cost, row_lower, row_upper, csc):
+    """Minimise cost . x subject to row_lower <= A x <= row_upper and x >= 0.
+
+    A is given as (start, index, value) in CSC form.  Runs scipy's bundled
+    HiGHS through its private `_core` module, on a fresh solver object, so
+    no basis carries over from an earlier call.  Returns (x, value), or None
+    when the program is infeasible.
+    """
+    start, index, value = csc
+    lp = _highs.HighsLp()
+    lp.num_col_ = len(cost)
+    lp.num_row_ = len(row_lower)
+    lp.col_cost_ = cost
+    lp.col_lower_ = [0.0] * len(cost)
+    lp.col_upper_ = [_highs.kHighsInf] * len(cost)
+    lp.row_lower_ = row_lower
+    lp.row_upper_ = row_upper
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.num_col_ = len(cost)
+    lp.a_matrix_.num_row_ = len(row_lower)
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = value
+    solver = _highs._Highs()
+    solver.setOptionValue("output_flag", False)
+    # the dual simplex, as linprog's HiGHS method uses
+    dual = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    solver.setOptionValue("simplex_strategy", int(dual))
+    solver.passModel(lp)
+    solver.run()
+    status = solver.getModelStatus()
+    if status == _highs.HighsModelStatus.kOptimal:
+        return solver.getSolution().col_value, solver.getInfo().objective_function_value
+    # x >= 0 with unit row sums is bounded, so "unbounded or infeasible" is infeasible
+    if status in (
+        _highs.HighsModelStatus.kInfeasible,
+        _highs.HighsModelStatus.kUnboundedOrInfeasible,
+    ):
+        return None
+    name = solver.modelStatusToString(status)
+    raise RuntimeError(f"HiGHS stopped with status {name}")
 
 
 def solve_lp(lp: LinearProgram, method: str = "exact"):
     """Solve to optimality, returning FractionalSolution or Infeasible.
 
-    "exact" runs the rational simplex (deterministic Bland pivoting, zero
-    tolerance).  "highs" delegates to scipy's HiGHS for speed; its solution
-    is converted back to exact rationals as-is.
+    Both backends read the instance's shared LpModel, and every LP is solved
+    cold: no basis carries over between alphas, so a solution depends on its
+    own alpha alone.  "exact" runs the rational simplex (deterministic Bland
+    pivoting, zero tolerance), with each ranged row split into two <= rows.
+    "highs" passes the ranged rows and the assignment equalities straight to
+    scipy's bundled HiGHS; its float solution is converted to rationals as
+    is, unverified.
     """
     n = lp.n
+    model = lp.model
     if method == "exact":
-        a_eq, b_eq = _assignment_equalities(n)
         a_ub, b_ub = [], []
-        for _, coeffs, lo, hi in lp.rows:
-            a_ub.append(list(coeffs))
+        for coeffs, (lo, hi) in zip(model.rows, lp.bounds):
+            a_ub.append(coeffs)
             b_ub.append(hi)
             a_ub.append([-c for c in coeffs])
             b_ub.append(-lo)
         status, x, value = simplex.simplex_min(
-            list(lp.objective), a_ub, b_ub, a_eq, b_eq
+            list(lp.objective), a_ub, b_ub, model.assignment.tolist(), [1] * (2 * n)
         )
         if status == simplex.INFEASIBLE:
             return Infeasible()
@@ -141,39 +238,24 @@ def solve_lp(lp: LinearProgram, method: str = "exact"):
         }
         return FractionalSolution(values, value)
     if method == "highs":
-        nv = n * n
-        a_eq = np.zeros((2 * n, nv))
-        for v in range(n):
-            a_eq[v, v * n : (v + 1) * n] = 1.0
-        for vp in range(n):
-            a_eq[n + vp, vp::n] = 1.0
-        b_eq = np.ones(2 * n)
-        a_ub = np.zeros((2 * len(lp.rows), nv))
-        b_ub = np.zeros(2 * len(lp.rows))
-        for i, (_, coeffs, lo, hi) in enumerate(lp.rows):
-            row = np.array([float(c) for c in coeffs])
-            a_ub[2 * i] = row
-            b_ub[2 * i] = float(hi)
-            a_ub[2 * i + 1] = -row
-            b_ub[2 * i + 1] = -float(lo)
-        res = _scipy_linprog(
-            [float(c) for c in lp.objective],
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=(0, None),
-            method="highs",
+        # exact Python integers until one correctly rounded division each
+        b_num, b_den = lp.b_num.tolist(), lp.b_den
+        sn, sd = lp.slack.numerator, lp.slack.denominator
+        shift, den = sn * b_den, sd * b_den
+        ones = [1.0] * (2 * n)
+        solved = _highs_solve(
+            [b / b_den for b in b_num],
+            [(b * sd - shift) / den for b in b_num] + ones,
+            [(b * sd + shift) / den for b in b_num] + ones,
+            model.csc,
         )
-        if res.status == 2:
+        if solved is None:
             return Infeasible()
-        if res.status != 0:
-            raise RuntimeError(f"LP solver failed with status {res.status}")
-        values = {}
-        for v in range(n):
-            for vp in range(n):
-                values[(v, vp)] = max(Fraction(float(res.x[v * n + vp])), Fraction(0))
-        return FractionalSolution(values, Fraction(float(res.fun)))
+        x, value = solved
+        values = {
+            (v, vp): Fraction(max(x[v * n + vp], 0.0)) for v in range(n) for vp in range(n)
+        }
+        return FractionalSolution(values, Fraction(value))
     raise ValueError(f"unknown LP method {method!r}")
 
 
@@ -190,31 +272,29 @@ def round_apec(
     n = lp.n
     floor = Fraction(1, 2 * n)
     rng = random.Random(seed)
-    objective = {
-        (v, vp): lp.objective[v * n + vp] for v in range(n) for vp in range(n)
-    }
+    # per source: the targets of positive mass, their float weights, and
+    # whether the mass reaches the floor (compared exactly)
+    support = []
+    for v in range(n):
+        row = [(vp, frac.values.get((v, vp), Fraction(0))) for vp in range(n)]
+        support.append([(vp, float(x), x >= floor) for vp, x in row if x > 0])
+    # b_alpha over one positive common denominator: integer sums order alike
+    objective = lp.b_num.tolist()
     best = None
     for _ in range(max(1, retries)):
         used = set()
         pairs = []
+        obj = 0
         for v in range(n):
-            options = []
-            weights = []
-            for vp in range(n):
-                if vp in used:
-                    continue
-                x = frac.values.get((v, vp), Fraction(0))
-                if x > 0:
-                    options.append(vp)
-                    weights.append(float(x))
+            options = [entry for entry in support[v] if entry[0] not in used]
             if not options:
                 continue
-            vp = rng.choices(options, weights=weights)[0]
-            if frac.values[(v, vp)] < floor:
+            vp, _, kept = rng.choices(options, weights=[w for _, w, _ in options])[0]
+            if not kept:
                 continue
             pairs.append((v, vp))
             used.add(vp)
-        obj = sum((objective[p] for p in pairs), Fraction(0))
+            obj += objective[v * n + vp]
         key = (-len(pairs), obj, tuple(pairs))
         if best is None or key < best:
             best = key
@@ -274,7 +354,8 @@ def approximate_qap(
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     n = q.n
-    nonnegative = all(val >= 0 for _, val in q.nonzero_entries())
+    model = lp_model(q)
+    nonnegative = model.block.min(initial=0) >= 0
     rng = random.Random(seed)
 
     best = None  # (cost, order index, assignment)
@@ -296,7 +377,7 @@ def approximate_qap(
                 )
             tried += 1
             alpha = PartialInjection(frozenset(pairs))
-            lp = build_alpha_lp(q, alpha, eps)
+            lp = build_alpha_lp(model, alpha, eps)
             sol = solve_lp(lp, method=lp_method)
             if isinstance(sol, Infeasible):
                 infeasible += 1

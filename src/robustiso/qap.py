@@ -7,8 +7,11 @@ dense n^4 table; larger ones a sparse map with default 0.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import CapExceededError, ParseError
 from .graphs import Assignment, Graph, PartialInjection
@@ -65,6 +68,26 @@ class QapInstance:
                         if val != 0:
                             out.append(((v, vp, w, wp), val))
         return out
+
+    def scaled_block(self):
+        """(block, denom): the n^2 x n^2 coefficient block as exact integers.
+
+        block[v*n + v', w*n + w'] = c(v, v', w, w') * denom, where denom is the
+        least common denominator of all coefficients.  The dtype is int64 when
+        n^2 times the largest entry fits, and object (Python ints) otherwise.
+        """
+        n = self.n
+        if self._dense is not None:
+            index, values = slice(None), self._dense
+        else:
+            index = [((v * n + vp) * n + w) * n + wp for v, vp, w, wp in self._sparse]
+            values = list(self._sparse.values())
+        denom = math.lcm(1, *{x.denominator for x in values})
+        scaled = [x.numerator * (denom // x.denominator) for x in values]
+        largest = max(map(abs, scaled), default=0)
+        block = np.zeros(n**4, dtype=np.int64 if largest * n * n < 2**62 else object)
+        block[index] = scaled
+        return block.reshape(n * n, n * n), denom
 
     def value_set(self):
         """All distinct coefficient values, including the implicit 0."""

@@ -31,6 +31,7 @@ from robustiso import (
     homogenising_set_coloured,
     is_homogenising,
     is_isomorphic_bruteforce,
+    lp_model,
     mean_threshold_estimate,
     neighbourhood_system,
     qap_bruteforce,
@@ -170,7 +171,7 @@ def test_lp_value_bounded_by_optimum_plus_third_slack():
                 )
                 if not qualifies:
                     continue
-                sol = solve_lp(build_alpha_lp(q, alpha, eps), "exact")
+                sol = solve_lp(build_alpha_lp(lp_model(q), alpha, eps), "exact")
                 assert isinstance(sol, FractionalSolution)
                 assert sol.objective_value <= cost_star + eps * n * n / 3
                 solved += 1

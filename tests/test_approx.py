@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from scipy.optimize import linprog
 
 from conftest import (
     complete_graph,
@@ -10,6 +11,7 @@ from conftest import (
     er_graph,
     path_graph,
     random_qap,
+    random_weighted_graph,
     relabelled_copy,
 )
 from robustiso import (
@@ -17,7 +19,6 @@ from robustiso import (
     FractionalSolution,
     Graph,
     Infeasible,
-    LinearProgram,
     PartialInjection,
     QapInstance,
     approximate_ged,
@@ -28,13 +29,16 @@ from robustiso import (
     distinct_value_count,
     edit_distance_bruteforce,
     ged_to_qap,
+    lp_model,
     m_bound,
     qap_bruteforce,
     qap_cost,
     round_apec,
     solve_lp,
     threshold_grid,
+    weighted_ged_to_qap,
 )
+from robustiso import approx
 from robustiso.errors import BudgetExceededError
 
 
@@ -63,17 +67,20 @@ class TestMBound:
 
 class TestBuildAlphaLp:
     def test_zero_instance_rows(self):
-        lp = build_alpha_lp(QapInstance(2, {}), PartialInjection(frozenset({(0, 0)})), 1)
+        lp = build_alpha_lp(
+            lp_model(QapInstance(2, {})), PartialInjection(frozenset({(0, 0)})), 1
+        )
         assert len(lp.objective) == 4
-        assert len(lp.rows) == 4  # two inequality rows each at solve time
-        for _, coeffs, lo, hi in lp.rows:
+        # two inequality rows each at solve time
+        assert len(lp.bounds) == len(lp.model.rows) == 4
+        for coeffs, (lo, hi) in zip(lp.model.rows, lp.bounds):
             assert all(c == 0 for c in coeffs)
             assert lo == Fraction(-2, 3) and hi == Fraction(2, 3)
 
     def test_objective_is_b_alpha(self):
         q = ged_to_qap(K3, PATH3)
         alpha = PartialInjection(frozenset({(0, 1), (2, 0)}))
-        lp = build_alpha_lp(q, alpha, 1)
+        lp = build_alpha_lp(lp_model(q), alpha, 1)
         for v in range(3):
             for vp in range(3):
                 assert lp.objective[v * 3 + vp] == b_alpha(q, alpha, v, vp)
@@ -86,8 +93,8 @@ class TestBuildAlphaLp:
         _, phi = qap_bruteforce(q)
         assert qap_cost(q, phi) == 0
         alpha = PartialInjection(frozenset(list(phi.graph())[:2]))
-        lp = build_alpha_lp(q, alpha, 1)
-        for (v, vp), coeffs, lo, hi in lp.rows:
+        lp = build_alpha_lp(lp_model(q), alpha, 1)
+        for coeffs, (lo, hi) in zip(lp.model.rows, lp.bounds):
             value = sum(
                 coeffs[w * 4 + wp]
                 for w in range(4)
@@ -98,12 +105,16 @@ class TestBuildAlphaLp:
 
     def test_empty_alpha_rejected(self):
         with pytest.raises(ValueError):
-            build_alpha_lp(QapInstance(2, {}), PartialInjection(frozenset()), 1)
+            build_alpha_lp(
+                lp_model(QapInstance(2, {})), PartialInjection(frozenset()), 1
+            )
 
 
 class TestSolveLp:
     def test_zero_objective_gives_doubly_stochastic(self):
-        lp = build_alpha_lp(QapInstance(3, {}), PartialInjection(frozenset({(0, 0)})), 1)
+        lp = build_alpha_lp(
+            lp_model(QapInstance(3, {})), PartialInjection(frozenset({(0, 0)})), 1
+        )
         sol = solve_lp(lp, "exact")
         assert isinstance(sol, FractionalSolution)
         assert sol.objective_value == 0
@@ -112,12 +123,14 @@ class TestSolveLp:
             assert sum(sol.values[(vp, v)] for vp in range(3)) == 1
 
     def test_contradictory_rows_infeasible(self):
-        coeffs = tuple([Fraction(1)] * 9)
-        lp = LinearProgram(
-            3,
-            tuple([Fraction(0)] * 9),
-            (((0, 0), coeffs, Fraction(50), Fraction(60)),),
+        # on the assignment polytope row (0, 0) is 3 + 19 x(0, 0) <= 22, but
+        # alpha puts it in [59, 61]
+        entries = {(0, 0, w, wp): 1 for w in range(3) for wp in range(3)}
+        entries[(0, 0, 0, 0)] = 20
+        lp = build_alpha_lp(
+            lp_model(QapInstance(3, entries)), PartialInjection(frozenset({(0, 0)})), 1
         )
+        assert lp.bounds[0] == (Fraction(59), Fraction(61))
         assert isinstance(solve_lp(lp, "exact"), Infeasible)
         assert isinstance(solve_lp(lp, "highs"), Infeasible)
 
@@ -130,12 +143,73 @@ class TestSolveLp:
             alpha = PartialInjection(
                 frozenset(zip(rng.sample(range(n), size), rng.sample(range(n), size)))
             )
-            lp = build_alpha_lp(q, alpha, Fraction(rng.randint(1, 4), 2))
+            lp = build_alpha_lp(lp_model(q), alpha, Fraction(rng.randint(1, 4), 2))
             exact = solve_lp(lp, "exact")
             fast = solve_lp(lp, "highs")
             assert isinstance(exact, Infeasible) == isinstance(fast, Infeasible)
             if isinstance(exact, FractionalSolution):
                 assert abs(float(exact.objective_value) - float(fast.objective_value)) < 1e-6
+
+    def test_highs_agrees_with_linprog(self):
+        # reference: linprog on the same LP, each ranged row split into two
+        counts = {"optimal": 0, "infeasible": 0}
+        for trial in range(12):
+            n = 4 + trial % 4
+            if trial % 2:
+                q = weighted_ged_to_qap(
+                    random_weighted_graph(n, 3300 + trial),
+                    random_weighted_graph(n, 3400 + trial),
+                )
+            else:
+                q = ged_to_qap(
+                    er_graph(n, 0.5, 3300 + trial), er_graph(n, 0.5, 3400 + trial)
+                )
+            model = lp_model(q)
+            rows = [[float(c) for c in row] for row in model.rows]
+            rng = random.Random(3500 + trial)
+            for eps in (Fraction(1, 4), Fraction(1), Fraction(2)):
+                for _ in range(3):
+                    size = rng.randint(1, 2)
+                    pairs = zip(rng.sample(range(n), size), rng.sample(range(n), size))
+                    lp = build_alpha_lp(model, PartialInjection(frozenset(pairs)), eps)
+                    res = linprog(
+                        [float(b) for b in lp.objective],
+                        A_ub=rows + [[-c for c in row] for row in rows],
+                        b_ub=[float(hi) for _, hi in lp.bounds]
+                        + [-float(lo) for lo, _ in lp.bounds],
+                        A_eq=model.assignment,
+                        b_eq=[1] * (2 * n),
+                        method="highs",
+                    )
+                    assert res.status in (0, 2)
+                    fast = solve_lp(lp, "highs")
+                    assert isinstance(fast, Infeasible) == (res.status == 2)
+                    if res.status == 0:
+                        counts["optimal"] += 1
+                        assert abs(float(fast.objective_value) - res.fun) < 1e-9
+                    else:
+                        counts["infeasible"] += 1
+        assert counts["optimal"] >= 10 and counts["infeasible"] >= 10
+
+    @pytest.mark.parametrize(
+        "status", ["kInfeasible", "kUnboundedOrInfeasible", "kTimeLimit", "kSolveError"]
+    )
+    def test_highs_status_mapping(self, monkeypatch, status):
+        code = getattr(approx._highs.HighsModelStatus, status)
+
+        class StoppedSolver(approx._highs._Highs):
+            def getModelStatus(self):
+                return code
+
+        monkeypatch.setattr(approx._highs, "_Highs", StoppedSolver)
+        lp = build_alpha_lp(
+            lp_model(QapInstance(3, {})), PartialInjection(frozenset({(0, 0)})), 1
+        )
+        if status in ("kInfeasible", "kUnboundedOrInfeasible"):
+            assert isinstance(solve_lp(lp, "highs"), Infeasible)
+        else:
+            with pytest.raises(RuntimeError, match="HiGHS stopped"):
+                solve_lp(lp, "highs")
 
     def test_value_bounded_by_optimal_cost_plus_slack(self):
         # solved value never exceeds the true optimum by more than eps*n^2/3
@@ -144,13 +218,15 @@ class TestSolveLp:
         q = ged_to_qap(K3, PATH3)
         cost_star, phi_star = qap_bruteforce(q)
         alpha = phi_star.graph()
-        lp = build_alpha_lp(q, alpha, eps)
+        lp = build_alpha_lp(lp_model(q), alpha, eps)
         sol = solve_lp(lp, "exact")
         assert isinstance(sol, FractionalSolution)
         assert sol.objective_value <= cost_star + eps * 9 / 3
 
     def test_unknown_method(self):
-        lp = build_alpha_lp(QapInstance(2, {}), PartialInjection(frozenset({(0, 0)})), 1)
+        lp = build_alpha_lp(
+            lp_model(QapInstance(2, {})), PartialInjection(frozenset({(0, 0)})), 1
+        )
         with pytest.raises(ValueError):
             solve_lp(lp, "nope")
 
@@ -158,7 +234,7 @@ class TestSolveLp:
 class TestRounding:
     def lp3(self):
         return build_alpha_lp(
-            QapInstance(3, {}), PartialInjection(frozenset({(0, 0)})), 1
+            lp_model(QapInstance(3, {})), PartialInjection(frozenset({(0, 0)})), 1
         )
 
     def test_integral_solution_returned_unchanged(self):
@@ -180,7 +256,7 @@ class TestRounding:
     def test_support_containment(self):
         rng = random.Random(64)
         lp4 = build_alpha_lp(
-            QapInstance(4, {}), PartialInjection(frozenset({(0, 0)})), 1
+            lp_model(QapInstance(4, {})), PartialInjection(frozenset({(0, 0)})), 1
         )
         for trial in range(10):
             # mix of two random permutations
@@ -213,7 +289,7 @@ class TestRounding:
     def test_draws_below_mass_floor_are_dropped(self):
         # the only mass in row 0 sits below 1/(2n): source 0 stays unmatched
         lp2 = build_alpha_lp(
-            QapInstance(2, {}), PartialInjection(frozenset({(0, 0)})), 1
+            lp_model(QapInstance(2, {})), PartialInjection(frozenset({(0, 0)})), 1
         )
         values = {
             (0, 0): Fraction(1, 8),
@@ -224,6 +300,70 @@ class TestRounding:
         frac = FractionalSolution(values, Fraction(0))
         partial = round_apec(frac, lp2, seed=3, retries=8)
         assert partial.sorted_pairs() == ((1, 1),)
+
+
+def rounding_case(i):
+    """Seeded round_apec input: mixtures of permutations at n = 3..8, some
+    with a component below the mass floor, some passed through floats."""
+    rng = random.Random(7_000 + i)
+    n = 3 + i % 6
+    weights = [rng.randint(1, 5) for _ in range(1 + i % 3)]
+    if i % 3 == 0:
+        weights += [1, 2 * n]  # a component of mass below 1/(2n)
+    total = sum(weights)
+    values = {(v, vp): Fraction(0) for v in range(n) for vp in range(n)}
+    for w in weights:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for v in range(n):
+            values[(v, perm[v])] += Fraction(w, total)
+    if i % 5 == 1:  # as the float backend returns them
+        values = {key: Fraction(float(x)) for key, x in values.items()}
+    q = ged_to_qap(er_graph(n, 0.5, 7_100 + i), er_graph(n, 0.5, 7_200 + i))
+    size = rng.randint(1, 2)
+    alpha = PartialInjection(
+        frozenset(zip(rng.sample(range(n), size), rng.sample(range(n), size)))
+    )
+    lp = build_alpha_lp(lp_model(q), alpha, 1)
+    frac = FractionalSolution(values, Fraction(0))
+    return frac, lp, rng.randrange(10**6), (1, 4, 8, 32)[i % 4]
+
+
+# fixed round_apec outputs on these inputs: any change to its seeded random
+# stream, its mass floor or its tie-breaks shows here
+PINNED_ROUNDINGS = [
+    ((0, 2), (1, 0), (2, 1)),
+    ((0, 1), (1, 0), (2, 3), (3, 2)),
+    ((0, 3), (1, 4), (2, 1), (3, 2), (4, 0)),
+    ((0, 1), (1, 4), (2, 3), (3, 5), (4, 0), (5, 2)),
+    ((0, 2), (1, 6), (2, 3), (3, 0), (4, 5), (5, 1)),
+    ((0, 3), (1, 6), (2, 0), (3, 5), (4, 7), (5, 1), (6, 2), (7, 4)),
+    ((0, 0), (1, 1), (2, 2)),
+    ((0, 1), (1, 0), (2, 3), (3, 2)),
+    ((0, 1), (1, 2), (2, 0), (3, 4)),
+    ((0, 3), (1, 5), (2, 0), (3, 4), (4, 2), (5, 1)),
+    ((0, 1), (1, 4), (2, 0), (3, 5), (4, 3), (5, 2), (6, 6)),
+    ((0, 6), (1, 3), (2, 7), (3, 4), (4, 0), (5, 5), (6, 1), (7, 2)),
+    ((0, 1), (1, 2), (2, 0)),
+    ((0, 1), (1, 2), (2, 3), (3, 0)),
+    ((0, 2), (1, 0), (2, 3), (3, 4), (4, 1)),
+    ((0, 2), (1, 1), (2, 4), (3, 5), (4, 3), (5, 0)),
+    ((0, 4), (1, 5), (2, 0), (3, 2), (4, 3), (5, 6), (6, 1)),
+    ((0, 0), (1, 6), (2, 5), (3, 4), (4, 1), (5, 7), (6, 3), (7, 2)),
+    ((0, 1), (1, 0), (2, 2)),
+    ((0, 0), (1, 2), (2, 3), (3, 1)),
+    ((0, 2), (1, 1), (2, 0), (3, 3)),
+    ((0, 4), (1, 2), (2, 5), (3, 0), (4, 1), (5, 3)),
+    ((0, 2), (1, 3), (2, 1), (3, 6), (4, 0), (5, 5), (6, 4)),
+    ((0, 2), (1, 5), (2, 0), (3, 7), (4, 1), (5, 4), (6, 6), (7, 3)),
+]
+
+
+@pytest.mark.parametrize("i", range(len(PINNED_ROUNDINGS)))
+def test_rounding_outputs_pinned(i):
+    frac, lp, seed, retries = rounding_case(i)
+    partial = round_apec(frac, lp, seed=seed, retries=retries)
+    assert partial.sorted_pairs() == PINNED_ROUNDINGS[i]
 
 
 class TestCompleteMatching:
@@ -419,6 +559,6 @@ class TestLpValueBound:
                     )
                     if not qualifies:
                         continue
-                    sol = solve_lp(build_alpha_lp(q, alpha, eps), "exact")
+                    sol = solve_lp(build_alpha_lp(lp_model(q), alpha, eps), "exact")
                     assert isinstance(sol, FractionalSolution)
                     assert sol.objective_value <= cost_star + eps * n * n / 3

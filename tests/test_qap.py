@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -62,6 +63,23 @@ class TestQapInstance:
         assert small.c(0, 1, 2, 3) == Fraction(5, 2)
         assert small.c(3, 2, 1, 0) == 0
         assert dense.c(11, 0, 0, 11) == -1
+
+    def test_scaled_block_is_exact_in_both_storages(self):
+        for n, fill in ((4, 0.5), (12, 0.02)):  # dense, then sparse storage
+            q = random_qap(n, 2300 + n, bmax=2, denom=6, fill=fill)
+            block, denom = q.scaled_block()
+            assert block.shape == (n * n, n * n) and block.dtype == np.int64
+            for v, vp, w, wp in itertools.product(range(n), repeat=4):
+                value = Fraction(int(block[v * n + vp, w * n + wp]), denom)
+                assert value == q.c(v, vp, w, wp)
+
+    def test_scaled_block_keeps_huge_values_exact(self):
+        q = QapInstance(
+            2, {(0, 1, 1, 0): Fraction(2**70, 3), (1, 1, 1, 1): Fraction(1, 2)}
+        )
+        block, denom = q.scaled_block()
+        assert block.dtype == object and denom == 6
+        assert block[1, 2] == 2**71 and block[3, 3] == 3
 
     def test_value_set_includes_implicit_zero(self):
         q = QapInstance(3, {(0, 0, 0, 0): 1})
