@@ -4,6 +4,16 @@ Colour ids are canonical across graphs refined in the same run: each round
 collects the signatures of every tuple of every participating graph, sorts
 them globally and renames to dense integers, so histograms are directly
 comparable without hashing.
+
+1-WL builds its signatures as Python tuples.  k-WL (k >= 2) works on one
+numpy integer row per k-tuple.  The first rows are atomic types: 0/1
+equality and adjacency bits, then the vertex colours.  In each round a
+tuple's row is its colour followed by, for every vertex w, the colours of
+the k tuples that put w at one position, packed into one order-preserving
+integer code; the codes are sorted over w.  These rows compare exactly as
+the signature tuples do, so ranking them with `np.lexsort` gives the ids
+that sorting the tuples would give.  Colour histograms are `Histogram`
+mappings over one compact count array.
 """
 
 from __future__ import annotations
@@ -11,15 +21,68 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
 from .graphs import Graph, mixed_neighbourhood
 from .rationals import as_fraction
 from .setsystems import epsilon_net_greedy, mixed_system, vc_dimension_exact
 
+# Largest n^(k+1), the (tuple, vertex) pairs one k-WL round reads per graph.
 DEFAULT_WL_BUDGET = 1_000_000
+
+
+class Histogram(Mapping):
+    """Read-only map colour -> count over one array of counts.
+
+    `counts[c]` is the number of tuples of colour c, zero for a colour that
+    does not occur, trimmed after the last colour that does and stored in
+    the narrowest unsigned dtype that holds the largest count.  Keys, values
+    and items are Python ints, so a Histogram compares, serialises and
+    digests like the dict with the same items.
+    """
+
+    __slots__ = ("counts",)
+
+    def __init__(self, bincount):
+        bincount = np.asarray(bincount)
+        present = np.flatnonzero(bincount)
+        end = int(present[-1]) + 1 if present.size else 0
+        top = int(bincount.max(initial=0))
+        self.counts = bincount[:end].astype(np.min_scalar_type(top))
+        self.counts.flags.writeable = False
+
+    def __getitem__(self, colour):
+        if isinstance(colour, (int, np.integer)) and 0 <= colour < self.counts.size:
+            count = int(self.counts[colour])
+            if count:
+                return count
+        raise KeyError(colour)
+
+    def __iter__(self):
+        return iter(np.flatnonzero(self.counts).tolist())
+
+    def __len__(self):
+        return int(np.count_nonzero(self.counts))
+
+    def items(self):
+        return _HistogramItems(self)
+
+    def __repr__(self):
+        return f"Histogram({dict(self.items())!r})"
+
+
+class _HistogramItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        counts = self._mapping.counts
+        present = np.flatnonzero(counts)
+        return zip(present.tolist(), counts[present].tolist())
 
 
 @dataclass(frozen=True)
@@ -34,7 +97,7 @@ class StableColouring:
     k: int
     n: int
     colours: tuple
-    histogram: dict
+    histogram: Mapping
     rounds: int
 
     def colour_of(self, vertices) -> int:
@@ -54,13 +117,6 @@ class StableColouring:
         for v, c in enumerate(self.colours):
             classes.setdefault(c, []).append(v)
         return classes
-
-
-def _histogram(colours) -> dict:
-    hist = {}
-    for c in colours:
-        hist[c] = hist.get(c, 0) + 1
-    return hist
 
 
 def _canonical(rounds_sigs):
@@ -107,60 +163,91 @@ def _joint_refine_1wl(graphs, individualised):
         rounds += 1
 
 
-def _atomic_type(g: Graph, tup):
-    k = len(tup)
-    eq = tuple(tup[i] == tup[j] for i in range(k) for j in range(k))
-    adj = tuple(
-        tup[i] != tup[j] and g.has_edge(tup[i], tup[j])
-        for i in range(k)
-        for j in range(k)
-    )
-    colours = tuple(g.colour_of(v) for v in tup)
-    return (eq, adj, colours)
+def _rank_rows(rows):
+    """Dense ranks of the rows of a 2-D integer array in lexicographic order;
+    returns (ranks, number of distinct rows)."""
+    if rows.shape[0] == 0:
+        return np.zeros(0, dtype=np.int64), 0
+    order = np.lexsort(rows.T[::-1])
+    # Adjacent sorted rows compared a column at a time: gathering the whole
+    # sorted matrix would double the round's peak memory.
+    step = np.zeros(rows.shape[0] - 1, dtype=bool)
+    for column in rows.T:
+        ordered = column[order]
+        step |= ordered[1:] != ordered[:-1]
+    ranks = np.empty(rows.shape[0], dtype=np.int64)
+    ranks[order[0]] = 0
+    ranks[order[1:]] = np.cumsum(step)
+    return ranks, int(ranks[order[-1]]) + 1
+
+
+def _atomic_types(graphs, k, n):
+    """One integer row per k-tuple (base-n index order) of each graph, in
+    the order of the tuple (eq, adj, colours): k*k equality bits, k*k
+    adjacency bits, then the k vertex colours."""
+    digits = np.indices((n,) * k).reshape(k, -1)
+    pairs = [(i, j) for i in range(k) for j in range(k)]
+    eq = [digits[i] == digits[j] for i, j in pairs]
+    # Ranked jointly, vertex colours keep their order and fit in int64.
+    palette = sorted({g.colour_of(v) for g in graphs for v in range(n)})
+    rank = {c: r for r, c in enumerate(palette)}
+    blocks = []
+    for g in graphs:
+        adj = np.zeros((n, n), dtype=bool)
+        if g.edges:
+            u, v = np.array(list(g.edges)).T
+            adj[u, v] = adj[v, u] = True
+        colour = np.array([rank[g.colour_of(v)] for v in range(n)], dtype=np.int64)
+        columns = (
+            eq
+            + [adj[digits[i], digits[j]] for i, j in pairs]
+            + [colour[digits[pos]] for pos in range(k)]
+        )
+        blocks.append(np.stack(columns, axis=1, dtype=np.int64))
+    return np.concatenate(blocks)
 
 
 def _joint_refine_kwl(graphs, k, budget):
-    """Joint k-WL over all k-tuples; returns (colour arrays, rounds)."""
+    """Joint k-WL over all k-tuples of graphs of one order; returns (one
+    colour array per graph, indexed by base-n tuple index; rounds)."""
     for g in graphs:
-        if g.n**k > budget:
+        work = g.n ** (k + 1)
+        if work > budget:
             raise BudgetExceededError(
-                f"{k}-WL needs {g.n**k} tuples, budget is {budget}", attempted=k
+                f"{k}-WL reads {work} (tuple, vertex) pairs per round on "
+                f"{g.n} vertices, budget is {budget}",
+                attempted=k,
             )
-    n_list = [g.n for g in graphs]
-    sizes = [n**k for n in n_list]
-    initial = []
-    for g, n, size in zip(graphs, n_list, sizes):
-        sigs = []
-        for idx in range(size):
-            rem = idx
-            tup = [0] * k
-            for pos in range(k - 1, -1, -1):
-                tup[pos] = rem % n
-                rem //= n
-            sigs.append(_atomic_type(g, tuple(tup)))
-        initial.append(sigs)
-    cols = _canonical(initial)
+    n = graphs[0].n
+    shape = (len(graphs),) + (n,) * k
+    cols, base = _rank_rows(_atomic_types(graphs, k, n))
+    # Row t: the colour of tuple t, then its neighbour codes sorted over w.
+    rows = np.empty((cols.size, n + 1), dtype=np.int64)
+    # codes[t, w] is a view of row t: the colours of t with position
+    # 0..k-1 replaced by w, most significant first, as base-`base` digits.
+    codes = rows[:, 1:].reshape(shape + (n,), copy=False)
     rounds = 0
     while True:
-        sigs = []
-        for g, n, size, col in zip(graphs, n_list, sizes, cols):
-            powers = [n ** (k - 1 - pos) for pos in range(k)]
-            graph_sigs = []
-            for idx in range(size):
-                digits = [(idx // powers[pos]) % n for pos in range(k)]
-                bases = [idx - digits[pos] * powers[pos] for pos in range(k)]
-                ms = sorted(
-                    tuple(col[bases[pos] + w * powers[pos]] for pos in range(k))
-                    for w in range(n)
-                )
-                graph_sigs.append((col[idx], tuple(ms)))
-            sigs.append(graph_sigs)
-        new_cols = _canonical(sigs)
-        old_classes = len({c for col in cols for c in col})
-        new_classes = len({c for col in new_cols for c in col})
-        if new_classes == old_classes:
-            return cols, rounds
-        cols = new_cols
+        colours = cols.reshape(shape)
+        rows[:, 0] = cols
+        codes.fill(0)
+        bound = 1  # every code is below bound
+        for pos in range(k):
+            if bound * base > 2**63:
+                # Re-rank rather than overflow int64.  Ranks number fewer
+                # than the n^(k+1) codes, so rank * base stays far below
+                # 2^63 for any array that fits in memory.
+                uniq, inverse = np.unique(codes, return_inverse=True)
+                codes[...] = inverse.reshape(codes.shape)
+                bound = uniq.size
+            codes *= base
+            codes += np.expand_dims(np.moveaxis(colours, 1 + pos, -1), 1 + pos)
+            bound *= base
+        codes.sort(axis=-1)
+        new_cols, new_base = _rank_rows(rows)
+        if new_base == base:
+            return list(cols.reshape(len(graphs), -1)), rounds
+        cols, base = new_cols, new_base
         rounds += 1
 
 
@@ -172,7 +259,8 @@ def colour_refinement(g: Graph, individualised=()) -> StableColouring:
     """
     cols, rounds = _joint_refine_1wl([g], [tuple(individualised)])
     colours = tuple(cols[0])
-    return StableColouring(1, g.n, colours, _histogram(colours), rounds)
+    histogram = Histogram(np.bincount(np.asarray(colours, dtype=np.int64)))
+    return StableColouring(1, g.n, colours, histogram, rounds)
 
 
 def k_wl_stable(g: Graph, k: int, budget: int = DEFAULT_WL_BUDGET) -> StableColouring:
@@ -182,16 +270,16 @@ def k_wl_stable(g: Graph, k: int, budget: int = DEFAULT_WL_BUDGET) -> StableColo
     if k == 1:
         return colour_refinement(g)
     cols, rounds = _joint_refine_kwl([g], k, budget)
-    colours = tuple(cols[0])
-    return StableColouring(k, g.n, colours, _histogram(colours), rounds)
+    histogram = Histogram(np.bincount(cols[0]))
+    return StableColouring(k, g.n, tuple(cols[0].tolist()), histogram, rounds)
 
 
 @dataclass(frozen=True)
 class WlComparison:
     distinguishes: bool
     distinguishing_colour: int | None
-    histogram_g: dict
-    histogram_h: dict
+    histogram_g: Mapping
+    histogram_h: Mapping
     k: int
 
     def digest(self) -> str:
@@ -212,13 +300,13 @@ def wl_compare(g: Graph, h: Graph, k: int, budget: int = DEFAULT_WL_BUDGET) -> W
         cols, _ = _joint_refine_1wl([g, h], [(), ()])
     else:
         cols, _ = _joint_refine_kwl([g, h], k, budget)
-    hist_g = _histogram(cols[0])
-    hist_h = _histogram(cols[1])
-    witness = None
-    for c in sorted(set(hist_g) | set(hist_h)):
-        if hist_g.get(c, 0) != hist_h.get(c, 0):
-            witness = c
-            break
+    cols = [np.asarray(c, dtype=np.int64) for c in cols]
+    size = max((int(c.max()) + 1 for c in cols if c.size), default=0)
+    count_g, count_h = (np.bincount(c, minlength=size) for c in cols)
+    differ = np.flatnonzero(count_g != count_h)
+    witness = int(differ[0]) if differ.size else None
+    hist_g = Histogram(count_g)
+    hist_h = hist_g if witness is None else Histogram(count_h)
     return WlComparison(witness is not None, witness, hist_g, hist_h, k)
 
 

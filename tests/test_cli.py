@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+import robustiso
 from robustiso import parse_graph
 from robustiso.generators import gen_cfi_pair, save_bundle, gen_blowup_pair
 
@@ -144,6 +146,27 @@ class TestWlCommand:
         )
         assert res.returncode == 3
         assert payload(res)["error"] == "budget-exceeded"
+
+    def test_cfi_prism_output_pinned(self, tmp_path):
+        # sha256 of stdout recorded with the tuple-signature k-WL code; the
+        # single-graph output names its input, so the paths are relative
+        save_bundle(gen_cfi_pair("prism"), str(tmp_path / "cfi"))
+        package_root = os.path.dirname(os.path.dirname(robustiso.__file__))
+        env = dict(os.environ, PYTHONPATH=package_root)
+        pinned = {
+            ("G.graph",): "85473be1e3b0a56be4ece76a36882bb1f344526f368fcea95fc442a5485a4c30",
+            ("G.graph", "H.graph"): "c84db9afba831ecd1a575c54a90eca9ab0dd7ca0e9c77f37dd63900233646b48",
+        }
+        for graphs, digest in pinned.items():
+            res = subprocess.run(
+                [sys.executable, "-m", "robustiso.cli", "wl", *graphs, "--k", "2"],
+                capture_output=True,
+                text=True,
+                cwd=tmp_path / "cfi",
+                env=env,
+            )
+            assert res.returncode == 0, res.stderr
+            assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
     def test_env_budget_override(self, files):
         res = run_cli(

@@ -93,6 +93,15 @@ class TestKwlStable:
         with pytest.raises(BudgetExceededError):
             k_wl_stable(C6, 9)
 
+    def test_budget_counts_the_work_of_a_round(self):
+        # 6^2 = 36 tuples fit, but a round reads 6^3 = 216 (tuple, vertex) pairs
+        with pytest.raises(BudgetExceededError, match="216") as err:
+            k_wl_stable(C6, 2, budget=215)
+        assert err.value.attempted == 2
+        with pytest.raises(BudgetExceededError, match="216"):
+            wl_compare(C6, TWO_C3, 2, budget=215)
+        assert k_wl_stable(C6, 2, budget=216).num_classes() == 4
+
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             k_wl_stable(C6, 0)
