@@ -303,9 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Edit distance / QAP additive approximation and "
         "WL-based robust isomorphism testing",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="cap on internal parallelism (all paths run "
-                        "sequentially; accepted for interface stability)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("vc", help="VC dimension of graph/QAP set systems")

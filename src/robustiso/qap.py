@@ -1,7 +1,9 @@
 """QAP instances, costs, the edit-distance reductions and the threshold grid.
 
-All coefficients are exact rationals.  Instances of order below 12 use a
-dense n^4 table; larger ones a sparse map with default 0.
+All coefficients are exact rationals.  An instance stores them once, as
+integers over one common denominator at the sorted flat positions of the
+nonzero coefficients; costs, b_alpha, threshold tests and the LP block are
+array operations on that form and compare in integers.
 """
 
 from __future__ import annotations
@@ -17,17 +19,23 @@ from .errors import CapExceededError, ParseError
 from .graphs import Assignment, Graph, PartialInjection
 from .rationals import as_fraction, format_rational
 
-DENSE_LIMIT = 12
-
 
 class QapInstance:
-    """Order-n QAP given by rational coefficients c(v, v', w, w')."""
+    """Order-n QAP given by rational coefficients c(v, v', w, w').
+
+    Only the nonzero coefficients are stored, in one form:
+      index   increasing flat positions ((v*n + v')*n + w)*n + w' (int64);
+      scaled  the coefficients times denom, int64 when n^2 times the largest
+              stays below 2^62 and object (Python ints) otherwise;
+      denom   the least common denominator of the coefficients.
+    The form is reduced, so equal instances store equal arrays whichever
+    constructor built them.
+    """
 
     def __init__(self, n: int, entries=None):
         """Build from a sparse {(v,v',w,w'): value} mapping (missing = 0)."""
         if n < 0:
             raise ValueError("order must be non-negative")
-        self.n = n
         cleaned = {}
         for key, value in (entries or {}).items():
             v, vp, w, wp = key
@@ -36,90 +44,114 @@ class QapInstance:
                     raise ValueError(f"coefficient index {key} out of range")
             value = as_fraction(value)
             if value != 0:
-                cleaned[(v, vp, w, wp)] = value
-        self._dense = None
-        self._sparse = None
-        if n < DENSE_LIMIT:
-            table = [Fraction(0)] * (n**4)
-            for (v, vp, w, wp), value in cleaned.items():
-                table[((v * n + vp) * n + w) * n + wp] = value
-            self._dense = table
-        else:
-            self._sparse = cleaned
-        self.bound_b = max((abs(x) for x in cleaned.values()), default=Fraction(0))
+                cleaned[((v * n + vp) * n + w) * n + wp] = value
+        denom = math.lcm(1, *{x.denominator for x in cleaned.values()})
+        index = np.array(sorted(cleaned), dtype=np.int64)
+        scaled = np.array([int(cleaned[i] * denom) for i in index.tolist()], dtype=object)
+        self._store(n, index, scaled, denom)
+
+    @classmethod
+    def from_array(cls, scaled: np.ndarray, denom: int = 1) -> "QapInstance":
+        """Instance with c(v, v', w, w') = scaled[v, v', w, w'] / denom."""
+        q = cls.__new__(cls)
+        flat = scaled.reshape(-1)
+        index = np.flatnonzero(flat)
+        q._store(scaled.shape[0], index, flat[index], denom)
+        return q
+
+    def _store(self, n: int, index: np.ndarray, scaled: np.ndarray, denom: int):
+        common = int(np.gcd.reduce(scaled, initial=denom))
+        scaled = scaled // common
+        largest = int(np.abs(scaled).max(initial=0))
+        self.n = n
+        self.index = index
+        self.scaled = scaled.astype(np.int64 if largest * n * n < 2**62 else object)
+        self.denom = denom // common
+        self.bound_b = Fraction(largest, self.denom)
+
+    def scaled_at(self, positions) -> np.ndarray:
+        """Scaled coefficients at flat positions (any shape); 0 where none is stored."""
+        positions = np.asarray(positions, dtype=np.int64)
+        out = np.zeros(positions.shape, dtype=self.scaled.dtype)
+        if self.index.size:
+            slot = np.searchsorted(self.index, positions).clip(max=self.index.size - 1)
+            hit = self.index[slot] == positions
+            out[hit] = self.scaled[slot[hit]]
+        return out
 
     def c(self, v: int, vp: int, w: int, wp: int) -> Fraction:
-        if self._dense is not None:
-            n = self.n
-            return self._dense[((v * n + vp) * n + w) * n + wp]
-        return self._sparse.get((v, vp, w, wp), Fraction(0))
+        n = self.n
+        position = ((v * n + vp) * n + w) * n + wp
+        return Fraction(int(self.scaled_at(position)), self.denom)
 
     def nonzero_entries(self):
         """Sorted ((v,v',w,w'), value) pairs with nonzero value."""
-        if self._sparse is not None:
-            return sorted(self._sparse.items())
-        n = self.n
-        out = []
-        for v in range(n):
-            for vp in range(n):
-                for w in range(n):
-                    for wp in range(n):
-                        val = self._dense[((v * n + vp) * n + w) * n + wp]
-                        if val != 0:
-                            out.append(((v, vp, w, wp), val))
-        return out
+        coords = np.unravel_index(self.index, (self.n,) * 4)
+        keys = zip(*(a.tolist() for a in coords))
+        values = (Fraction(s, self.denom) for s in self.scaled.tolist())
+        return list(zip(keys, values))
 
     def scaled_block(self):
         """(block, denom): the n^2 x n^2 coefficient block as exact integers.
 
-        block[v*n + v', w*n + w'] = c(v, v', w, w') * denom, where denom is the
-        least common denominator of all coefficients.  The dtype is int64 when
-        n^2 times the largest entry fits, and object (Python ints) otherwise.
+        block[v*n + v', w*n + w'] = c(v, v', w, w') * denom, with the dtype of
+        `scaled`.  Built afresh on each call.
         """
         n = self.n
-        if self._dense is not None:
-            index, values = slice(None), self._dense
-        else:
-            index = [((v * n + vp) * n + w) * n + wp for v, vp, w, wp in self._sparse]
-            values = list(self._sparse.values())
-        denom = math.lcm(1, *{x.denominator for x in values})
-        scaled = [x.numerator * (denom // x.denominator) for x in values]
-        largest = max(map(abs, scaled), default=0)
-        block = np.zeros(n**4, dtype=np.int64 if largest * n * n < 2**62 else object)
-        block[index] = scaled
-        return block.reshape(n * n, n * n), denom
+        block = np.zeros(n**4, dtype=self.scaled.dtype)
+        block[self.index] = self.scaled
+        return block.reshape(n * n, n * n), self.denom
+
+    def exceeds(self, t) -> np.ndarray:
+        """Boolean n^2 x n^2 block of c(v, v', w, w') > t.
+
+        Compared in integers: c > t exactly when scaled > floor(t * denom).
+        """
+        k = math.floor(as_fraction(t) * self.denom)
+        n = self.n
+        above = np.full(n**4, k < 0)
+        above[self.index] = self.scaled > k
+        return above.reshape(n * n, n * n)
 
     def value_set(self):
         """All distinct coefficient values, including the implicit 0."""
-        if self._dense is not None:
-            return set(self._dense)
-        values = set(self._sparse.values())
-        if len(self._sparse) < self.n**4:
-            values.add(Fraction(0))
-        if not values:
+        values = {Fraction(s, self.denom) for s in set(self.scaled.tolist())}
+        if not values or self.index.size < self.n**4:
             values.add(Fraction(0))
         return values
 
     def __eq__(self, other):
         if not isinstance(other, QapInstance):
             return NotImplemented
-        return self.n == other.n and self.nonzero_entries() == other.nonzero_entries()
+        return (
+            self.n == other.n
+            and self.denom == other.denom
+            and np.array_equal(self.index, other.index)
+            and np.array_equal(self.scaled, other.scaled)
+        )
 
     def __repr__(self):
-        return f"QapInstance(n={self.n}, nonzero={len(self.nonzero_entries())})"
+        return f"QapInstance(n={self.n}, nonzero={self.index.size})"
 
 
 def qap_cost(q: QapInstance, phi: Assignment) -> Fraction:
     """Sum of c(v, phi(v), w, phi(w)) over all ordered pairs, diagonal included."""
     if len(phi) != q.n:
         raise ValueError("assignment order does not match the instance")
-    total = Fraction(0)
-    images = phi.mapping
-    for v in range(q.n):
-        fv = images[v]
-        for w in range(q.n):
-            total += q.c(v, fv, w, images[w])
-    return total
+    n = q.n
+    rows = np.arange(n) * n + np.array(phi.mapping, dtype=np.int64)
+    total = q.scaled_at(rows[:, None] * (n * n) + rows[None, :]).sum()
+    return Fraction(int(total), q.denom)
+
+
+def _weight_matrix(g: Graph, denom: int) -> np.ndarray:
+    """Effective edge weights of g times denom, as an n x n integer array."""
+    scaled = [(u, v, int(g.weight(u, v) * denom)) for u, v in g.edges]
+    big = any(abs(x) >= 2**62 for _, _, x in scaled)
+    matrix = np.zeros((g.n, g.n), dtype=object if big else np.int64)
+    for u, v, x in scaled:
+        matrix[u, v] = matrix[v, u] = x
+    return matrix
 
 
 def ged_to_qap(g: Graph, h: Graph) -> QapInstance:
@@ -134,17 +166,10 @@ def ged_to_qap(g: Graph, h: Graph) -> QapInstance:
         raise ValueError("weighted inputs: use weighted_ged_to_qap")
     if g.is_coloured or h.is_coloured:
         raise ValueError("the QAP reduction has no colour channel")
-    n = g.n
-    entries = {}
-    for v in range(n):
-        for w in range(n):
-            in_g = g.has_edge(v, w) if v != w else False
-            for vp in range(n):
-                for wp in range(n):
-                    in_h = h.has_edge(vp, wp) if vp != wp else False
-                    if in_g != in_h:
-                        entries[(v, vp, w, wp)] = 1
-    return QapInstance(n, entries)
+    a, b = _weight_matrix(g, 1), _weight_matrix(h, 1)
+    return QapInstance.from_array(
+        (a[:, None, :, None] != b[None, :, None, :]).astype(np.int64)
+    )
 
 
 def weighted_ged_to_qap(g: Graph, h: Graph) -> QapInstance:
@@ -153,17 +178,10 @@ def weighted_ged_to_qap(g: Graph, h: Graph) -> QapInstance:
         raise ValueError("graphs have different orders")
     if g.is_coloured or h.is_coloured:
         raise ValueError("the QAP reduction has no colour channel")
-    n = g.n
-    entries = {}
-    for v in range(n):
-        for w in range(n):
-            gw = g.weight(v, w)
-            for vp in range(n):
-                for wp in range(n):
-                    diff = abs(gw - h.weight(vp, wp))
-                    if diff != 0:
-                        entries[(v, vp, w, wp)] = diff
-    return QapInstance(n, entries)
+    weights = [w for x in (g, h) if x.is_weighted for w in x.weights.values()]
+    denom = math.lcm(1, *(w.denominator for w in weights))
+    a, b = _weight_matrix(g, denom), _weight_matrix(h, denom)
+    return QapInstance.from_array(abs(a[:, None, :, None] - b[None, :, None, :]), denom)
 
 
 def qap_bruteforce(q: QapInstance, cap: int = 9):
@@ -180,14 +198,18 @@ def qap_bruteforce(q: QapInstance, cap: int = 9):
     return best[0], Assignment(best[1])
 
 
-def b_alpha(q: QapInstance, alpha: PartialInjection, v: int, vp: int) -> Fraction:
-    """Scaled partial cost estimate (n/|alpha|) * sum of c(v,v',w,w') over alpha."""
+def _alpha_positions(q: QapInstance, alpha: PartialInjection, v: int, vp: int):
+    """Flat positions of c(v, v', w, w') for the pairs (w, w') of a nonempty alpha."""
     if len(alpha) == 0:
         raise ValueError("alpha must be nonempty")
-    total = Fraction(0)
-    for w, wp in alpha:
-        total += q.c(v, vp, w, wp)
-    return Fraction(q.n, len(alpha)) * total
+    pairs = np.array(alpha.sorted_pairs(), dtype=np.int64)
+    return (v * q.n + vp) * q.n * q.n + pairs[:, 0] * q.n + pairs[:, 1]
+
+
+def b_alpha(q: QapInstance, alpha: PartialInjection, v: int, vp: int) -> Fraction:
+    """Scaled partial cost estimate (n/|alpha|) * sum of c(v,v',w,w') over alpha."""
+    total = q.scaled_at(_alpha_positions(q, alpha, v, vp)).sum()
+    return Fraction(q.n, len(alpha)) * Fraction(int(total), q.denom)
 
 
 @dataclass(frozen=True)
@@ -236,15 +258,14 @@ def mean_threshold_estimate(
     The containment flag must be true whenever the grid bound dominates the
     instance bound; exposed as a testable oracle.
     """
-    if len(alpha) == 0:
-        raise ValueError("alpha must be nonempty")
+    scaled = q.scaled_at(_alpha_positions(q, alpha, v, vp))
     if grid.b < q.bound_b:
         raise ValueError("grid bound is below the instance coefficient bound")
     n = q.n
     scale = Fraction(n, len(alpha))
     total = 0
     for t in grid.thresholds:
-        total += sum(1 for w, wp in alpha if q.c(v, vp, w, wp) > t)
+        total += int(np.count_nonzero(scaled > math.floor(t * q.denom)))
     centre = grid.step * scale * total - grid.b * n
     half = grid.step * n
     return MeanThresholdEstimate(b_alpha(q, alpha, v, vp), centre - half, centre + half)

@@ -12,6 +12,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BudgetExceededError, CapExceededError, VerificationError
 from .graphs import Graph
 from .rationals import as_fraction
@@ -33,15 +35,7 @@ class SetSystem:
 
     @classmethod
     def from_iterables(cls, ground_size: int, families) -> "SetSystem":
-        masks = set()
-        for member in families:
-            m = 0
-            for x in member:
-                if not 0 <= x < ground_size:
-                    raise ValueError(f"element {x} outside ground set")
-                m |= 1 << x
-            masks.add(m)
-        return cls(ground_size, frozenset(masks))
+        return cls(ground_size, frozenset(_mask_of(m, ground_size) for m in families))
 
     def members(self):
         """Members decoded as sorted tuples of elements."""
@@ -70,16 +64,8 @@ def neighbourhood_system(g: Graph) -> SetSystem:
 
 def mixed_system(g: Graph) -> SetSystem:
     """All pairwise symmetric differences of neighbourhoods (incl. the empty set)."""
-    masks = set()
-    rows = []
-    for v in range(g.n):
-        m = 0
-        for w in g.adj[v]:
-            m |= 1 << w
-        rows.append(m)
-    for v in range(g.n):
-        for w in range(v, g.n):
-            masks.add(rows[v] ^ rows[w])
+    rows = [_mask_of(g.adj[v], g.n) for v in range(g.n)]
+    masks = {rows[v] ^ rows[w] for v in range(g.n) for w in range(v, g.n)}
     if g.n == 0:
         masks.add(0)
     return SetSystem(g.n, frozenset(masks))
@@ -92,27 +78,14 @@ def qap_threshold_system(q, t, phi=None) -> SetSystem:
     and the member for (v,v') collects the pairs with coefficient > t.  With
     phi the ground set is the graph of phi, encoded by its source w.
     """
-    t = as_fraction(t)
     n = q.n
-    masks = set()
-    if phi is None:
-        for v in range(n):
-            for vp in range(n):
-                m = 0
-                for w in range(n):
-                    for wp in range(n):
-                        if q.c(v, vp, w, wp) > t:
-                            m |= 1 << (w * n + wp)
-                masks.add(m)
-        return SetSystem(n * n, frozenset(masks))
-    for v in range(n):
-        for vp in range(n):
-            m = 0
-            for w in range(n):
-                if q.c(v, vp, w, phi[w]) > t:
-                    m |= 1 << w
-            masks.add(m)
-    return SetSystem(n, frozenset(masks))
+    above = q.exceeds(t)
+    if phi is not None:
+        images = np.array([phi[w] for w in range(n)], dtype=int)
+        above = above[:, np.arange(n) * n + images]
+    ground = above.shape[1]
+    masks = (_mask_of(np.flatnonzero(row).tolist(), ground) for row in above)
+    return SetSystem(ground, frozenset(masks))
 
 
 def is_shattered(system: SetSystem, subset) -> bool:
@@ -216,7 +189,7 @@ def weak_vc_test(q, d: int, budget: int = 10_000_000) -> bool:
         raise ValueError("d must be non-negative")
     n = q.n
     values = sorted(q.value_set())
-    thresholds = ([values[0] - 1] if values else [Fraction(0)]) + values
+    thresholds = [values[0] - 1] + values
 
     size = d + 1
     if size > n:
@@ -228,21 +201,20 @@ def weak_vc_test(q, d: int, budget: int = 10_000_000) -> bool:
             f"weak VC test needs {work} (threshold, alpha) combinations", work
         )
 
-    full = (1 << size) - 1
-    for sources in itertools.combinations(range(n), size):
-        for targets in itertools.permutations(range(n), size):
-            alpha = tuple(zip(sources, targets))
-            for t in thresholds:
-                traces = set()
-                for v in range(n):
-                    for vp in range(n):
-                        m = 0
-                        for i, (w, wp) in enumerate(alpha):
-                            if q.c(v, vp, w, wp) > t:
-                                m |= 1 << i
-                        traces.add(m)
-                        if len(traces) == full + 1:
-                            return False
+    # every target tuple at once: column j of `traces` holds, per pair (v,v'),
+    # the bitmask of the alpha = zip(sources, targets[j]) cells above t
+    targets = np.array(list(itertools.permutations(range(n), size)), dtype=int)
+    for t in thresholds:
+        above = q.exceeds(t).reshape(n * n, n, n)
+        for sources in itertools.combinations(range(n), size):
+            traces = sum(
+                above[:, w, targets[:, i]].astype(np.int64) << i
+                for i, w in enumerate(sources)
+            )
+            traces.sort(axis=0)
+            distinct = 1 + np.count_nonzero(np.diff(traces, axis=0), axis=0)
+            if (distinct == 1 << size).any():
+                return False
     return True
 
 
@@ -356,9 +328,7 @@ def sauer_shelah_check(system: SetSystem, s: int, budget: int = 2_000_000) -> bo
     bound = (math.e * s / d) ** d
     family = list(system.sets)
     for combo in itertools.combinations(range(system.ground_size), s):
-        x = 0
-        for e in combo:
-            x |= 1 << e
+        x = _mask_of(combo, system.ground_size)
         traces = {m & x for m in family}
         if len(traces) > bound:
             return False

@@ -239,13 +239,6 @@ class TestErrorPaths:
         assert res.returncode == 2
 
 
-class TestThreadsFlag:
-    def test_accepted_before_subcommand(self, files):
-        res = run_cli(["--threads", "2", "vc", "--graph", files["k3.graph"]])
-        assert res.returncode == 0
-        assert payload(res)["nvc"] == 1
-
-
 class TestBudgetOverrideAppliesToSolver:
     def test_alpha_budget_from_env(self, files):
         res = run_cli(

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -30,8 +31,11 @@ from robustiso import (
     threshold_grid,
     weighted_ged_to_qap,
 )
-from robustiso.errors import CapExceededError, ParseError
+from robustiso.approx import m_bound
+from robustiso.errors import BudgetExceededError, CapExceededError, ParseError
+from robustiso.generators import gen_vc_gap_qap
 from robustiso.graphs import Graph
+from robustiso.setsystems import qap_threshold_system, weak_vc_test
 
 
 K3 = complete_graph(3)
@@ -54,18 +58,17 @@ class TestQapInstance:
         assert q.nonzero_entries() == []
         assert q.bound_b == 0
 
-    def test_dense_and_sparse_storage_agree(self):
-        entries = {(0, 1, 2, 3): Fraction(5, 2), (11, 0, 0, 11): -1}
-        dense = QapInstance(12, entries)  # boundary: n=12 is sparse
-        assert dense._sparse is not None
+    def test_c_reads_stored_and_implicit_coefficients(self):
+        large = QapInstance(12, {(0, 1, 2, 3): Fraction(5, 2), (11, 0, 0, 11): -1})
         small = QapInstance(4, {(0, 1, 2, 3): Fraction(5, 2)})
-        assert small._dense is not None
         assert small.c(0, 1, 2, 3) == Fraction(5, 2)
         assert small.c(3, 2, 1, 0) == 0
-        assert dense.c(11, 0, 0, 11) == -1
+        assert large.c(11, 0, 0, 11) == -1
+        assert large.c(0, 1, 2, 3) == Fraction(5, 2)
+        assert large.c(11, 11, 11, 11) == 0
 
-    def test_scaled_block_is_exact_in_both_storages(self):
-        for n, fill in ((4, 0.5), (12, 0.02)):  # dense, then sparse storage
+    def test_scaled_block_is_exact(self):
+        for n, fill in ((4, 0.5), (12, 0.02)):
             q = random_qap(n, 2300 + n, bmax=2, denom=6, fill=fill)
             block, denom = q.scaled_block()
             assert block.shape == (n * n, n * n) and block.dtype == np.int64
@@ -84,6 +87,25 @@ class TestQapInstance:
     def test_value_set_includes_implicit_zero(self):
         q = QapInstance(3, {(0, 0, 0, 0): 1})
         assert q.value_set() == {0, 1}
+
+    def test_value_set_of_empty_instance_is_zero(self):
+        q = QapInstance(0, {})
+        assert q.value_set() == {0}
+        assert distinct_value_count(q) == 1
+        assert m_bound(1, 1, 0, distinct_value_count(q)) == 1
+        assert weak_vc_test(q, 0) is True
+
+    def test_equal_whichever_constructor(self):
+        for seed in range(5):
+            g = random_weighted_graph(4, 4900 + seed, denom=4)
+            h = random_weighted_graph(4, 4950 + seed, denom=4)
+            q = weighted_ged_to_qap(g, h)
+            assert q == QapInstance(4, dict(q.nonzero_entries()))
+            assert np.gcd.reduce(q.scaled, initial=q.denom) == 1
+        doubled = QapInstance.from_array(np.full((2, 2, 2, 2), 2), 4)
+        halves = dict.fromkeys(itertools.product(range(2), repeat=4), Fraction(1, 2))
+        assert doubled == QapInstance(2, halves)
+        assert doubled.denom == 2 and doubled.scaled.tolist() == [1] * 16
 
 
 class TestQapCost:
@@ -363,3 +385,87 @@ class TestQapFiles:
         q = QapInstance(2, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 2})
         lines = serialize_qap(q).splitlines()
         assert lines[1].startswith("q 0 1") and lines[2].startswith("q 1 0")
+
+
+def pinned_instances():
+    """39 seeded instances: random, GED reductions, vc-gap and one past int64."""
+    out = [
+        random_qap(n, 4100 + n, bmax=2, denom=3, fill=0.5 if n <= 8 else 0.02)
+        for n in (*range(9), 12, 13)
+    ]
+    for n in range(1, 11):
+        out.append(ged_to_qap(er_graph(n, 0.5, 4200 + n), er_graph(n, 0.5, 4300 + n)))
+        out.append(
+            weighted_ged_to_qap(
+                random_weighted_graph(n, 4400 + n), random_weighted_graph(n, 4500 + n)
+            )
+        )
+    for n in (3, 6, 8, 10):
+        g = er_graph(n, 0.5, 4600 + n)
+        out.append(ged_to_qap(g, relabelled_copy(g, 4700 + n)))
+    out += [gen_vc_gap_qap(n) for n in (4, 8, 16)]
+    out.append(
+        QapInstance(2, {(0, 1, 1, 0): Fraction(2**70, 3), (1, 1, 1, 1): Fraction(1, 2)})
+    )
+    return out
+
+
+def pinned_records(q, rng):
+    """Printable outputs of every QAP consumer on q, grouped by function."""
+    n = q.n
+    perms = [Assignment.identity(n)] + [
+        Assignment(rng.sample(range(n), n)) for _ in range(2)
+    ]
+    block, denom = q.scaled_block()
+    records = {
+        "serialize_qap": [serialize_qap(q)],
+        "scaled_block": [f"{block.tolist()} / {denom}"],
+        "qap_cost": [str(qap_cost(q, phi)) for phi in perms],
+        "b_alpha": [],
+        "qap_threshold_system": [],
+        "weak_vc_test": [],
+    }
+    for _ in range(2 if n else 0):
+        alpha = random_partial_injection(rng, n, rng.randint(1, n))
+        records["b_alpha"] += [
+            str(b_alpha(q, alpha, v, vp)) for v in range(n) for vp in range(n)
+        ]
+    for t in (-1, Fraction(-1, 3), 0, Fraction(1, 2), 1):
+        for phi in (None, perms[-1]):
+            system = qap_threshold_system(q, t, phi)
+            records["qap_threshold_system"].append(
+                f"{system.ground_size} {sorted(system.sets)}"
+            )
+    if n <= 6 or n == 8 and q.bound_b == 1:
+        for d in (0, 1):
+            try:
+                verdict = weak_vc_test(q, d, budget=20_000)
+            except BudgetExceededError as err:
+                verdict = f"budget {err}"
+            records["weak_vc_test"].append(str(verdict))
+    return records
+
+
+# sha256 of the records above, taken before QapInstance moved to one array form
+PINNED_DIGESTS = {
+    "serialize_qap": "e3cb3f988abac7063b09c3773829a6929a75d0f39ea998930f6b40c3be57c8c8",
+    "scaled_block": "35de3dcef30d7f5aba48dd0e85429f430ecc94d59178ea3b11d8a9d9826df13b",
+    "qap_cost": "893b1a685121990e728765be8f99fd3837c1518030dfbf659eb2d9bc362d009c",
+    "b_alpha": "a761d708aa081730d41b57db8da5e32e484388b319f152f1c34640d66fc34983",
+    "qap_threshold_system": "de3125ad330fd48d7e14819d83a447f5ca64ecd127e117a9993307e1b1ed7ab9",
+    "weak_vc_test": "09ad687d60c990da5ad369d839aa75c79716504005d0703957b6164b8fa9828c",
+}
+
+
+class TestPinnedOutputs:
+    def test_outputs_match_pinned_digests(self):
+        rng = random.Random(4800)
+        joined = {}
+        for q in pinned_instances():
+            for name, lines in pinned_records(q, rng).items():
+                joined.setdefault(name, []).extend(lines)
+        digests = {
+            name: hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            for name, lines in joined.items()
+        }
+        assert digests == PINNED_DIGESTS
