@@ -13,11 +13,13 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 from . import approx, generators, setsystems, wl
 from .errors import BudgetExceededError, CapExceededError, ParseError
 from .graphs import (
     edit_distance_bruteforce,
+    is_isomorphic_bruteforce,
     parse_graph,
     serialize_graph,
 )
@@ -92,45 +94,19 @@ def cmd_vc(args) -> int:
     return EXIT_OK
 
 
-def cmd_ged(args) -> int:
-    g = _load_graph(args.g)
-    h = _load_graph(args.h)
+def _emit_approximation(args, cost_key, n, approximate, oracle) -> int:
+    """Shared output of `ged` and `qap`: `approximate(**options)` returns
+    (cost, assignment, report); `oracle(cap=...)` returns (cost, assignment)
+    and runs when n is within --oracle-cap."""
     start = time.monotonic()
-    result = approx.approximate_ged(
-        g, h, args.eps, args.m, args.seed, mode=args.mode, lp_method=args.lp,
-        alpha_budget=_budget(200_000),
+    cost, assignment, report = approximate(
+        eps=args.eps, m=args.m, seed=args.seed, mode=args.mode,
+        lp_method=args.lp, alpha_budget=_budget(200_000),
     )
     elapsed = (time.monotonic() - start) * 1000
     out = {
-        "approx_cost": format_rational(result.cost),
-        "assignment": list(result.assignment.mapping),
-        "eps": format_rational(args.eps),
-        "m": args.m,
-        "mode": args.mode,
-        "seed": args.seed,
-        "alphas_tried": result.report.alphas_tried,
-        "lps_infeasible": result.report.lps_infeasible,
-        "timing_ms": round(elapsed, 3),
-    }
-    if g.n <= args.oracle_cap:
-        oracle_cost, _ = edit_distance_bruteforce(g, h, cap=args.oracle_cap)
-        out["oracle_cost"] = format_rational(oracle_cost)
-        out["gap"] = format_rational(result.cost - oracle_cost)
-    _emit(out)
-    return EXIT_OK
-
-
-def cmd_qap(args) -> int:
-    q = _load_qap(args.qap)
-    start = time.monotonic()
-    report = approx.approximate_qap(
-        q, args.eps, args.m, args.seed, mode=args.mode, lp_method=args.lp,
-        alpha_budget=_budget(200_000),
-    )
-    elapsed = (time.monotonic() - start) * 1000
-    out = {
-        "best_cost": format_rational(report.best_cost),
-        "assignment": list(report.best_assignment.mapping),
+        cost_key: format_rational(cost),
+        "assignment": list(assignment.mapping),
         "eps": format_rational(args.eps),
         "m": args.m,
         "mode": args.mode,
@@ -139,12 +115,37 @@ def cmd_qap(args) -> int:
         "lps_infeasible": report.lps_infeasible,
         "timing_ms": round(elapsed, 3),
     }
-    if q.n <= args.oracle_cap:
-        oracle_cost, _ = qap_bruteforce(q, cap=args.oracle_cap)
+    if n <= args.oracle_cap:
+        oracle_cost, _ = oracle(cap=args.oracle_cap)
         out["oracle_cost"] = format_rational(oracle_cost)
-        out["gap"] = format_rational(report.best_cost - oracle_cost)
+        out["gap"] = format_rational(cost - oracle_cost)
     _emit(out)
     return EXIT_OK
+
+
+def cmd_ged(args) -> int:
+    g = _load_graph(args.g)
+    h = _load_graph(args.h)
+
+    def approximate(**options):
+        result = approx.approximate_ged(g, h, **options)
+        return result.cost, result.assignment, result.report
+
+    return _emit_approximation(
+        args, "approx_cost", g.n, approximate, partial(edit_distance_bruteforce, g, h)
+    )
+
+
+def cmd_qap(args) -> int:
+    q = _load_qap(args.qap)
+
+    def approximate(**options):
+        report = approx.approximate_qap(q, **options)
+        return report.best_cost, report.best_assignment, report
+
+    return _emit_approximation(
+        args, "best_cost", q.n, approximate, partial(qap_bruteforce, q)
+    )
 
 
 def cmd_robust_gi(args) -> int:
@@ -236,30 +237,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.kind == "ged":
-        g = _load_graph(args.a)
-        h = _load_graph(args.b)
-        cost, assignment = edit_distance_bruteforce(g, h, cap=args.cap)
-        _emit(
-            {
-                "kind": "ged",
-                "cost": format_rational(cost),
-                "assignment": list(assignment.mapping),
-            }
-        )
-    elif args.kind == "qap":
-        q = _load_qap(args.a)
-        cost, assignment = qap_bruteforce(q, cap=args.cap)
-        _emit(
-            {
-                "kind": "qap",
-                "cost": format_rational(cost),
-                "assignment": list(assignment.mapping),
-            }
-        )
-    else:
-        from .graphs import is_isomorphic_bruteforce
-
+    if args.kind == "iso":
         g = _load_graph(args.a)
         h = _load_graph(args.b)
         iso = is_isomorphic_bruteforce(g, h)
@@ -270,30 +248,20 @@ def cmd_oracle(args) -> int:
                 "assignment": None if iso is None else list(iso.mapping),
             }
         )
-    return EXIT_OK
-
-
-def cmd_bench(args) -> int:
-    """Small fixed workload with per-step timings (timings are not
-    covered by the determinism guarantee)."""
-    results = []
-
-    def run(op, fn):
-        start = time.monotonic()
-        fn()
-        results.append({"op": op, "ms": round((time.monotonic() - start) * 1000, 3)})
-
-    g = generators.gen_random_graph(12, edge_prob=0.5, seed=args.seed)
-    h = generators.gen_random_graph(12, edge_prob=0.5, seed=args.seed + 1)
-    run("neighbourhood_vc_n12", lambda: setsystems.vc_dimension_exact(
-        setsystems.neighbourhood_system(g)))
-    run("wl2_pair_n12", lambda: wl.wl_distinguishes(g, h, 2))
-    g6 = generators.gen_random_graph(6, edge_prob=0.5, seed=args.seed + 2)
-    h6 = generators.gen_random_graph(6, edge_prob=0.5, seed=args.seed + 3)
-    run("ged_oracle_n6", lambda: edit_distance_bruteforce(g6, h6))
-    run("ged_approx_n6_m1", lambda: approx.approximate_ged(
-        g6, h6, 1, 1, seed=args.seed, lp_method=args.lp))
-    _emit({"bench": results, "seed": args.seed})
+        return EXIT_OK
+    if args.kind == "ged":
+        cost, assignment = edit_distance_bruteforce(
+            _load_graph(args.a), _load_graph(args.b), cap=args.cap
+        )
+    else:
+        cost, assignment = qap_bruteforce(_load_qap(args.a), cap=args.cap)
+    _emit(
+        {
+            "kind": args.kind,
+            "cost": format_rational(cost),
+            "assignment": list(assignment.mapping),
+        }
+    )
     return EXIT_OK
 
 
@@ -371,11 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b", nargs="?", default=None)
     p.add_argument("--cap", type=int, default=10)
     p.set_defaults(fn=cmd_oracle)
-
-    p = sub.add_parser("bench", help="timings of a small fixed workload")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--lp", choices=["exact", "highs"], default="highs")
-    p.set_defaults(fn=cmd_bench)
     return parser
 
 

@@ -182,14 +182,14 @@ def weak_vc_test(q, d: int, budget: int = 10_000_000) -> bool:
 
     For each candidate threshold and each injective partial map of size d+1,
     checks that some sub-map is realised as a trace by no pair (v,v').  The
-    thresholds are the distinct coefficient values plus a sentinel below the
-    minimum.
+    thresholds are the distinct coefficient values but the largest: no cell
+    lies above that one, and every cell lies above any value below the
+    smallest, so neither can shatter a nonempty set.
     """
     if d < 0:
         raise ValueError("d must be non-negative")
     n = q.n
-    values = sorted(q.value_set())
-    thresholds = [values[0] - 1] + values
+    thresholds = sorted(q.value_set())[:-1]
 
     size = d + 1
     if size > n:

@@ -1,24 +1,23 @@
 """Weisfeiler-Leman refinement, homogenising sets and robust isomorphism.
 
-Colour ids are canonical across graphs refined in the same run: each round
-collects the signatures of every tuple of every participating graph, sorts
-them globally and renames to dense integers, so histograms are directly
-comparable without hashing.
-
-1-WL builds its signatures as Python tuples.  k-WL (k >= 2) works on one
-numpy integer row per k-tuple.  The first rows are atomic types: 0/1
-equality and adjacency bits, then the vertex colours.  In each round a
-tuple's row is its colour followed by, for every vertex w, the colours of
-the k tuples that put w at one position, packed into one order-preserving
-integer code; the codes are sorted over w.  These rows compare exactly as
-the signature tuples do, so ranking them with `np.lexsort` gives the ids
-that sorting the tuples would give.  Colour histograms are `Histogram`
-mappings over one compact count array.
+Every dimension refines through one fixpoint, `_refine`: each round ranks
+one numpy integer row per vertex (1-WL) or k-tuple (k-WL) of every graph
+in the run with `np.lexsort`, so colour ids are canonical across those
+graphs and histograms compare without hashing.  A 1-WL row is the vertex's
+colour, then its neighbours' colours in increasing order, padded with -1.
+A k-WL row starts from the atomic type (equality and adjacency bits, then
+vertex colours); in each round it is the tuple's colour, then for every
+vertex w one order-preserving integer code of the colours of the k tuples
+that put w at one position, sorted over w.  Rows compare exactly as the
+signature tuples do, so their ranks are the ids that sorting the tuples
+would give.  Colour histograms are `Histogram` mappings over one compact
+count array.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from collections.abc import ItemsView, Mapping
@@ -119,50 +118,6 @@ class StableColouring:
         return classes
 
 
-def _canonical(rounds_sigs):
-    """Rename signature lists (one per graph) to dense shared integer ids."""
-    table = {}
-    for sigs in rounds_sigs:
-        for s in sigs:
-            table[s] = None
-    for rank, s in enumerate(sorted(table)):
-        table[s] = rank
-    return [[table[s] for s in sigs] for sigs in rounds_sigs]
-
-
-def _joint_refine_1wl(graphs, individualised):
-    """Joint 1-WL; returns (colour arrays, rounds to stability)."""
-    initial = []
-    for g, ind in zip(graphs, individualised):
-        ind_sorted = sorted(ind)
-        for v in ind_sorted:
-            if not 0 <= v < g.n:
-                raise ValueError(f"individualised vertex {v} out of range")
-        rank = {v: i + 1 for i, v in enumerate(ind_sorted)}
-        initial.append(
-            [(g.colour_of(v), rank.get(v, 0)) for v in range(g.n)]
-        )
-    cols = _canonical(initial)
-    rounds = 0
-    while True:
-        sigs = []
-        for g, col in zip(graphs, cols):
-            adj = g.adj
-            sigs.append(
-                [
-                    (col[v], tuple(sorted(col[u] for u in adj[v])))
-                    for v in range(g.n)
-                ]
-            )
-        new_cols = _canonical(sigs)
-        old_classes = len({c for col in cols for c in col})
-        new_classes = len({c for col in new_cols for c in col})
-        if new_classes == old_classes:
-            return cols, rounds
-        cols = new_cols
-        rounds += 1
-
-
 def _rank_rows(rows):
     """Dense ranks of the rows of a 2-D integer array in lexicographic order;
     returns (ranks, number of distinct rows)."""
@@ -181,6 +136,60 @@ def _rank_rows(rows):
     return ranks, int(ranks[order[-1]]) + 1
 
 
+def _refine(rows, signatures):
+    """Colour the rows of `rows` by rank, then re-rank the rows that
+    `signatures(colours, classes)` builds until the class count stops
+    growing; returns (the colours before the last round, rounds)."""
+    cols, classes = _rank_rows(rows)
+    del rows  # k-WL's atomic types are wide: free them before the rounds
+    rounds = 0
+    while True:
+        new_cols, new_classes = _rank_rows(signatures(cols, classes))
+        if new_classes == classes:
+            return cols, rounds
+        cols, classes = new_cols, new_classes
+        rounds += 1
+
+
+def _vertex_colours(graphs):
+    """The vertex colours of all graphs, concatenated and ranked jointly, so
+    they keep their order and fit in int64."""
+    colours = [g.colour_of(v) for g in graphs for v in range(g.n)]
+    rank = {c: r for r, c in enumerate(sorted(set(colours)))}
+    return [rank[c] for c in colours]
+
+
+def _joint_refine_1wl(graphs, individualised):
+    """Joint 1-WL; returns (one colour array per graph, rounds to stability)."""
+    ranks = []
+    for g, ind in zip(graphs, individualised):
+        ind_sorted = sorted(ind)
+        for v in ind_sorted:
+            if not 0 <= v < g.n:
+                raise ValueError(f"individualised vertex {v} out of range")
+        rank = {v: i + 1 for i, v in enumerate(ind_sorted)}
+        ranks += [rank.get(v, 0) for v in range(g.n)]
+    starts = list(itertools.accumulate((g.n for g in graphs), initial=0))
+    adj = [[s + w for w in nbrs] for g, s in zip(graphs, starts) for nbrs in g.adj]
+    width = max(map(len, adj), default=0)
+    # neighbours[v]: the joint indices of v's neighbours, padded with -1.
+    neighbours = np.array(
+        [nbrs + [-1] * (width - len(nbrs)) for nbrs in adj], dtype=np.int64
+    ).reshape(len(adj), width)
+    pad = neighbours < 0
+
+    def signatures(cols, classes):
+        # Padding sorts last as `classes` and is then set below every colour.
+        around = np.where(pad, classes, cols[neighbours])
+        around.sort(axis=1)
+        around[pad] = -1
+        return np.column_stack([cols, around])
+
+    initial = np.array([_vertex_colours(graphs), ranks], dtype=np.int64).T
+    cols, rounds = _refine(initial, signatures)
+    return [cols[a:b] for a, b in itertools.pairwise(starts)], rounds
+
+
 def _atomic_types(graphs, k, n):
     """One integer row per k-tuple (base-n index order) of each graph, in
     the order of the tuple (eq, adj, colours): k*k equality bits, k*k
@@ -188,16 +197,13 @@ def _atomic_types(graphs, k, n):
     digits = np.indices((n,) * k).reshape(k, -1)
     pairs = [(i, j) for i in range(k) for j in range(k)]
     eq = [digits[i] == digits[j] for i, j in pairs]
-    # Ranked jointly, vertex colours keep their order and fit in int64.
-    palette = sorted({g.colour_of(v) for g in graphs for v in range(n)})
-    rank = {c: r for r, c in enumerate(palette)}
     blocks = []
-    for g in graphs:
+    colours = np.array(_vertex_colours(graphs), dtype=np.int64).reshape(len(graphs), n)
+    for g, colour in zip(graphs, colours):
         adj = np.zeros((n, n), dtype=bool)
         if g.edges:
             u, v = np.array(list(g.edges)).T
             adj[u, v] = adj[v, u] = True
-        colour = np.array([rank[g.colour_of(v)] for v in range(n)], dtype=np.int64)
         columns = (
             eq
             + [adj[digits[i], digits[j]] for i, j in pairs]
@@ -220,17 +226,15 @@ def _joint_refine_kwl(graphs, k, budget):
             )
     n = graphs[0].n
     shape = (len(graphs),) + (n,) * k
-    cols, base = _rank_rows(_atomic_types(graphs, k, n))
-    # Row t: the colour of tuple t, then its neighbour codes sorted over w.
-    rows = np.empty((cols.size, n + 1), dtype=np.int64)
-    # codes[t, w] is a view of row t: the colours of t with position
-    # 0..k-1 replaced by w, most significant first, as base-`base` digits.
-    codes = rows[:, 1:].reshape(shape + (n,), copy=False)
-    rounds = 0
-    while True:
+
+    def signatures(cols, base):
         colours = cols.reshape(shape)
+        # Row t: the colour of tuple t, then its neighbour codes sorted over w.
+        rows = np.zeros((cols.size, n + 1), dtype=np.int64)
         rows[:, 0] = cols
-        codes.fill(0)
+        # codes[t, w] is a view of row t: the colours of t with position
+        # 0..k-1 replaced by w, most significant first, as base-`base` digits.
+        codes = rows[:, 1:].reshape(shape + (n,), copy=False)
         bound = 1  # every code is below bound
         for pos in range(k):
             if bound * base > 2**63:
@@ -244,11 +248,10 @@ def _joint_refine_kwl(graphs, k, budget):
             codes += np.expand_dims(np.moveaxis(colours, 1 + pos, -1), 1 + pos)
             bound *= base
         codes.sort(axis=-1)
-        new_cols, new_base = _rank_rows(rows)
-        if new_base == base:
-            return list(cols.reshape(len(graphs), -1)), rounds
-        cols, base = new_cols, new_base
-        rounds += 1
+        return rows
+
+    cols, rounds = _refine(_atomic_types(graphs, k, n), signatures)
+    return list(cols.reshape(len(graphs), -1)), rounds
 
 
 def colour_refinement(g: Graph, individualised=()) -> StableColouring:
@@ -257,10 +260,9 @@ def colour_refinement(g: Graph, individualised=()) -> StableColouring:
     Individualised vertices receive unique initial colours (their rank in
     sorted order); pre-existing vertex colours join the initial signature.
     """
-    cols, rounds = _joint_refine_1wl([g], [tuple(individualised)])
-    colours = tuple(cols[0])
-    histogram = Histogram(np.bincount(np.asarray(colours, dtype=np.int64)))
-    return StableColouring(1, g.n, colours, histogram, rounds)
+    cols, rounds = _joint_refine_1wl([g], [individualised])
+    histogram = Histogram(np.bincount(cols[0]))
+    return StableColouring(1, g.n, tuple(cols[0].tolist()), histogram, rounds)
 
 
 def k_wl_stable(g: Graph, k: int, budget: int = DEFAULT_WL_BUDGET) -> StableColouring:
@@ -300,7 +302,6 @@ def wl_compare(g: Graph, h: Graph, k: int, budget: int = DEFAULT_WL_BUDGET) -> W
         cols, _ = _joint_refine_1wl([g, h], [(), ()])
     else:
         cols, _ = _joint_refine_kwl([g, h], k, budget)
-    cols = [np.asarray(c, dtype=np.int64) for c in cols]
     size = max((int(c.max()) + 1 for c in cols if c.size), default=0)
     count_g, count_h = (np.bincount(c, minlength=size) for c in cols)
     differ = np.flatnonzero(count_g != count_h)
@@ -316,19 +317,21 @@ def wl_distinguishes(g: Graph, h: Graph, k: int, budget: int = DEFAULT_WL_BUDGET
     return wl_compare(g, h, k, budget).distinguishes
 
 
-def is_homogenising(g: Graph, vertices, eps) -> bool:
-    """Check: vertices equal under 1-WL with `vertices` individualised have
-    mixed neighbourhoods of size at most eps * n."""
-    eps = as_fraction(eps)
-    gamma = colour_refinement(g, vertices)
-    limit = eps * g.n
-    classes = gamma.vertex_partition()
-    for members in classes.values():
+def _violations(g: Graph, gamma: StableColouring, limit):
+    """The pairs v < w of one gamma class whose mixed neighbourhood has
+    more than `limit` vertices."""
+    for members in gamma.vertex_partition().values():
         for i, v in enumerate(members):
             for w in members[i + 1 :]:
                 if len(mixed_neighbourhood(g, v, w)) > limit:
-                    return False
-    return True
+                    yield v, w
+
+
+def is_homogenising(g: Graph, vertices, eps) -> bool:
+    """Check: vertices equal under 1-WL with `vertices` individualised have
+    mixed neighbourhoods of size at most eps * n."""
+    gamma = colour_refinement(g, vertices)
+    return next(_violations(g, gamma, as_fraction(eps) * g.n), None) is None
 
 
 @dataclass(frozen=True)
@@ -379,14 +382,7 @@ def homogenising_set_coloured(g: Graph, eps) -> HomogenisingSet:
     while True:
         gamma = colour_refinement(g, chosen)
         counts.append(gamma.num_classes())
-        violation = None
-        for members in gamma.vertex_partition().values():
-            for i, v in enumerate(members):
-                for w in members[i + 1 :]:
-                    if len(mixed_neighbourhood(g, v, w)) > limit:
-                        pair = (v, w)
-                        if violation is None or pair < violation:
-                            violation = pair
+        violation = min(_violations(g, gamma, limit), default=None)
         if violation is None:
             break
         if len(chosen) >= g.n:

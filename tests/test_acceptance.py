@@ -340,7 +340,6 @@ def test_cli_outputs_are_deterministic(tmp_path):
         ["oracle", "ged", str(k3), str(p3)],
         ["oracle", "qap", str(qap_file)],
         ["oracle", "iso", str(c6), str(tc3)],
-        ["bench", "--seed", "1"],
     ]
     for args in commands:
         first = run_cli(args)

@@ -11,15 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import er_graph, relabelled_copy
+from conftest import cycle_graph, er_graph, relabelled_copy
 from robustiso import Graph, k_wl_stable
-from robustiso.generators import gen_cfi_pair
+from robustiso.generators import gen_blowup_pair, gen_cfi_pair
 from robustiso.wl import (
     DEFAULT_WL_BUDGET,
     Histogram,
     WlComparison,
     _joint_refine_1wl,
     _joint_refine_kwl,
+    colour_refinement,
     wl_compare,
 )
 
@@ -30,10 +31,54 @@ def sha(obj):
 
 CFI = gen_cfi_pair("prism")
 G8 = er_graph(8, 0.5, 511)
+# A star K_{1,4} plus three isolated vertices: its degrees 4, 1 and 0 give
+# rows of three lengths that only padding tells apart.
+STAR = Graph(8, {(0, v) for v in range(1, 5)})
+BLOWUP = gen_blowup_pair(CFI, 2)
 
 # Recorded with the tuple-signature implementation this array code replaced:
 # (graphs, k, rounds, sha256 of the colour arrays, digest(), witness).
 PINNED_PAIRS = {
+    "coloured-k1": (
+        (
+            er_graph(10, 0.5, 521, colours={v: v % 3 for v in range(10)}),
+            er_graph(10, 0.5, 522, colours={v: v % 3 for v in range(10)}),
+        ),
+        1, 2,
+        "2ec904782d300855f6b394cd3256cedd25723867d5a8637c2a198c83fb34f6c0",
+        "00e84d9111a5e14eadf02ec5fd4c75db2c08a7fca596e3755a1c836feeb340cc",
+        0,
+    ),
+    "star-isolated-k1": (
+        (STAR, relabelled_copy(STAR, 523)), 1, 1,
+        "9a368b41771b7540dcc3c81d8816fe4b97df7e945164bf7fc61b28362e33ea15",
+        "bfed4359a754eb411c7d1634ca6c20a423241f1d0ed2cbf8f19828a89dc4f837",
+        None,
+    ),
+    "star-vs-path-k1": (
+        (STAR, Graph(8, {(0, 1), (1, 2), (2, 3), (3, 4)})), 1, 2,
+        "0dbb3e3c076b74d63171a2f883546db093ecb25b07327a7f637b351b86295dd4",
+        "9587727d9123b971a34e56599d9abac4d96b8ff98fe54d8b0155ba6d2b8ef956",
+        1,
+    ),
+    "empty-k1": (
+        (Graph(0, set()), Graph(0, set())), 1, 0,
+        "643d5437104296e21d906ecb15b2c96ad278f20cfc4af53b12bb6069bd853726",
+        "643d5437104296e21d906ecb15b2c96ad278f20cfc4af53b12bb6069bd853726",
+        None,
+    ),
+    "one-vertex-k1": (
+        (Graph(1, set()), Graph(1, set())), 1, 0,
+        "e57ca707c0f16e2522ce1dfe8f00970ec20a86f0cd1dbb28aa5e6627b9fa2567",
+        "6c2cfa21b4a42a90904921ec773e8ba48f5b96f0ab7a19dac00cb1e4b2742158",
+        None,
+    ),
+    "cfi-prism-blowup2-k1": (
+        (BLOWUP.g, BLOWUP.h), 1, 1,
+        "29f1b7cf37c1819e6d2f3639c0ceea1330c5eb6093caba8925a8b5ef57733160",
+        "3f79ae0153cf86f2bead545ebf9c7eb80e51eaa80e3327801e53946eb266571a",
+        None,
+    ),
     "cfi-prism-k1": (
         (CFI.g, CFI.h), 1, 1,
         "1fd46d5dbee7935fa5cac59f3fe4a8267514070463691820346fc7b74a8f7ac1",
@@ -108,6 +153,43 @@ PINNED_SINGLES = {
 }
 
 
+# colour_refinement with individualised vertices, given unsorted, recorded
+# with the tuple-signature 1-WL: (graph, individualised, rounds, sha256 of
+# the colours, sha256 of the sorted histogram).
+PINNED_REFINEMENTS = {
+    "gnp12-individualised": (
+        er_graph(12, 0.5, 524), (7, 2, 9), 2,
+        "02331984c73bb6ab87fc2b88e2dbbd61ca71fceb8b47c1e3e1045ab6123a8d92",
+        "8653dcae95d383fd4332c8dc9fce9c9e814d1bdade8cb5f016705b3962472257",
+    ),
+    "gnp12-coloured-individualised": (
+        er_graph(12, 0.5, 525, colours={v: v % 2 for v in range(12)}), (11, 0), 1,
+        "a6b4191cfff28614cbb09619f48269add11f72494f2c81cad326df599804cfee",
+        "8653dcae95d383fd4332c8dc9fce9c9e814d1bdade8cb5f016705b3962472257",
+    ),
+    "cycle12-individualised": (
+        cycle_graph(12), (9, 3), 2,
+        "119142efbf8fb3c9a4a1c0863e32212b59854dec80251377486e929e23dc3957",
+        "7c779348287ad0d4c8d5f37a1e2c6dc6aaa35ab6480b05390c5585b4c01c8047",
+    ),
+    "star-isolated": (
+        STAR, (), 1,
+        "a641f92a8c6924e2a195f6c2508a455fd6007e59a238302f5f9b8cf563603468",
+        "f0f7a41873316af5101a619a379e664dfa45ec7bf1fa3ae467470f75697935bb",
+    ),
+    "empty": (
+        Graph(0, set()), (), 0,
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    "one-vertex": (
+        Graph(1, set()), (0,), 0,
+        "d0bca111f8628137adc4c16f123496dcdd1d590d06cb5d9acd68b39fe656fb97",
+        "f515fa775d99acd6f31a0b7f0a698ebf3bb5052eb031c28e49b7b81b7ad53b6a",
+    ),
+}
+
+
 class TestPinnedOutputs:
     @pytest.mark.parametrize("name", sorted(PINNED_PAIRS))
     def test_joint_refinement(self, name):
@@ -127,6 +209,15 @@ class TestPinnedOutputs:
         g, k, rounds, colours_sha, histogram_sha = PINNED_SINGLES[name]
         stable = k_wl_stable(g, k)
         assert stable.rounds == rounds
+        assert sha(list(stable.colours)) == colours_sha
+        assert sha(sorted(stable.histogram.items())) == histogram_sha
+
+    @pytest.mark.parametrize("name", sorted(PINNED_REFINEMENTS))
+    def test_colour_refinement(self, name):
+        g, individualised, rounds, colours_sha, histogram_sha = PINNED_REFINEMENTS[name]
+        stable = colour_refinement(g, individualised)
+        assert stable.rounds == rounds
+        assert all(type(c) is int for c in stable.colours)
         assert sha(list(stable.colours)) == colours_sha
         assert sha(sorted(stable.histogram.items())) == histogram_sha
 
@@ -151,7 +242,51 @@ def graph_and_permutation(draw):
     return g, draw(st.permutations(range(n)))
 
 
+def to_nx(g):
+    out = nx.Graph()
+    out.add_nodes_from((v, {"c": g.colour_of(v)}) for v in range(g.n))
+    out.add_edges_from(g.edges)
+    return out
+
+
+def tuple_1wl(graphs, individualised):
+    """Reference joint 1-WL over Python tuples: every round sorts the
+    distinct signatures (colour, sorted neighbour colours) of all graphs and
+    renames each to its rank."""
+
+    def canonical(signatures):
+        distinct = sorted({s for sig in signatures for s in sig})
+        rank = {s: r for r, s in enumerate(distinct)}
+        return [[rank[s] for s in sig] for sig in signatures]
+
+    cols = canonical([
+        [(g.colour_of(v), sorted(ind).index(v) + 1 if v in ind else 0) for v in range(g.n)]
+        for g, ind in zip(graphs, individualised)
+    ])
+    rounds = 0
+    while True:
+        new = canonical([
+            [(col[v], tuple(sorted(col[u] for u in g.adj[v]))) for v in range(g.n)]
+            for g, col in zip(graphs, cols)
+        ])
+        if len({c for col in new for c in col}) == len({c for col in cols for c in col}):
+            return cols, rounds
+        cols, rounds = new, rounds + 1
+
+
 class TestIndependentOracles:
+    def test_1wl_ids_equal_the_sorted_signature_tuples(self):
+        rng = random.Random(650)
+        for trial in range(80):
+            n = rng.randint(0, 14)
+            colours = {v: rng.randrange(3) for v in range(n)} if trial % 2 else None
+            p = rng.choice([0.1, 0.3, 0.5])
+            graphs = [er_graph(n, p, 6800 + 2 * trial + i, colours=colours) for i in (0, 1)]
+            individualised = [rng.sample(range(n), min(n, rng.randint(0, 3))) for _ in graphs]
+            cols, rounds = _joint_refine_1wl(graphs, individualised)
+            got = [[int(c) for c in col] for col in cols], rounds
+            assert got == tuple_1wl(graphs, individualised), trial
+
     @given(graph_and_permutation(), st.sampled_from([2, 3]))
     @settings(max_examples=60, deadline=None)
     def test_histograms_invariant_under_relabelling(self, case, k):
@@ -164,12 +299,6 @@ class TestIndependentOracles:
         assert comparison.histogram_g == comparison.histogram_h
 
     def test_agrees_with_networkx_isomorphism(self):
-        def to_nx(g):
-            out = nx.Graph()
-            out.add_nodes_from((v, {"c": g.colour_of(v)}) for v in range(g.n))
-            out.add_edges_from(g.edges)
-            return out
-
         rng = random.Random(620)
         distinguished = copies = 0
         for trial in range(40):
@@ -187,6 +316,34 @@ class TestIndependentOracles:
                 assert not wl_compare(g, copy, k).distinguishes
                 copies += 1
         assert distinguished >= 20 and copies == 80
+
+    def test_1wl_agrees_with_networkx_wl_hash(self):
+        def wl_hash(g):
+            # n rounds suffice: while the histograms agree, every class holds
+            # as many vertices of g as of h, so at most n classes exist, and
+            # each round that does not stop adds one.
+            return nx.weisfeiler_lehman_graph_hash(to_nx(g), node_attr="c", iterations=g.n)
+
+        two_triangles = Graph(6, {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)})
+        # non-isomorphic pairs that 1-WL cannot tell apart
+        cases = [(CFI.g, CFI.h), (cycle_graph(6), two_triangles)]
+        rng = random.Random(640)
+        for trial in range(48):
+            n = rng.randint(1, 12)
+            colours = {v: rng.randrange(3) for v in range(n)} if trial % 3 == 0 else None
+            p = rng.choice([0.2, 0.5])
+            g = er_graph(n, p, 6500 + trial, colours=colours)
+            if trial % 4 == 0:
+                h = relabelled_copy(g, 6600 + trial)
+            else:
+                h = er_graph(n, p, 6700 + trial, colours=colours)
+            cases.append((g, h))
+        outcomes = []
+        for g, h in cases:
+            distinguishes = wl_compare(g, h, 1).distinguishes
+            assert distinguishes == (wl_hash(g) != wl_hash(h)), (g, h)
+            outcomes.append(distinguishes)
+        assert 20 <= sum(outcomes) <= len(outcomes) - 14
 
 
 class TestHistogram:

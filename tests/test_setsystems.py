@@ -31,6 +31,7 @@ from robustiso import (
     weighted_ged_to_qap,
     weighted_graph_vc,
 )
+from robustiso.errors import BudgetExceededError
 from robustiso.generators import gen_vc_gap_qap
 from robustiso.setsystems import verify_epsilon_approximation
 
@@ -266,6 +267,16 @@ class TestWeakVcTest:
         q = gen_vc_gap_qap(4)
         assert weak_vc_test(q, 1) is True
         assert weak_vc_test(q, 0) is False
+
+    def test_work_counts_only_thresholds_that_can_shatter(self):
+        # A 0/1 instance has one such threshold, 0: no cell lies above its
+        # largest value and every cell above a value below its smallest.
+        # Work is 1 threshold x C(8,2) source pairs x 8*7 target pairs.
+        q = gen_vc_gap_qap(8)
+        with pytest.raises(BudgetExceededError) as info:
+            weak_vc_test(q, 1, budget=1567)
+        assert info.value.attempted == 1568
+        assert weak_vc_test(q, 1, budget=1568) is True
 
     def test_matches_exhaustive_over_bijections(self):
         rng = random.Random(18)
