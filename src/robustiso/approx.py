@@ -7,7 +7,7 @@ optimum is rounded to a partial matching which is then completed greedily.
 The best completed assignment over all alphas (by true QAP cost) wins.
 
 The constraint matrix does not depend on alpha, so it is built once per
-instance (LpModel) and shared by every alpha and by both LP backends; each
+instance (LpModel), as exact integers that both LP backends read; each
 alpha adds only its objective and row bounds (LinearProgram).  Each LP is
 solved cold.  HiGHS solutions are converted to rationals unverified.
 """
@@ -23,7 +23,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.optimize._highspy import _core as _highs
-from scipy.sparse import csc_array
 
 from .errors import BudgetExceededError
 from .graphs import Assignment, Graph, PartialInjection, edit_cost
@@ -38,9 +37,9 @@ class LpModel:
 
     Variables are x(v, v') indexed v*n + v'.  Row v*n + v' of `block` is the
     coefficient vector a(v, v') (entry w*n + w' is c(v, v', w, w')), times the
-    common denominator `denom`, so the block is exact.  Both backends read
-    their constraint matrix from here; per alpha only the objective and the
-    row bounds change.
+    common denominator `denom`, so the block is exact.  The exact simplex
+    reads its `reduced_rows`, HiGHS its float `csc`; no Fraction copy exists.
+    Per alpha only the objective and the row bounds change.
     """
 
     n: int
@@ -58,23 +57,28 @@ class LpModel:
     def csc(self):
         """(start, index, value) of [block / denom; assignment] in float CSC form.
 
+        Each value is one correctly rounded integer division, as float(Fraction).
         Plain lists: HiGHS copies them in several times faster than arrays.
         """
-        block, denom = self.block, self.denom
-        if denom < 2**53 and np.abs(block).max(initial=0) < 2**53:
-            floats = block / denom  # exact operands: rounded once, as float(Fraction)
-        else:
-            floats = [[c / denom for c in row] for row in block.tolist()]
-        matrix = csc_array(np.vstack([floats, self.assignment]))
-        return matrix.indptr.tolist(), matrix.indices.tolist(), matrix.data.tolist()
+        denom = self.denom
+        # the stacked matrix by columns, in object dtype so any denom stays exact
+        columns = np.vstack([self.block, self.assignment.astype(object) * denom]).T
+        col, row = np.nonzero(columns)
+        start = np.searchsorted(col, np.arange(len(columns) + 1))
+        return start.tolist(), row.tolist(), [c / denom for c in columns[col, row].tolist()]
 
     @cached_property
-    def rows(self) -> tuple:
-        """The rows a(v, v') as tuples of Fractions, for the exact simplex."""
-        denom = self.denom
-        return tuple(
-            tuple(Fraction(c, denom) for c in row) for row in self.block.tolist()
-        )
+    def reduced_rows(self) -> tuple:
+        """Per row a(v, v'): (a(v, v') * r, r) for the least integer r clearing it.
+
+        These are the integers the simplex makes of a Fraction row, so each
+        row's scale, which its phase-1 pivot rule sees, is the same.
+        """
+        reduced = []
+        for row in self.block.tolist():
+            g = math.gcd(self.denom, *row)
+            reduced.append(([c // g for c in row], self.denom // g))
+        return tuple(reduced)
 
 
 def lp_model(q: QapInstance) -> LpModel:
@@ -214,7 +218,8 @@ def solve_lp(lp: LinearProgram, method: str = "exact"):
     Both backends read the instance's shared LpModel, and every LP is solved
     cold: no basis carries over between alphas, so a solution depends on its
     own alpha alone.  "exact" runs the rational simplex (deterministic Bland
-    pivoting, zero tolerance), with each ranged row split into two <= rows.
+    pivoting, zero tolerance) on the reduced integer rows, each ranged row
+    split into two <= rows with its bounds scaled by the row's r.
     "highs" passes the ranged rows and the assignment equalities straight to
     scipy's bundled HiGHS; its float solution is converted to rationals as
     is, unverified.
@@ -223,11 +228,9 @@ def solve_lp(lp: LinearProgram, method: str = "exact"):
     model = lp.model
     if method == "exact":
         a_ub, b_ub = [], []
-        for coeffs, (lo, hi) in zip(model.rows, lp.bounds):
-            a_ub.append(coeffs)
-            b_ub.append(hi)
-            a_ub.append([-c for c in coeffs])
-            b_ub.append(-lo)
+        for (row, r), (lo, hi) in zip(model.reduced_rows, lp.bounds):
+            a_ub += (row, [-c for c in row])
+            b_ub += (hi * r, -lo * r)
         status, x, value = simplex.simplex_min(
             list(lp.objective), a_ub, b_ub, model.assignment.tolist(), [1] * (2 * n)
         )
@@ -337,7 +340,6 @@ def approximate_qap(
     seed: int,
     mode: str = "exhaustive",
     lp_method: str = "highs",
-    rounding_retries: int = 32,
     samples_per_size: int = 64,
     alpha_budget: int = 200_000,
     keep_trace: bool = False,
@@ -384,9 +386,7 @@ def approximate_qap(
                 if keep_trace:
                     trace.append({"alpha": pairs, "status": "infeasible"})
                 continue
-            partial = round_apec(
-                sol, lp, seed=seed * 1_000_003 + tried, retries=rounding_retries
-            )
+            partial = round_apec(sol, lp, seed=seed * 1_000_003 + tried)
             assignment = complete_matching(partial, n)
             cost = qap_cost(q, assignment)
             if keep_trace:

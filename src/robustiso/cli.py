@@ -237,6 +237,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.kind != "qap" and args.b is None:
+        raise ValueError(f"oracle {args.kind} needs two graph files")
     if args.kind == "iso":
         g = _load_graph(args.a)
         h = _load_graph(args.b)

@@ -17,21 +17,21 @@ INFEASIBLE = "infeasible"
 
 
 def _scaled_int_row(coeffs, rhs):
-    denom = lcm(*(c.denominator for c in coeffs), rhs.denominator) if coeffs else rhs.denominator
-    return [int(c * denom) for c in coeffs], int(rhs * denom)
+    denom = lcm(rhs.denominator, *(c.denominator for c in coeffs))
+    scaled = [c.numerator * (denom // c.denominator) for c in (*coeffs, rhs)]
+    return scaled[:-1], scaled[-1]
 
 
 def simplex_min(objective, a_ub, b_ub, a_eq, b_eq):
     """Minimise objective . x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
 
-    All inputs are sequences of Fractions.  Returns (status, x, value) with
-    exact Fractions, or (INFEASIBLE, None, None).  Raises on an unbounded
-    program (callers here only solve bounded ones).
+    All inputs are sequences of ints or Fractions.  Returns (status, x,
+    value) with exact Fractions, or (INFEASIBLE, None, None).  Raises on an
+    unbounded program (callers here only solve bounded ones).
     """
     nvars = len(objective)
-    objective = [Fraction(c) for c in objective]
-    obj_denom = lcm(1, *(c.denominator for c in objective)) if objective else 1
-    obj_ints = [int(c * obj_denom) for c in objective]
+    obj_denom = lcm(1, *(c.denominator for c in objective))
+    obj_ints = [c.numerator * (obj_denom // c.denominator) for c in objective]
 
     num_ub = len(a_ub)
     num_eq = len(a_eq)
@@ -41,7 +41,7 @@ def simplex_min(objective, a_ub, b_ub, a_eq, b_eq):
 
     prepared = []  # (structural coeffs, slack coeff or None, rhs >= 0)
     for i in range(num_ub):
-        coeffs, beta = _scaled_int_row([Fraction(x) for x in a_ub[i]], Fraction(b_ub[i]))
+        coeffs, beta = _scaled_int_row(a_ub[i], b_ub[i])
         slack = 1
         if beta < 0:
             coeffs = [-x for x in coeffs]
@@ -49,7 +49,7 @@ def simplex_min(objective, a_ub, b_ub, a_eq, b_eq):
             slack = -1
         prepared.append((coeffs, slack, beta))
     for i in range(num_eq):
-        coeffs, beta = _scaled_int_row([Fraction(x) for x in a_eq[i]], Fraction(b_eq[i]))
+        coeffs, beta = _scaled_int_row(a_eq[i], b_eq[i])
         if beta < 0:
             coeffs = [-x for x in coeffs]
             beta = -beta

@@ -1,4 +1,7 @@
+import functools
+import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -65,15 +68,21 @@ class TestMBound:
             m_bound(0, 1, 1, 2)
 
 
+def fraction_rows(model):
+    """The rows a(v, v') of the model as lists of Fractions."""
+    return [[Fraction(c, model.denom) for c in row] for row in model.block.tolist()]
+
+
 class TestBuildAlphaLp:
     def test_zero_instance_rows(self):
         lp = build_alpha_lp(
             lp_model(QapInstance(2, {})), PartialInjection(frozenset({(0, 0)})), 1
         )
         assert len(lp.objective) == 4
+        rows = fraction_rows(lp.model)
         # two inequality rows each at solve time
-        assert len(lp.bounds) == len(lp.model.rows) == 4
-        for coeffs, (lo, hi) in zip(lp.model.rows, lp.bounds):
+        assert len(lp.bounds) == len(rows) == 4
+        for coeffs, (lo, hi) in zip(rows, lp.bounds):
             assert all(c == 0 for c in coeffs)
             assert lo == Fraction(-2, 3) and hi == Fraction(2, 3)
 
@@ -94,7 +103,7 @@ class TestBuildAlphaLp:
         assert qap_cost(q, phi) == 0
         alpha = PartialInjection(frozenset(list(phi.graph())[:2]))
         lp = build_alpha_lp(lp_model(q), alpha, 1)
-        for coeffs, (lo, hi) in zip(lp.model.rows, lp.bounds):
+        for coeffs, (lo, hi) in zip(fraction_rows(lp.model), lp.bounds):
             value = sum(
                 coeffs[w * 4 + wp]
                 for w in range(4)
@@ -165,7 +174,7 @@ class TestSolveLp:
                     er_graph(n, 0.5, 3300 + trial), er_graph(n, 0.5, 3400 + trial)
                 )
             model = lp_model(q)
-            rows = [[float(c) for c in row] for row in model.rows]
+            rows = [[float(c) for c in row] for row in fraction_rows(model)]
             rng = random.Random(3500 + trial)
             for eps in (Fraction(1, 4), Fraction(1), Fraction(2)):
                 for _ in range(3):
@@ -229,6 +238,148 @@ class TestSolveLp:
         )
         with pytest.raises(ValueError):
             solve_lp(lp, "nope")
+
+
+def exact_pin_instances():
+    """Seeded instances for the exact-LP pin: unweighted GED at n = 3..5,
+    weighted GED with denom 2 and 4, and rational random QAPs."""
+    instances = [
+        ged_to_qap(er_graph(n, 0.5, 9_000 + n), er_graph(n, 0.5, 9_100 + n))
+        for n in (3, 4, 4, 5)
+    ]
+    for seed, denom in ((7, 2), (3, 4), (2, 2), (0, 4)):
+        instances.append(weighted_ged_to_qap(
+            random_weighted_graph(4, seed, denom=denom),
+            random_weighted_graph(4, seed + 100, denom=denom),
+        ))
+    instances += [random_qap(n, 9_200 + n, denom=4) for n in (3, 4, 4)]
+    return instances
+
+
+@functools.cache
+def exact_pin_solves():
+    """(q, lp, exact solution) for seeded alphas of sizes 1 and 2 on every
+    pin instance, with eps from B/2 to 4B so both verdicts occur."""
+    solves = []
+    for i, q in enumerate(exact_pin_instances()):
+        model = lp_model(q)
+        rng = random.Random(9_300 + i)
+        n = q.n
+        for eps in (q.bound_b / 2, q.bound_b, 2 * q.bound_b, 4 * q.bound_b):
+            for _ in range(5):
+                size = rng.randint(1, 2)
+                pairs = zip(rng.sample(range(n), size), rng.sample(range(n), size))
+                lp = build_alpha_lp(model, PartialInjection(frozenset(pairs)), eps)
+                solves.append((q, lp, solve_lp(lp, "exact")))
+    # weighted LPs whose exact vertex moves when a row's scale changes (a
+    # search found 5 among 2160): Bland's phase-1 objective sums scaled rows
+    for seed, n, denom, eps, pairs in SCALE_SENSITIVE_LPS:
+        q = weighted_ged_to_qap(
+            random_weighted_graph(n, 500 + seed, denom=denom),
+            random_weighted_graph(n, 700 + seed, denom=denom),
+        )
+        lp = build_alpha_lp(lp_model(q), PartialInjection(frozenset(pairs)), eps)
+        solves.append((q, lp, solve_lp(lp, "exact")))
+    return solves
+
+
+SCALE_SENSITIVE_LPS = [
+    (3, 4, 2, Fraction(3), ((1, 0),)),
+    (36, 3, 6, Fraction(16, 3), ((1, 2),)),
+    (41, 4, 4, Fraction(7, 2), ((1, 0), (2, 3))),
+    (52, 3, 4, Fraction(7, 2), ((1, 0),)),
+]
+
+
+def exact_pin_lines():
+    """One line per solved LP: 'infeasible', or the objective value and x."""
+    lines = []
+    for q, _, sol in exact_pin_solves():
+        if isinstance(sol, Infeasible):
+            lines.append("infeasible")
+        else:
+            n = q.n
+            values = [sol.values[(v, vp)] for v in range(n) for vp in range(n)]
+            lines.append(" ".join(str(x) for x in [sol.objective_value] + values))
+    return lines
+
+
+def test_exact_pin_covers_scaled_rows():
+    # the weighted instances must hold a nonzero row whose entries share a
+    # factor with denom, where reduced rows and the raw block differ
+    reduced = 0
+    for q in exact_pin_instances():
+        block, denom = q.scaled_block()
+        reduced += sum(
+            1 for row in block.tolist() if any(row) and math.gcd(denom, *row) > 1
+        )
+    assert reduced >= 10
+
+
+def test_exact_solutions_pinned():
+    # sha256 of every exact solve above, recorded with the Fraction-row
+    # simplex input: any change to row scaling, bounds or pivoting shows here
+    lines = exact_pin_lines()
+    assert "infeasible" in lines and len(set(lines)) > 80
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "62722c9e6d5c9d1b0c090d689ed4a86e05452f6ef8f004c8d85973acbfda8415"
+
+
+def test_exact_solutions_feasible_on_rational_instances():
+    # every optimal exact solution meets its rows and the assignment sums,
+    # checked in Fractions, and HiGHS agrees on every verdict
+    counts = {"optimal": 0, "infeasible": 0}
+    for q, lp, sol in exact_pin_solves():
+        if q.denom == 1:
+            continue
+        fast = solve_lp(lp, "highs")
+        assert isinstance(fast, Infeasible) == isinstance(sol, Infeasible)
+        if isinstance(sol, Infeasible):
+            counts["infeasible"] += 1
+            continue
+        counts["optimal"] += 1
+        n = q.n
+        x = [sol.values[(v, vp)] for v in range(n) for vp in range(n)]
+        assert all(isinstance(xi, Fraction) and xi >= 0 for xi in x)
+        for v in range(n):
+            assert sum(x[v * n : v * n + n]) == 1
+            assert sum(x[v::n]) == 1
+        block, denom = q.scaled_block()
+        for row, (lo, hi) in zip(block.tolist(), lp.bounds):
+            assert lo <= sum(Fraction(c, denom) * xi for c, xi in zip(row, x)) <= hi
+        assert sol.objective_value == sum(b * xi for b, xi in zip(lp.objective, x))
+    assert counts["optimal"] >= 50 and counts["infeasible"] >= 20
+
+
+def csc_pin_instances():
+    """Instances for the CSC pin: n = 0..6, weighted, rational, an object-dtype
+    block (a 2^70 coefficient) and denominators above 2^53."""
+    instances = [
+        ged_to_qap(er_graph(n, 0.5, 9_400 + n), er_graph(n, 0.5, 9_500 + n))
+        for n in range(7)
+    ]
+    instances.append(weighted_ged_to_qap(
+        random_weighted_graph(5, 9_600, denom=4), random_weighted_graph(5, 9_601)
+    ))
+    instances.append(random_qap(4, 9_700, denom=12))
+    instances.append(QapInstance(3, {(0, 1, 2, 0): 2**70, (1, 1, 1, 1): Fraction(1, 3),
+                                     (2, 0, 0, 2): -7}))
+    instances.append(QapInstance(2, {(0, 0, 1, 1): Fraction(1, 3**40),
+                                     (1, 0, 0, 1): Fraction(-2, 7)}))
+    instances.append(QapInstance(2, {(0, 1, 1, 0): Fraction(5, 2**55 + 1),
+                                     (1, 1, 0, 0): 3}))
+    return instances
+
+
+def test_csc_pinned():
+    # sha256 of HiGHS's float matrix, recorded with scipy.sparse's csc_array
+    parts = []
+    for q in csc_pin_instances():
+        start, index, value = lp_model(q).csc
+        parts.append(repr((start, index, [x.hex() for x in value])))
+    assert lp_model(csc_pin_instances()[-3]).block.dtype == object
+    digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    assert digest == "c56a4bcb63c9199f4c318ddde4fea746d7d165364f007556c887a33fba707c61"
 
 
 class TestRounding:

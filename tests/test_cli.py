@@ -221,6 +221,12 @@ class TestOracleCommand:
         res = run_cli(["oracle", "iso", files["c6.graph"], files["2c3.graph"]])
         assert payload(res)["isomorphic"] is False
 
+    @pytest.mark.parametrize("kind", ["ged", "iso"])
+    def test_second_graph_required(self, files, kind):
+        res = run_cli(["oracle", kind, files["k3.graph"]])
+        assert res.returncode == 2 and res.stdout == ""
+        assert "needs two graph files" in res.stderr
+
     def test_qap(self, tmp_path):
         p = tmp_path / "q.qap"
         p.write_text("qap 2\nq 0 0 1 1 5\n")
