@@ -26,7 +26,7 @@ from scipy.optimize._highspy import _core as _highs
 
 from .errors import BudgetExceededError
 from .graphs import Assignment, Graph, PartialInjection, edit_cost
-from .qap import QapInstance, ged_to_qap, qap_cost, weighted_ged_to_qap
+from .qap import QapInstance, qap_cost, weighted_ged_to_qap
 from .rationals import as_fraction
 from . import simplex
 
@@ -441,12 +441,9 @@ def approximate_ged(
     if g.n != h.n:
         raise ValueError("graphs have different orders")
     eps = as_fraction(eps)
-    if g.is_weighted or h.is_weighted:
-        q = weighted_ged_to_qap(g, h)
-    else:
-        q = ged_to_qap(g, h)
     report = approximate_qap(
-        q, 2 * eps, m, seed, mode=mode, lp_method=lp_method, **kwargs
+        weighted_ged_to_qap(g, h), 2 * eps, m, seed, mode=mode, lp_method=lp_method,
+        **kwargs,
     )
     phi = report.best_assignment
     return GedApproxResult(phi, edit_cost(g, h, phi), report)

@@ -65,6 +65,10 @@ def _rational(value: str) -> Fraction:
 
 def cmd_vc(args) -> int:
     out: dict = {}
+    if args.graph and (args.threshold is not None or args.weak_d is not None):
+        raise ValueError("--threshold and --weak-d apply to vc --qap only")
+    if args.qap and (args.weighted or args.mixed):
+        raise ValueError("--weighted and --mixed apply to vc --graph only")
     if args.graph:
         g = _load_graph(args.graph)
         out["input"] = args.graph
@@ -239,6 +243,8 @@ def cmd_gen(args) -> int:
 def cmd_oracle(args) -> int:
     if args.kind != "qap" and args.b is None:
         raise ValueError(f"oracle {args.kind} needs two graph files")
+    if args.kind == "qap" and args.b is not None:
+        raise ValueError("oracle qap takes one QAP file")
     if args.kind == "iso":
         g = _load_graph(args.a)
         h = _load_graph(args.b)
@@ -279,14 +285,17 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph")
     src.add_argument("--qap")
-    p.add_argument("--weighted", action="store_true",
-                   help="max VC over all weight thresholds")
-    p.add_argument("--mixed", action="store_true",
-                   help="VC of the mixed-neighbourhood system")
-    p.add_argument("--threshold", type=_rational, default=None,
-                   help="threshold for the QAP hypothesis system (default 0)")
-    p.add_argument("--weak-d", type=int, default=None,
-                   help="test whether the weak VC dimension is at most d")
+    system = p.add_mutually_exclusive_group()
+    system.add_argument("--weighted", action="store_true",
+                        help="max VC over all weight thresholds (--graph only)")
+    system.add_argument("--mixed", action="store_true",
+                        help="VC of the mixed-neighbourhood system (--graph only)")
+    system.add_argument("--threshold", type=_rational, default=None,
+                        help="threshold for the QAP hypothesis system (--qap only; "
+                        "default 0)")
+    system.add_argument("--weak-d", type=int, default=None,
+                        help="test whether the weak VC dimension is at most d "
+                        "(--qap only)")
     p.set_defaults(fn=cmd_vc)
 
     p = sub.add_parser("ged", help="approximate graph edit distance")

@@ -1,15 +1,20 @@
 """Graphs, bijections, edit cost and the exact brute-force edit-distance oracle.
 
 Vertices are dense 0-based integers.  Edge weights are exact rationals; an
-unweighted graph behaves as if every edge had weight 1 and every non-edge
-weight 0.  Vertex colours are small non-negative integers.
+unweighted graph is the graph with every edge of weight 1 and every non-edge
+of weight 0.  Vertex colours are small non-negative integers; a colourless
+graph is one colour class.  Every edit cost reads one integer form of two
+graphs' weights (weight_matrices), and both brute-force oracles minimise
+over one lexicographic enumeration of colour-preserving bijections.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import CapExceededError, ParseError
 from .rationals import as_fraction, format_rational
@@ -96,19 +101,10 @@ class Graph:
             raise ValueError(f"vertex {v} out of range")
         return self.adj[v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self.edges
-
-    def weight(self, u: int, v: int) -> Fraction:
-        """Effective weight: stored value, 1 for unweighted edges, 0 otherwise."""
-        if u == v:
-            return Fraction(0)
-        e = _norm_edge(u, v)
-        if e not in self.edges:
-            return Fraction(0)
-        if self.weights is None:
-            return Fraction(1)
-        return self.weights[e]
+    @property
+    def edge_weights(self) -> dict:
+        """Effective weight of every edge: the stored one, or 1 when unweighted."""
+        return self.weights or dict.fromkeys(self.edges, Fraction(1))
 
     @property
     def is_weighted(self) -> bool:
@@ -129,11 +125,7 @@ class Graph:
 
     def bound_b(self) -> Fraction:
         """Largest absolute effective edge weight (0 for an edgeless graph)."""
-        if not self.edges:
-            return Fraction(0)
-        if self.weights is None:
-            return Fraction(1)
-        return max(abs(w) for w in self.weights.values())
+        return max(map(abs, self.edge_weights.values()), default=Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -206,66 +198,109 @@ def _check_colour_preserving(g: Graph, h: Graph, pi: Assignment):
             )
 
 
+def weight_matrices(g: Graph, h: Graph):
+    """(A, B, denom): the effective weights of g and h over one common denominator.
+
+    A[v, w] = w_G(v, w) * denom as an n x n integer array (0 on the diagonal
+    and at non-edges), and likewise B for h; denom is the least common
+    denominator of both graphs' weights.  The arrays are int64 when
+    2 n^2 max|A|, |B| < 2^62, so that any sum of n^2 differences stays in
+    range, and object (Python ints) otherwise.
+    """
+    _check_same_order(g, h)
+    stored = [x.edge_weights for x in (g, h)]
+    denom = math.lcm(1, *(w.denominator for s in stored for w in s.values()))
+    scaled = [
+        {e: w.numerator * (denom // w.denominator) for e, w in s.items()} for s in stored
+    ]
+    largest = max((abs(x) for s in scaled for x in s.values()), default=0)
+    dtype = np.int64 if 2 * g.n * g.n * largest < 2**62 else object
+    matrices = np.zeros((2, g.n, g.n), dtype=dtype)
+    for matrix, s in zip(matrices, scaled):
+        for (u, v), x in s.items():
+            matrix[u, v] = matrix[v, u] = x
+    return matrices[0], matrices[1], denom
+
+
+def _edit_totals(a: np.ndarray, b: np.ndarray, mappings: np.ndarray) -> np.ndarray:
+    """Per mapping row p: the sum over ordered pairs (u, v) of |a[u,v] - b[p(u),p(v)]|."""
+    return np.abs(a - b[mappings[:, :, None], mappings[:, None, :]]).sum(axis=(1, 2))
+
+
 def edit_cost(g: Graph, h: Graph, pi: Assignment) -> Fraction:
     """Edit cost of the bijection pi between same-order graphs.
 
-    Unweighted: the number of unordered vertex pairs whose edge/non-edge
-    status disagrees under pi.  Weighted: the sum over unordered pairs of
-    the absolute weight difference, non-edges counting as weight 0.
+    The sum over unordered vertex pairs of the absolute difference of the
+    effective weights, so for unweighted graphs the number of pairs whose
+    edge/non-edge status disagrees under pi.
     """
     _check_same_order(g, h)
     if len(pi) != g.n:
         raise ValueError("bijection order does not match the graphs")
-    if g.is_coloured or h.is_coloured:
-        _check_colour_preserving(g, h, pi)
-
-    if not g.is_weighted and not h.is_weighted:
-        mapped = frozenset(_norm_edge(pi[u], pi[v]) for u, v in g.edges)
-        return Fraction(len(mapped.symmetric_difference(h.edges)))
-
-    total = Fraction(0)
-    seen = set()
-    for u, v in g.edges:
-        f = _norm_edge(pi[u], pi[v])
-        seen.add(f)
-        total += abs(g.weight(u, v) - h.weight(*f))
-    for f in h.edges:
-        if f not in seen:
-            total += abs(h.weight(*f))
-    return total
+    _check_colour_preserving(g, h, pi)
+    a, b, denom = weight_matrices(g, h)
+    mapping = np.array(pi.mapping, dtype=np.int64).reshape(1, g.n)
+    return Fraction(int(_edit_totals(a, b, mapping)[0]), 2 * denom)
 
 
-def _colour_preserving_bijections(g: Graph, h: Graph):
-    """Yield every colour-preserving bijection as a mapping tuple.
+# Mapping rows per array yielded by colour_preserving_bijections.
+BIJECTION_CHUNK = 4096
 
-    Raises if the colour histograms differ (no such bijection exists).
-    """
-    g_classes = g.colour_classes()
-    h_classes = h.colour_classes()
-    if sorted(g_classes) != sorted(h_classes) or any(
-        len(g_classes[c]) != len(h_classes[c]) for c in g_classes
-    ):
+
+def _matched_classes(g: Graph, h: Graph) -> dict:
+    """h's colour classes; raises unless g and h have equal colour histograms."""
+    if sorted(map(g.colour_of, range(g.n))) != sorted(map(h.colour_of, range(h.n))):
         raise ValueError("colour histograms differ; no colour-preserving bijection")
-    colours = sorted(g_classes)
-    sources = [g_classes[c] for c in colours]
-    target_perms = [itertools.permutations(h_classes[c]) for c in colours]
-    for combo in itertools.product(*target_perms):
-        mapping = [0] * g.n
-        for src, tgt in zip(sources, combo):
-            for s, t in zip(src, tgt):
-                mapping[s] = t
-        yield tuple(mapping)
+    return h.colour_classes()
 
 
-def _all_bijections(g: Graph, h: Graph):
-    if g.is_coloured or h.is_coloured:
-        yield from _colour_preserving_bijections(g, h)
-    else:
-        yield from itertools.permutations(range(g.n))
+def colour_preserving_bijections(g: Graph, h: Graph):
+    """Yield every colour-preserving bijection of g onto h, in lexicographic order.
+
+    Each item is a (P, n) int64 array of mapping rows, P <= BIJECTION_CHUNK.
+    A colourless graph is one colour class.  Row r is unranked in mixed
+    radix: vertex v takes the digit-th still unused target of its colour, so
+    its radix is the number of such targets left.  Raises ValueError when
+    the colour histograms differ.
+    """
+    classes = _matched_classes(g, h)
+    colours = [g.colour_of(v) for v in range(g.n)]
+    pools = [np.array(classes[c], dtype=np.int64) for c in colours]
+    radices = [len(classes[c]) - colours[:v].count(c) for v, c in enumerate(colours)]
+    count = math.prod(radices)
+    if count >= 2**63:
+        raise CapExceededError(f"{count} colour-preserving bijections to enumerate")
+    places = [math.prod(radices[v + 1:]) for v in range(g.n)]
+    for start in range(0, count, BIJECTION_CHUNK):
+        ranks = np.arange(start, min(start + BIJECTION_CHUNK, count), dtype=np.int64)
+        rows = np.arange(ranks.size)
+        used = np.zeros((ranks.size, g.n), dtype=bool)
+        out = np.empty((ranks.size, g.n), dtype=np.int64)
+        for v, pool in enumerate(pools):
+            digit = ranks // places[v] % radices[v]
+            free = np.cumsum(~used[:, pool], axis=1)
+            out[:, v] = pool[(free <= digit[:, None]).sum(axis=1)]
+            used[rows, out[:, v]] = True
+        yield out
+
+
+def cheapest_bijection(g: Graph, h: Graph, cost):
+    """(least total, mapping tuple) over the colour-preserving bijections.
+
+    `cost` maps a (P, n) array of mapping rows to P totals.  Ties go to the
+    lexicographically least mapping, which the enumeration yields first.
+    """
+    best = None
+    for mappings in colour_preserving_bijections(g, h):
+        totals = cost(mappings)
+        i = int(np.argmin(totals))
+        if best is None or totals[i] < best[0]:
+            best = (totals[i], mappings[i])
+    return int(best[0]), tuple(best[1].tolist())
 
 
 def edit_distance_bruteforce(g: Graph, h: Graph, cap: int = 10):
-    """Exact edit distance by enumerating all (colour-preserving) bijections.
+    """Exact edit distance by enumerating all colour-preserving bijections.
 
     Returns (distance, minimising Assignment); ties are broken towards the
     lexicographically smallest mapping array.
@@ -273,35 +308,9 @@ def edit_distance_bruteforce(g: Graph, h: Graph, cap: int = 10):
     _check_same_order(g, h)
     if g.n > cap:
         raise CapExceededError(f"brute force capped at n={cap}, got n={g.n}")
-
-    weighted = g.is_weighted or h.is_weighted
-    best = None
-    if not weighted:
-        # Bitmask adjacency rows make the inner loop cheap.
-        h_rows = [0] * h.n
-        for u, v in h.edges:
-            h_rows[u] |= 1 << v
-            h_rows[v] |= 1 << u
-        g_adj = g.adj
-        for mapping in _all_bijections(g, h):
-            diff = 0
-            for u in range(g.n):
-                row = 0
-                for w in g_adj[u]:
-                    row |= 1 << mapping[w]
-                diff += bin(row ^ h_rows[mapping[u]]).count("1")
-            cost = Fraction(diff // 2)
-            if best is None or (cost, mapping) < best:
-                best = (cost, mapping)
-    else:
-        for mapping in _all_bijections(g, h):
-            pi = Assignment(mapping)
-            cost = edit_cost(g, h, pi)
-            if best is None or (cost, mapping) < best:
-                best = (cost, mapping)
-    if best is None:
-        raise ValueError("no admissible bijection exists")
-    return best[0], Assignment(best[1])
+    a, b, denom = weight_matrices(g, h)
+    total, mapping = cheapest_bijection(g, h, lambda p: _edit_totals(a, b, p))
+    return Fraction(total, 2 * denom), Assignment(mapping)
 
 
 def is_isomorphic_bruteforce(g: Graph, h: Graph):
@@ -317,11 +326,9 @@ def is_isomorphic_bruteforce(g: Graph, h: Graph):
         return Assignment(())
     if len(g.edges) != len(h.edges):
         return None
-    g_classes = g.colour_classes()
-    h_classes = h.colour_classes()
-    if sorted(g_classes) != sorted(h_classes) or any(
-        len(g_classes[c]) != len(h_classes[c]) for c in g_classes
-    ):
+    try:
+        h_classes = _matched_classes(g, h)
+    except ValueError:
         return None
 
     g_deg = [len(g.adj[v]) for v in range(g.n)]
@@ -335,20 +342,18 @@ def is_isomorphic_bruteforce(g: Graph, h: Graph):
 
     # Assign vertices in BFS order from the most constrained one so that
     # adjacency mismatches prune early.
-    start = min(range(g.n), key=lambda v: len(candidates[v])) if g.n else 0
+    start = min(range(g.n), key=lambda v: len(candidates[v]))
     order = []
-    seen = set()
     queue = [start]
     while queue or len(order) < g.n:
         if not queue:
-            rest = min(v for v in range(g.n) if v not in seen)
+            rest = min(v for v in range(g.n) if v not in order)
             queue.append(rest)
         v = queue.pop(0)
-        if v in seen:
+        if v in order:
             continue
-        seen.add(v)
         order.append(v)
-        queue.extend(sorted(g.adj[v] - seen))
+        queue.extend(sorted(g.adj[v].difference(order)))
 
     mapping = [-1] * g.n
     used = [False] * h.n
@@ -361,20 +366,8 @@ def is_isomorphic_bruteforce(g: Graph, h: Graph):
         for w in candidates[v]:
             if used[w]:
                 continue
-            ok = True
-            for u in g_adj[v]:
-                mu = mapping[u]
-                if mu >= 0 and mu not in h_adj[w]:
-                    ok = False
-                    break
-            if ok:
-                # mapped non-neighbours must stay non-neighbours
-                for u in range(g.n):
-                    mu = mapping[u]
-                    if mu >= 0 and u not in g_adj[v] and u != v and mu in h_adj[w]:
-                        ok = False
-                        break
-            if not ok:
+            # mapped neighbours and non-neighbours must keep their status
+            if any((u in g_adj[v]) != (mapping[u] in h_adj[w]) for u in order[:i]):
                 continue
             mapping[v] = w
             used[w] = True
@@ -400,7 +393,7 @@ def threshold_graph(g: Graph, t) -> Graph:
     An unweighted input is treated as having all weights equal to 1.
     """
     t = as_fraction(t)
-    kept = frozenset(e for e in g.edges if g.weight(*e) > t)
+    kept = frozenset(e for e, w in g.edge_weights.items() if w > t)
     return Graph(g.n, kept, weights=None, colours=g.colours)
 
 
@@ -413,21 +406,20 @@ def blowup(g: Graph, ell: int) -> Graph:
     """
     if ell < 1:
         raise ValueError("blowup factor must be >= 1")
-    edges = set()
-    weights = {} if g.is_weighted else None
-    for u, v in g.edges:
+    weights = {}
+    for (u, v), w in g.edge_weights.items():
         for i in range(ell):
             for j in range(ell):
-                e = _norm_edge(u * ell + i, v * ell + j)
-                edges.add(e)
-                if weights is not None:
-                    weights[e] = g.weight(u, v)
+                weights[_norm_edge(u * ell + i, v * ell + j)] = w
     colours = {
         v * ell + i: g.colour_of(v) * ell + i
         for v in range(g.n)
         for i in range(ell)
     }
-    return Graph(g.n * ell, frozenset(edges), weights=weights, colours=colours)
+    return Graph(
+        g.n * ell, frozenset(weights), weights=weights if g.is_weighted else None,
+        colours=colours,
+    )
 
 
 def parse_graph(text: str) -> Graph:

@@ -3,12 +3,13 @@
 All coefficients are exact rationals.  An instance stores them once, as
 integers over one common denominator at the sorted flat positions of the
 nonzero coefficients; costs, b_alpha, threshold tests and the LP block are
-array operations on that form and compare in integers.
+array operations on that form and compare in integers.  The edit-distance
+reduction broadcasts the integer weight matrices of graphs.weight_matrices,
+and the brute-force optimum minimises over the bijection enumeration there.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapExceededError, ParseError
-from .graphs import Assignment, Graph, PartialInjection
+from .graphs import Assignment, Graph, PartialInjection, cheapest_bijection, weight_matrices
 from .rationals import as_fraction, format_rational
 
 
@@ -144,43 +145,22 @@ def qap_cost(q: QapInstance, phi: Assignment) -> Fraction:
     return Fraction(int(total), q.denom)
 
 
-def _weight_matrix(g: Graph, denom: int) -> np.ndarray:
-    """Effective edge weights of g times denom, as an n x n integer array."""
-    scaled = [(u, v, int(g.weight(u, v) * denom)) for u, v in g.edges]
-    big = any(abs(x) >= 2**62 for _, _, x in scaled)
-    matrix = np.zeros((g.n, g.n), dtype=object if big else np.int64)
-    for u, v, x in scaled:
-        matrix[u, v] = matrix[v, u] = x
-    return matrix
-
-
 def ged_to_qap(g: Graph, h: Graph) -> QapInstance:
-    """0/1 reduction: coefficient 1 exactly when edge status mismatches.
-
-    For every bijection phi, the QAP cost is twice the edit cost (each edge
-    is counted once per ordered pair).
-    """
-    if g.n != h.n:
-        raise ValueError("graphs have different orders")
+    """0/1 reduction of unweighted graphs: weighted_ged_to_qap at unit weights."""
     if g.is_weighted or h.is_weighted:
         raise ValueError("weighted inputs: use weighted_ged_to_qap")
-    if g.is_coloured or h.is_coloured:
-        raise ValueError("the QAP reduction has no colour channel")
-    a, b = _weight_matrix(g, 1), _weight_matrix(h, 1)
-    return QapInstance.from_array(
-        (a[:, None, :, None] != b[None, :, None, :]).astype(np.int64)
-    )
+    return weighted_ged_to_qap(g, h)
 
 
 def weighted_ged_to_qap(g: Graph, h: Graph) -> QapInstance:
-    """Weighted reduction: coefficient |w_G(v,w) - w_H(v',w')|."""
-    if g.n != h.n:
-        raise ValueError("graphs have different orders")
+    """Reduction with coefficient |w_G(v,w) - w_H(v',w')| on effective weights.
+
+    For every bijection phi, the QAP cost is twice the edit cost (each pair
+    is counted once per ordered pair).
+    """
+    a, b, denom = weight_matrices(g, h)
     if g.is_coloured or h.is_coloured:
         raise ValueError("the QAP reduction has no colour channel")
-    weights = [w for x in (g, h) if x.is_weighted for w in x.weights.values()]
-    denom = math.lcm(1, *(w.denominator for w in weights))
-    a, b = _weight_matrix(g, denom), _weight_matrix(h, denom)
     return QapInstance.from_array(abs(a[:, None, :, None] - b[None, :, None, :]), denom)
 
 
@@ -188,14 +168,15 @@ def qap_bruteforce(q: QapInstance, cap: int = 9):
     """Exact minimum over all n! assignments; lexicographic tie-break."""
     if q.n > cap:
         raise CapExceededError(f"QAP brute force capped at n={cap}, got n={q.n}")
-    best = None
-    for perm in itertools.permutations(range(q.n)):
-        cost = qap_cost(q, Assignment(perm))
-        if best is None or cost < best[0]:
-            best = (cost, perm)
-    if best is None:  # n == 0
-        return Fraction(0), Assignment(())
-    return best[0], Assignment(best[1])
+    block, denom = q.scaled_block()
+    n = q.n
+
+    def totals(mappings):
+        rows = np.arange(n) * n + mappings
+        return block[rows[:, :, None], rows[:, None, :]].sum(axis=(1, 2))
+
+    total, mapping = cheapest_bijection(Graph(n), Graph(n), totals)
+    return Fraction(total, denom), Assignment(mapping)
 
 
 def _alpha_positions(q: QapInstance, alpha: PartialInjection, v: int, vp: int):

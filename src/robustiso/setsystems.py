@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceededError, CapExceededError, VerificationError
-from .graphs import Graph
+from .graphs import Graph, threshold_graph
 from .rationals import as_fraction
 
 
@@ -100,7 +100,14 @@ def is_shattered(system: SetSystem, subset) -> bool:
     return len(traces) == want
 
 
-def vc_dimension_exact(system: SetSystem, size_cap: int = 20) -> int:
+# A shattered set this large ends the exact VC search with CapExceededError.
+VC_SIZE_CAP = 20
+
+# The constant c in the eps-approximation sample size c * eps^-2 * (d + ln(1/gamma)).
+C_APPROX = 1
+
+
+def vc_dimension_exact(system: SetSystem) -> int:
     """Largest cardinality of a shattered subset; -1 for the empty family.
 
     Exhaustive search over shatterable prefixes: shattering is closed under
@@ -137,9 +144,9 @@ def vc_dimension_exact(system: SetSystem, size_cap: int = 20) -> int:
         nonlocal best
         if size > best:
             best = size
-        if size >= size_cap:
+        if size >= VC_SIZE_CAP:
             raise CapExceededError(
-                f"shattered set reached the size cap {size_cap}; VC unresolved"
+                f"shattered set reached the size cap {VC_SIZE_CAP}; VC unresolved"
             )
         if 1 << (size + 1) > nf:
             return
@@ -160,20 +167,18 @@ def vc_dimension_exact(system: SetSystem, size_cap: int = 20) -> int:
     return best
 
 
-def weighted_graph_vc(g: Graph, size_cap: int = 20) -> int:
+def weighted_graph_vc(g: Graph) -> int:
     """Max VC dimension of the threshold neighbourhood systems of (G, w).
 
     Thresholds: the distinct effective edge weights plus one sentinel below
     the minimum (at most |E|+1 distinct threshold graphs arise).
     """
-    from .graphs import threshold_graph
-
-    weights = sorted({g.weight(*e) for e in g.edges})
+    weights = sorted(set(g.edge_weights.values()))
     thresholds = [(weights[0] - 1) if weights else Fraction(0)] + weights
     best = 0
     for t in thresholds:
         sub = threshold_graph(g, t)
-        best = max(best, vc_dimension_exact(neighbourhood_system(sub), size_cap))
+        best = max(best, vc_dimension_exact(neighbourhood_system(sub)))
     return best
 
 
@@ -274,12 +279,11 @@ def epsilon_approximation_sample(
     gamma,
     seed: int,
     d: int | None = None,
-    c_approx=1,
     retries: int = 8,
 ) -> tuple:
     """Uniform-with-replacement sample verified to be an eps-approximation.
 
-    Draws ceil(c_approx * eps^-2 * (d + ln(1/gamma))) elements, checks the
+    Draws ceil(C_APPROX * eps^-2 * (d + ln(1/gamma))) elements, checks the
     approximation property exactly against every family member, and redraws
     up to `retries` extra times before giving up.  Returns the sample as a
     sorted multiset tuple.
@@ -288,13 +292,10 @@ def epsilon_approximation_sample(
     gamma = as_fraction(gamma)
     if not (0 < eps < 1 and 0 < gamma < 1):
         raise ValueError("eps and gamma must lie in (0, 1)")
-    c_approx = as_fraction(c_approx)
-    if c_approx <= 0:
-        raise ValueError("c_approx must be positive")
     if d is None:
         d = max(vc_dimension_exact(system), 0)
     size = math.ceil(
-        float(c_approx) * (d + math.log(1 / float(gamma))) / float(eps) ** 2
+        C_APPROX * (d + math.log(1 / float(gamma))) / float(eps) ** 2
     )
     size = max(size, 1)
     if system.ground_size == 0:
@@ -308,7 +309,7 @@ def epsilon_approximation_sample(
             return sample
     raise VerificationError(
         f"no verified eps-approximation after {retries + 1} draws "
-        "(consider a larger c_approx)"
+        "(consider more retries or a larger eps)"
     )
 
 

@@ -41,6 +41,7 @@ def files(tmp_path_factory):
         "n 6\ne 0 1\ne 0 2\ne 1 2\ne 3 4\ne 3 5\ne 4 5\n",
     )
     write("bad.graph", "n 2\ne 0 0\n")
+    write("small.qap", "qap 3\nq 0 0 1 1 2\nq 1 1 0 0 -1/2\n")
     paths["root"] = str(root)
     return paths
 
@@ -235,6 +236,24 @@ class TestOracleCommand:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["vc", "--graph", "k3.graph", "--threshold", "5"],
+            ["vc", "--graph", "k3.graph", "--weak-d", "1"],
+            ["vc", "--qap", "small.qap", "--weighted"],
+            ["vc", "--qap", "small.qap", "--mixed"],
+            ["vc", "--graph", "k3.graph", "--weighted", "--mixed"],
+            ["vc", "--qap", "small.qap", "--threshold", "1", "--weak-d", "1"],
+            ["oracle", "qap", "small.qap", "small.qap"],
+        ],
+    )
+    def test_flag_the_command_would_ignore_is_usage_error(self, files, args):
+        args = [files.get(a, a) for a in args]
+        res = run_cli(args)
+        assert res.returncode == 2 and res.stdout == ""
+        assert "error: " in res.stderr
+
     def test_parse_error_exit_two(self, files):
         res = run_cli(["vc", "--graph", files["bad.graph"]])
         assert res.returncode == 2

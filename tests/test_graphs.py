@@ -1,16 +1,21 @@
+import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    chunk_colouring,
     complete_graph,
     cycle_graph,
     er_graph,
     path_graph,
+    random_qap,
     random_weighted_graph,
     relabelled_copy,
 )
@@ -18,16 +23,21 @@ from robustiso import (
     Assignment,
     Graph,
     PartialInjection,
+    QapInstance,
     blowup,
     edit_cost,
     edit_distance_bruteforce,
+    ged_to_qap,
     is_isomorphic_bruteforce,
     mixed_neighbourhood,
     parse_graph,
+    qap_bruteforce,
     serialize_graph,
     threshold_graph,
+    weighted_ged_to_qap,
 )
 from robustiso.errors import CapExceededError, ParseError
+from robustiso.graphs import BIJECTION_CHUNK, colour_preserving_bijections
 
 
 K3 = complete_graph(3)
@@ -204,6 +214,25 @@ class TestEditDistanceBruteforce:
             assert (dist == 0) == isomorphic
 
 
+class TestBijectionEnumeration:
+    def test_each_colour_preserving_bijection_once_in_lexicographic_order(self):
+        rng = random.Random(7050)
+        cases = [(Graph(7), Graph(7))]
+        for n in range(8):
+            g = Graph(n, set(), colours={v: rng.randint(0, 2) for v in range(n)})
+            cases.append((g, relabelled_copy(g, 7060 + n)))
+        for g, h in cases:
+            chunks = list(colour_preserving_bijections(g, h))
+            assert all(1 <= len(chunk) <= BIJECTION_CHUNK for chunk in chunks)
+            rows = [tuple(row) for chunk in chunks for row in chunk.tolist()]
+            assert rows == [
+                p
+                for p in itertools.permutations(range(g.n))
+                if all(g.colour_of(v) == h.colour_of(p[v]) for v in range(g.n))
+            ]
+        assert len(list(colour_preserving_bijections(Graph(7), Graph(7)))) == 2
+
+
 class TestIsomorphismSearch:
     def test_finds_relabelling(self):
         g = er_graph(8, 0.5, 42)
@@ -362,3 +391,225 @@ class TestGraphFiles:
         assert parse_graph(serialize_graph(g)) == g
         gc = Graph(4, {(0, 1), (2, 3)}, colours={0: 2, 1: 2, 2: 0, 3: 1})
         assert parse_graph(serialize_graph(gc)) == gc
+
+
+def _recoloured(g, colours):
+    return Graph(g.n, g.edges, weights=g.weights, colours=colours)
+
+
+def pinned_graph_pairs():
+    """Seeded pairs for the oracle pins, from n = 0 up to n = 8.
+
+    Unweighted pairs; weighted pairs mixing denominators 2 and 3 with
+    negative weights; weights of 2^70 and of +-2^61, whose sums leave int64;
+    a weighted graph against an unweighted one; coloured pairs (sparse, so
+    optima tie), coloured on one side only, and with different colour
+    histograms.
+    """
+    pairs = [(er_graph(n, 0.5, 5000 + n), er_graph(n, 0.5, 5100 + n)) for n in range(9)]
+    pairs += [
+        (
+            random_weighted_graph(n, 5200 + n, denom=2 + n % 2),
+            random_weighted_graph(n, 5300 + n, denom=3 - n % 2),
+        )
+        for n in range(1, 8)
+    ]
+    pairs.append((er_graph(5, 0.5, 5400), random_weighted_graph(5, 5401, denom=3)))
+    pairs.append(
+        (
+            Graph(4, {(0, 1), (1, 2), (2, 3)}, weights={(0, 1): 2**70, (1, 2): Fraction(-1, 3)}),
+            Graph(4, {(0, 2), (1, 3)}, weights={(0, 2): 2**70 + 1, (1, 3): Fraction(1, 2)}),
+        )
+    )
+    big = 2**61
+    pairs.append(
+        (
+            Graph(4, {(0, 1), (1, 2), (2, 3)}, weights={(0, 1): big, (1, 2): -big, (2, 3): big}),
+            Graph(4, {(0, 2), (1, 3), (0, 3)}, weights={(0, 2): -big, (1, 3): big, (0, 3): -big}),
+        )
+    )
+    for n in range(2, 9):
+        colours = chunk_colouring(n, 3)
+        g = er_graph(n, 0.3, 5500 + n, colours=colours)
+        pairs.append((g, er_graph(n, 0.3, 5600 + n, colours=colours)))
+        pairs.append((g, relabelled_copy(er_graph(n, 0.3, 5700 + n, colours=colours), 5800 + n)))
+    for n in (3, 5, 6):
+        colours = chunk_colouring(n, 2)
+        pairs.append(
+            (
+                _recoloured(random_weighted_graph(n, 5900 + n, denom=3), colours),
+                _recoloured(random_weighted_graph(n, 6000 + n, denom=2), colours),
+            )
+        )
+    pairs.append((er_graph(4, 0.5, 6100, colours={0: 0}), er_graph(4, 0.5, 6101)))
+    pairs.append((er_graph(3, 0.5, 6200, colours={0: 1}), er_graph(3, 0.5, 6201)))
+    return pairs
+
+
+def pinned_qap_instances():
+    """Reductions of uncoloured pinned pairs up to n = 7, random and 2^70 instances."""
+    out = [
+        (weighted_ged_to_qap if g.is_weighted or h.is_weighted else ged_to_qap)(g, h)
+        for g, h in pinned_graph_pairs()
+        if g.n <= 7 and not (g.is_coloured or h.is_coloured)
+    ]
+    out += [ged_to_qap(cycle_graph(n), path_graph(n)) for n in (4, 6)]
+    out += [random_qap(n, 6300 + n, bmax=2, denom=3) for n in range(6)]
+    out.append(
+        QapInstance(3, {(0, 1, 1, 0): Fraction(2**70, 3), (1, 1, 2, 2): Fraction(-1, 2)})
+    )
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        cost, pi = fn(*args)
+    except ValueError as err:
+        return f"{type(err).__name__}: {err}"
+    return f"{cost} {pi.mapping}"
+
+
+def pinned_oracle_records():
+    rng = random.Random(6400)
+    records = {"edit_distance_bruteforce": [], "qap_bruteforce": [], "edit_cost": []}
+    for g, h in pinned_graph_pairs():
+        records["edit_distance_bruteforce"].append(_outcome(edit_distance_bruteforce, g, h))
+        bijections = [Assignment.identity(g.n), Assignment.identity(g.n + 1)]
+        bijections += [Assignment(rng.sample(range(g.n), g.n)) for _ in range(4)]
+        for pi in bijections:
+            try:
+                records["edit_cost"].append(str(edit_cost(g, h, pi)))
+            except ValueError as err:
+                records["edit_cost"].append(f"{type(err).__name__}: {err}")
+    for q in pinned_qap_instances():
+        records["qap_bruteforce"].append(_outcome(qap_bruteforce, q))
+    return records
+
+
+# sha256 of the records above, taken with the per-permutation oracles that
+# forked on whether a graph is weighted
+PINNED_ORACLE_DIGESTS = {
+    "edit_distance_bruteforce": "ae2afcc57dc4a9533e9f9dcd06142394ed92b7e312e95c0a17bbd7c9a62b332d",
+    "qap_bruteforce": "7bf478e5873eea7884d2c7cbe37b529c021af0c0c257877c76c5247e4ca178fe",
+    "edit_cost": "6353f20203034ba147145b00e8fab8113151917e0ba34e080ab7313d80768db0",
+}
+
+
+class TestPinnedOracles:
+    def test_oracles_match_pinned_digests(self):
+        digests = {
+            name: hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            for name, lines in pinned_oracle_records().items()
+        }
+        assert digests == PINNED_ORACLE_DIGESTS
+
+
+def _stored_weight(g, e):
+    return (g.weights or {}).get(e, Fraction(1))
+
+
+def reference_edit_cost(g, h, pi):
+    """Edit cost as the per-edge Fraction loop the weighted graphs once took.
+
+    It reads the stored weights, not the integer weight matrices, so it is
+    independent of weight_matrices (which both sides of the reduction
+    identity qap_cost == 2 * edit_cost read).
+    """
+    total = Fraction(0)
+    seen = set()
+    for u, v in g.edges:
+        f = (min(pi[u], pi[v]), max(pi[u], pi[v]))
+        seen.add(f)
+        total += abs(_stored_weight(g, (u, v)) - (_stored_weight(h, f) if f in h.edges else 0))
+    for f in h.edges - seen:
+        total += abs(_stored_weight(h, f))
+    return total
+
+
+def colour_preserving_shuffle(g, h, rng):
+    """A random bijection sending each colour class of g onto the one of h."""
+    mapping = [0] * g.n
+    h_classes = h.colour_classes()
+    for colour, sources in g.colour_classes().items():
+        targets = rng.sample(h_classes[colour], len(sources))
+        for s, t in zip(sources, targets):
+            mapping[s] = t
+    return Assignment(tuple(mapping))
+
+
+class TestEditCostReference:
+    def test_matches_fraction_loop_on_seeded_bijections(self):
+        rng = random.Random(6500)
+        for trial in range(200):
+            n = rng.randint(0, 8)
+            kind = trial % 4
+            if kind == 0:
+                g, h = er_graph(n, 0.5, 6600 + trial), er_graph(n, 0.5, 6800 + trial)
+            elif kind == 1:
+                g = random_weighted_graph(n, 6600 + trial, denom=rng.choice((1, 2, 3)))
+                h = random_weighted_graph(n, 6800 + trial, denom=rng.choice((2, 3, 5)))
+            elif kind == 2:
+                g = er_graph(n, 0.5, 6600 + trial)
+                h = random_weighted_graph(n, 6800 + trial, wmax=2**40, denom=7)
+            else:
+                colours = {v: rng.randint(0, 2) for v in range(n)}
+                g = _recoloured(random_weighted_graph(n, 6600 + trial, denom=3), colours)
+                h = relabelled_copy(_recoloured(er_graph(n, 0.5, 6800 + trial), colours), trial)
+            pi = colour_preserving_shuffle(g, h, rng)
+            assert edit_cost(g, h, pi) == reference_edit_cost(g, h, pi)
+
+
+def _networkx_graph(g, denom):
+    x = nx.Graph()
+    x.add_nodes_from((v, {"colour": g.colour_of(v)}) for v in range(g.n))
+    for u, v in g.edges:
+        w = _stored_weight(g, (u, v)) * denom
+        x.add_edge(u, v, weight=int(w))
+    return x
+
+
+def networkx_edit_distance(g, h):
+    """networkx's exact graph_edit_distance, restricted to bijections.
+
+    Weights are scaled to integers.  Deleting or inserting a vertex, or
+    substituting one colour for another, costs n^2 (1 + 2B), more than any
+    bijection's edit cost, so the optimal edit path is a colour-preserving
+    bijection; an edge costs |w| to delete or insert, |w1 - w2| to substitute.
+    """
+    weights = [_stored_weight(x, e) for x in (g, h) for e in x.edges]
+    denom = math.lcm(1, *(w.denominator for w in weights))
+    big = g.n**2 * (1 + 2 * max((abs(w) * denom for w in weights), default=0))
+    dist = nx.graph_edit_distance(
+        _networkx_graph(g, denom),
+        _networkx_graph(h, denom),
+        node_subst_cost=lambda a, b: 0 if a["colour"] == b["colour"] else big,
+        node_del_cost=lambda a: big,
+        node_ins_cost=lambda a: big,
+        edge_subst_cost=lambda a, b: abs(a["weight"] - b["weight"]),
+        edge_del_cost=lambda a: abs(a["weight"]),
+        edge_ins_cost=lambda a: abs(a["weight"]),
+    )
+    assert dist == int(dist)
+    return Fraction(int(dist), denom)
+
+
+class TestAgainstNetworkx:
+    def test_bruteforce_matches_networkx_graph_edit_distance(self):
+        rng = random.Random(6900)
+        pairs = []
+        for n in range(1, 7):
+            colours = {v: rng.randint(0, 1) for v in range(n)}
+            pairs += [
+                (er_graph(n, 0.5, 7000 + n), er_graph(n, 0.5, 7100 + n)),
+                (random_weighted_graph(n, 7200 + n, denom=3),
+                 random_weighted_graph(n, 7300 + n, denom=2)),
+                (er_graph(n, 0.5, 7400 + n), random_weighted_graph(n, 7500 + n, wmax=3)),
+                (er_graph(n, 0.5, 7600 + n, colours=colours),
+                 relabelled_copy(er_graph(n, 0.5, 7700 + n, colours=colours), n)),
+                (_recoloured(random_weighted_graph(n, 7800 + n, denom=3), colours),
+                 relabelled_copy(_recoloured(random_weighted_graph(n, 7900 + n), colours), n)),
+            ]
+        assert len(pairs) == 30
+        for g, h in pairs:
+            dist, _ = edit_distance_bruteforce(g, h)
+            assert dist == networkx_edit_distance(g, h)
