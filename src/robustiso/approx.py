@@ -10,6 +10,10 @@ The constraint matrix does not depend on alpha, so it is built once per
 instance (LpModel), as exact integers that both LP backends read; each
 alpha adds only its objective and row bounds (LinearProgram).  Each LP is
 solved cold.  HiGHS solutions are converted to rationals unverified.
+
+HiGHS is loaded on first use: scipy's solver module is imported when the
+"highs" backend solves its first LP, not when this module is imported, so
+code that never runs that backend does not load scipy.optimize.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize._highspy import _core as _highs
 
 from .errors import BudgetExceededError
 from .graphs import Assignment, Graph, PartialInjection, edit_cost
@@ -169,6 +172,15 @@ def build_alpha_lp(model: LpModel, alpha: PartialInjection, eps) -> LinearProgra
     return LinearProgram(model, b_num, len(alpha) * model.denom, eps * n / 3)
 
 
+def __getattr__(name):
+    """`_highs` is scipy's bundled HiGHS `_core` module, imported on first use."""
+    if name == "_highs":
+        from scipy.optimize._highspy import _core
+
+        return _core
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _highs_solve(cost, row_lower, row_upper, csc):
     """Minimise cost . x subject to row_lower <= A x <= row_upper and x >= 0.
 
@@ -177,6 +189,7 @@ def _highs_solve(cost, row_lower, row_upper, csc):
     no basis carries over from an earlier call.  Returns (x, value), or None
     when the program is infeasible.
     """
+    _highs = __getattr__("_highs")
     start, index, value = csc
     lp = _highs.HighsLp()
     lp.num_col_ = len(cost)

@@ -246,6 +246,8 @@ def cmd_oracle(args) -> int:
     if args.kind == "qap" and args.b is not None:
         raise ValueError("oracle qap takes one QAP file")
     if args.kind == "iso":
+        if args.cap is not None:
+            raise ValueError("oracle iso takes no --cap")
         g = _load_graph(args.a)
         h = _load_graph(args.b)
         iso = is_isomorphic_bruteforce(g, h)
@@ -257,12 +259,13 @@ def cmd_oracle(args) -> int:
             }
         )
         return EXIT_OK
+    cap = 10 if args.cap is None else args.cap
     if args.kind == "ged":
         cost, assignment = edit_distance_bruteforce(
-            _load_graph(args.a), _load_graph(args.b), cap=args.cap
+            _load_graph(args.a), _load_graph(args.b), cap=cap
         )
     else:
-        cost, assignment = qap_bruteforce(_load_qap(args.a), cap=args.cap)
+        cost, assignment = qap_bruteforce(_load_qap(args.a), cap=cap)
     _emit(
         {
             "kind": args.kind,
@@ -348,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["ged", "qap", "iso"])
     p.add_argument("a")
     p.add_argument("b", nargs="?", default=None)
-    p.add_argument("--cap", type=int, default=10)
+    p.add_argument("--cap", type=int, default=None,
+                   help="largest n to enumerate (ged and qap only; default 10)")
     p.set_defaults(fn=cmd_oracle)
     return parser
 

@@ -239,6 +239,31 @@ def test_promise_isomorphism_answers_are_sound():
     )
 
 
+def test_promise_isomorphism_answers_are_sound_where_pairs_are_far():
+    # the same pairs at eps = 1/8: eps*n^2 < C(n,2), and some non-isomorphic
+    # pairs lie beyond eps*n^2, so an "isomorphic" answer on one of them fails
+    rng = random.Random(20260108)
+    eps = Fraction(1, 8)
+    beyond = 0
+    for trial in range(100):
+        n = rng.randint(4, 7)
+        colours = chunk_colouring(n, 3)
+        g = er_graph(n, 0.5, 80_000 + trial, colours=colours)
+        if trial % 2 == 0:
+            h = relabelled_copy(g, 90_000 + trial)
+        else:
+            h = er_graph(n, 0.5, 100_000 + trial, colours=colours)
+        dist, _ = edit_distance_bruteforce(g, h)
+        beyond += dist > eps * n * n
+        cert = robust_gi(g, h, eps, strategy="coloured")
+        if cert.answer == "isomorphic":
+            assert dist <= eps * n * n
+        else:
+            assert is_isomorphic_bruteforce(g, h) is None
+    assert beyond >= 10
+    report(f"promise answers sound at eps=1/8 ({beyond}/100 pairs beyond eps*n^2)")
+
+
 def test_greedy_homogenising_size_and_progress():
     rng = random.Random(20260109)
     for trial in range(200):

@@ -246,6 +246,7 @@ class TestErrorPaths:
             ["vc", "--graph", "k3.graph", "--weighted", "--mixed"],
             ["vc", "--qap", "small.qap", "--threshold", "1", "--weak-d", "1"],
             ["oracle", "qap", "small.qap", "small.qap"],
+            ["oracle", "iso", "k3.graph", "p3.graph", "--cap", "1"],
         ],
     )
     def test_flag_the_command_would_ignore_is_usage_error(self, files, args):
@@ -273,3 +274,36 @@ class TestBudgetOverrideAppliesToSolver:
         )
         assert res.returncode == 3
         assert payload(res)["error"] == "budget-exceeded"
+
+
+class TestStartUp:
+    def test_commands_that_solve_no_lp_leave_scipy_optimize_unloaded(self, files, tmp_path):
+        # a fresh interpreter, since this test process has loaded scipy already
+        commands = [
+            ["wl", files["c6.graph"], files["2c3.graph"], "--k", "2"],
+            ["vc", "--graph", files["c6.graph"]],
+            ["gen", "random", "--n", "6", "--seed", "1", "--out", str(tmp_path / "r.graph")],
+        ]
+        script = (
+            "import json, sys\n"
+            "import robustiso\n"
+            "seen = [('import robustiso', 0, 'scipy.optimize' in sys.modules)]\n"
+            "from robustiso.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    code = main(argv)\n"
+            "    seen.append((argv[0], code, 'scipy.optimize' in sys.modules))\n"
+            "print(json.dumps(seen), file=sys.stderr)\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(commands)],
+            capture_output=True,
+            text=True,
+        )
+        assert res.returncode == 0, res.stderr
+        seen = json.loads(res.stderr.splitlines()[-1])
+        assert seen == [
+            ["import robustiso", 0, False],
+            ["wl", 0, False],
+            ["vc", 0, False],
+            ["gen", 0, False],
+        ]
