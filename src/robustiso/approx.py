@@ -354,14 +354,15 @@ def approximate_qap(
     mode: str = "exhaustive",
     lp_method: str = "highs",
     samples_per_size: int = 64,
-    alpha_budget: int = 200_000,
+    budget: int = 200_000,
     keep_trace: bool = False,
 ) -> ApproxReport:
     """Best completed assignment over all partial injections of size 1..m.
 
     Exhaustive mode iterates every alpha of each size (the n^O(m) loop);
     sampled mode draws `samples_per_size` seeded alphas per size and carries
-    no guarantee.  Identical arguments give identical reports.
+    no guarantee.  The alpha count is checked against `budget` before the
+    first LP.  Identical arguments give identical reports.
     """
     eps = as_fraction(eps)
     if m < 1:
@@ -369,55 +370,51 @@ def approximate_qap(
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     n = q.n
+    sizes = range(1, min(m, n) + 1)
+    if mode == "exhaustive":
+        total = sum(math.comb(n, s) * math.perm(n, s) for s in sizes)
+        alphas = (a for s in sizes for a in _exhaustive_alphas(n, s))
+    else:
+        total = samples_per_size * len(sizes)
+        rng = random.Random(seed)
+        alphas = (a for s in sizes for a in _sampled_alphas(n, s, samples_per_size, rng))
+    if total > budget:
+        raise BudgetExceededError(f"{total} alphas to try, budget is {budget}", total)
     model = lp_model(q)
     nonnegative = model.block.min(initial=0) >= 0
-    rng = random.Random(seed)
 
-    best = None  # (cost, order index, assignment)
+    best = None  # (cost, assignment)
     tried = 0
     infeasible = 0
     trace = []
-    done = False
-    for size in range(1, min(m, n) + 1):
-        if done:
-            break
-        if mode == "exhaustive":
-            alphas = _exhaustive_alphas(n, size)
-        else:
-            alphas = _sampled_alphas(n, size, samples_per_size, rng)
-        for pairs in alphas:
-            if tried >= alpha_budget:
-                raise BudgetExceededError(
-                    f"alpha budget of {alpha_budget} exhausted", tried
-                )
-            tried += 1
-            alpha = PartialInjection(frozenset(pairs))
-            lp = build_alpha_lp(model, alpha, eps)
-            sol = solve_lp(lp, method=lp_method)
-            if isinstance(sol, Infeasible):
-                infeasible += 1
-                if keep_trace:
-                    trace.append({"alpha": pairs, "status": "infeasible"})
-                continue
-            partial = round_apec(sol, lp, seed=seed * 1_000_003 + tried)
-            assignment = complete_matching(partial, n)
-            cost = qap_cost(q, assignment)
+    for pairs in alphas:
+        tried += 1
+        alpha = PartialInjection(frozenset(pairs))
+        lp = build_alpha_lp(model, alpha, eps)
+        sol = solve_lp(lp, method=lp_method)
+        if isinstance(sol, Infeasible):
+            infeasible += 1
             if keep_trace:
-                trace.append(
-                    {"alpha": pairs, "status": "ok", "cost": cost,
-                     "matched": len(partial)}
-                )
-            if best is None or cost < best[0]:
-                best = (cost, tried, assignment)
-            if nonnegative and best[0] == 0:
-                done = True
+                trace.append({"alpha": pairs, "status": "infeasible"})
+            continue
+        partial = round_apec(sol, lp, seed=seed * 1_000_003 + tried)
+        assignment = complete_matching(partial, n)
+        cost = qap_cost(q, assignment)
+        if keep_trace:
+            trace.append(
+                {"alpha": pairs, "status": "ok", "cost": cost,
+                 "matched": len(partial)}
+            )
+        if best is None or cost < best[0]:
+            best = (cost, assignment)
+            if nonnegative and cost == 0:
                 break
 
     if best is None:
         assignment = complete_matching(PartialInjection(frozenset()), n)
-        best = (qap_cost(q, assignment), 0, assignment)
+        best = (qap_cost(q, assignment), assignment)
     return ApproxReport(
-        best_assignment=best[2],
+        best_assignment=best[1],
         best_cost=best[0],
         alphas_tried=tried,
         lps_infeasible=infeasible,

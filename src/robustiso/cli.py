@@ -2,7 +2,11 @@
 
 Exit codes: 0 success (or Isomorphic), 1 Far, 2 usage/input error,
 3 work budget or size cap exceeded.  Rationals are emitted as "p/q"
-strings.  ROBUSTISO_BUDGET overrides the default WL/weak-VC work budgets.
+strings.  ROBUSTISO_BUDGET overrides all three work budgets, each in its
+own unit: alphas for `ged`/`qap` (default 200,000), (tuple, vertex) pairs
+of one k-WL round (default 10^6) and (threshold, alpha) pairs of the
+weak-VC test (default 10^7).  Every budget is checked before the work it
+bounds starts, so `ged`/`qap` exit 3 before their first LP.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import approx, generators, setsystems, wl
-from .errors import BudgetExceededError, CapExceededError, ParseError
+from .errors import BudgetExceededError, ParseError
 from .graphs import (
     edit_distance_bruteforce,
     is_isomorphic_bruteforce,
@@ -32,12 +36,12 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _budget(default: int) -> int:
+def _budget() -> dict:
     raw = os.environ.get("ROBUSTISO_BUDGET")
     if raw is None:
-        return default
+        return {}
     try:
-        return int(raw)
+        return {"budget": int(raw)}
     except ValueError:
         raise ValueError(f"ROBUSTISO_BUDGET must be an integer, got {raw!r}")
 
@@ -85,9 +89,7 @@ def cmd_vc(args) -> int:
         out["input"] = args.qap
         if args.weak_d is not None:
             out["d"] = args.weak_d
-            out["weak_vc_le_d"] = setsystems.weak_vc_test(
-                q, args.weak_d, budget=_budget(10_000_000)
-            )
+            out["weak_vc_le_d"] = setsystems.weak_vc_test(q, args.weak_d, **_budget())
         else:
             t = args.threshold if args.threshold is not None else Fraction(0)
             out["threshold"] = format_rational(t)
@@ -105,7 +107,7 @@ def _emit_approximation(args, cost_key, n, approximate, oracle) -> int:
     start = time.monotonic()
     cost, assignment, report = approximate(
         eps=args.eps, m=args.m, seed=args.seed, mode=args.mode,
-        lp_method=args.lp, alpha_budget=_budget(200_000),
+        lp_method=args.lp, **_budget(),
     )
     elapsed = (time.monotonic() - start) * 1000
     out = {
@@ -155,10 +157,7 @@ def cmd_qap(args) -> int:
 def cmd_robust_gi(args) -> int:
     g = _load_graph(args.g)
     h = _load_graph(args.h)
-    cert = wl.robust_gi(
-        g, h, args.eps, strategy=args.strategy,
-        budget=_budget(wl.DEFAULT_WL_BUDGET),
-    )
+    cert = wl.robust_gi(g, h, args.eps, strategy=args.strategy, **_budget())
     out = {
         "answer": cert.answer,
         "eps": format_rational(cert.eps),
@@ -174,9 +173,9 @@ def cmd_robust_gi(args) -> int:
 
 def cmd_wl(args) -> int:
     g = _load_graph(args.g)
-    budget = _budget(wl.DEFAULT_WL_BUDGET)
+    budget = _budget()
     if args.h is None:
-        colouring = wl.k_wl_stable(g, args.k, budget=budget)
+        colouring = wl.k_wl_stable(g, args.k, **budget)
         _emit(
             {
                 "input": args.g,
@@ -188,7 +187,7 @@ def cmd_wl(args) -> int:
         )
         return EXIT_OK
     h = _load_graph(args.h)
-    comparison = wl.wl_compare(g, h, args.k, budget=budget)
+    comparison = wl.wl_compare(g, h, args.k, **budget)
     _emit(
         {
             "k": args.k,
@@ -201,41 +200,25 @@ def cmd_wl(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    written = []
-    if args.family == "vcgap":
-        if args.n is None:
-            raise ValueError("gen vcgap requires --n")
-        instance = generators.gen_vc_gap_qap(args.n)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(serialize_qap(instance))
-        written.append(args.out)
-    elif args.family == "cfi":
-        bundle = generators.gen_cfi_pair(args.base)
-        written.extend(generators.save_bundle(bundle, args.out))
-    elif args.family == "blowup":
-        if args.inp is None:
-            raise ValueError("gen blowup requires --in BUNDLE_DIR")
-        bundle = generators.load_bundle(args.inp)
-        written.extend(
-            generators.save_bundle(
-                generators.gen_blowup_pair(bundle, args.ell), args.out
+    out = {"family": args.family}
+    if args.family in ("cfi", "blowup"):
+        if args.family == "cfi":
+            bundle = generators.gen_cfi_pair(args.base)
+        else:
+            bundle = generators.gen_blowup_pair(generators.load_bundle(args.inp), args.ell)
+        out["written"] = generators.save_bundle(bundle, args.out)
+    else:
+        if args.family == "vcgap":
+            text = serialize_qap(generators.gen_vc_gap_qap(args.n))
+        else:
+            g = generators.gen_random_graph(
+                args.n, edge_prob=float(args.p), target_vc=args.target_vc, seed=args.seed
             )
-        )
-    elif args.family == "random":
-        if args.n is None or args.seed is None:
-            raise ValueError("gen random requires --n and --seed")
-        g = generators.gen_random_graph(
-            args.n,
-            edge_prob=float(args.p),
-            target_vc=args.target_vc,
-            seed=args.seed,
-        )
+            text = serialize_graph(g)
+            out["seed"] = args.seed
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(serialize_graph(g))
-        written.append(args.out)
-    out = {"family": args.family, "written": written}
-    if args.seed is not None:
-        out["seed"] = args.seed
+            fh.write(text)
+        out["written"] = [args.out]
     _emit(out)
     return EXIT_OK
 
@@ -336,16 +319,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_wl)
 
     p = sub.add_parser("gen", help="generate paper-construction instances")
-    p.add_argument("family", choices=["cfi", "blowup", "vcgap", "random"])
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--base", default="k4")
-    p.add_argument("--ell", type=int, default=2)
-    p.add_argument("--p", type=_rational, default=Fraction(1, 2))
-    p.add_argument("--target-vc", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--in", dest="inp", default=None, help="input bundle directory")
-    p.add_argument("--out", required=True, help="output file or directory")
     p.set_defaults(fn=cmd_gen)
+    out_flag = argparse.ArgumentParser(add_help=False)
+    out_flag.add_argument("--out", required=True, help="output file or directory")
+    families = p.add_subparsers(dest="family", required=True)
+    f = families.add_parser("cfi", parents=[out_flag])
+    f.add_argument("--base", default="k4")
+    f = families.add_parser("blowup", parents=[out_flag])
+    f.add_argument("--in", dest="inp", required=True, help="input bundle directory")
+    f.add_argument("--ell", type=int, default=2)
+    f = families.add_parser("vcgap", parents=[out_flag])
+    f.add_argument("--n", type=int, required=True)
+    f = families.add_parser("random", parents=[out_flag])
+    f.add_argument("--n", type=int, required=True)
+    f.add_argument("--seed", type=int, required=True)
+    f.add_argument("--p", type=_rational, default=Fraction(1, 2))
+    f.add_argument("--target-vc", type=int, default=None)
 
     p = sub.add_parser("oracle", help="exact brute-force oracles")
     p.add_argument("kind", choices=["ged", "qap", "iso"])
@@ -362,14 +351,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (BudgetExceededError, CapExceededError) as exc:
-        payload = {"error": "budget-exceeded", "detail": str(exc)}
-        attempted = getattr(exc, "attempted", None)
-        if attempted is not None:
-            # for WL-driven commands the attempted quantity is the dimension k
-            key = "k" if args.command in ("robust-gi", "wl") else "attempted"
-            payload[key] = attempted
-        _emit(payload)
+    except BudgetExceededError as exc:
+        # for WL-driven commands the attempted quantity is the dimension k
+        key = "k" if args.command in ("robust-gi", "wl") else "attempted"
+        _emit({"error": "budget-exceeded", "detail": str(exc), key: exc.attempted})
         return EXIT_BUDGET
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

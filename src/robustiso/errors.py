@@ -11,14 +11,11 @@ class ParseError(ValueError):
         self.line = line
 
 
-class CapExceededError(RuntimeError):
-    """An exact/brute-force routine was asked for more than its size cap."""
-
-
 class BudgetExceededError(RuntimeError):
-    """A bounded-work routine would exceed its work budget."""
+    """A bounded routine would exceed its work budget or size cap;
+    `attempted` is the figure it compared with that limit."""
 
-    def __init__(self, message, attempted=None):
+    def __init__(self, message, attempted: int):
         super().__init__(message)
         self.attempted = attempted
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapExceededError, ParseError
+from .errors import BudgetExceededError, ParseError
 from .rationals import as_fraction, format_rational
 
 Edge = tuple[int, int]
@@ -269,7 +269,9 @@ def colour_preserving_bijections(g: Graph, h: Graph):
     radices = [len(classes[c]) - colours[:v].count(c) for v, c in enumerate(colours)]
     count = math.prod(radices)
     if count >= 2**63:
-        raise CapExceededError(f"{count} colour-preserving bijections to enumerate")
+        raise BudgetExceededError(
+            f"{count} colour-preserving bijections to enumerate", count
+        )
     places = [math.prod(radices[v + 1:]) for v in range(g.n)]
     for start in range(0, count, BIJECTION_CHUNK):
         ranks = np.arange(start, min(start + BIJECTION_CHUNK, count), dtype=np.int64)
@@ -307,7 +309,7 @@ def edit_distance_bruteforce(g: Graph, h: Graph, cap: int = 10):
     """
     _check_same_order(g, h)
     if g.n > cap:
-        raise CapExceededError(f"brute force capped at n={cap}, got n={g.n}")
+        raise BudgetExceededError(f"brute force capped at n={cap}, got n={g.n}", g.n)
     a, b, denom = weight_matrices(g, h)
     total, mapping = cheapest_bijection(g, h, lambda p: _edit_totals(a, b, p))
     return Fraction(total, 2 * denom), Assignment(mapping)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapExceededError, ParseError
+from .errors import BudgetExceededError, ParseError
 from .graphs import Assignment, Graph, PartialInjection, cheapest_bijection, weight_matrices
 from .rationals import as_fraction, format_rational
 
@@ -167,7 +167,7 @@ def weighted_ged_to_qap(g: Graph, h: Graph) -> QapInstance:
 def qap_bruteforce(q: QapInstance, cap: int = 9):
     """Exact minimum over all n! assignments; lexicographic tie-break."""
     if q.n > cap:
-        raise CapExceededError(f"QAP brute force capped at n={cap}, got n={q.n}")
+        raise BudgetExceededError(f"QAP brute force capped at n={cap}, got n={q.n}", q.n)
     block, denom = q.scaled_block()
     n = q.n
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceededError, CapExceededError, VerificationError
+from .errors import BudgetExceededError, VerificationError
 from .graphs import Graph, threshold_graph
 from .rationals import as_fraction
 
@@ -100,7 +100,7 @@ def is_shattered(system: SetSystem, subset) -> bool:
     return len(traces) == want
 
 
-# A shattered set this large ends the exact VC search with CapExceededError.
+# A shattered set this large ends the exact VC search with BudgetExceededError.
 VC_SIZE_CAP = 20
 
 # The constant c in the eps-approximation sample size c * eps^-2 * (d + ln(1/gamma)).
@@ -145,8 +145,9 @@ def vc_dimension_exact(system: SetSystem) -> int:
         if size > best:
             best = size
         if size >= VC_SIZE_CAP:
-            raise CapExceededError(
-                f"shattered set reached the size cap {VC_SIZE_CAP}; VC unresolved"
+            raise BudgetExceededError(
+                f"shattered set reached the size cap {VC_SIZE_CAP}; VC unresolved",
+                size,
             )
         if 1 << (size + 1) > nf:
             return
@@ -324,8 +325,9 @@ def sauer_shelah_check(system: SetSystem, s: int, budget: int = 2_000_000) -> bo
         raise ValueError("requires a system of VC dimension >= 1")
     if s < d:
         raise ValueError("requires s >= VC dimension")
-    if math.comb(system.ground_size, s) > budget:
-        raise BudgetExceededError("too many s-subsets to enumerate")
+    subsets = math.comb(system.ground_size, s)
+    if subsets > budget:
+        raise BudgetExceededError("too many s-subsets to enumerate", subsets)
     bound = (math.e * s / d) ** d
     family = list(system.sets)
     for combo in itertools.combinations(range(system.ground_size), s):

@@ -21,15 +21,16 @@ import itertools
 import json
 import math
 from collections.abc import ItemsView, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
 from .graphs import Graph, mixed_neighbourhood
 from .rationals import as_fraction
-from .setsystems import epsilon_net_greedy, mixed_system, vc_dimension_exact
+from .setsystems import SetSystem, epsilon_net_greedy, mixed_system, vc_dimension_exact
 
 # Largest n^(k+1), the (tuple, vertex) pairs one k-WL round reads per graph.
 DEFAULT_WL_BUDGET = 1_000_000
@@ -216,15 +217,14 @@ def _atomic_types(graphs, k, n):
 def _joint_refine_kwl(graphs, k, budget):
     """Joint k-WL over all k-tuples of graphs of one order; returns (one
     colour array per graph, indexed by base-n tuple index; rounds)."""
-    for g in graphs:
-        work = g.n ** (k + 1)
-        if work > budget:
-            raise BudgetExceededError(
-                f"{k}-WL reads {work} (tuple, vertex) pairs per round on "
-                f"{g.n} vertices, budget is {budget}",
-                attempted=k,
-            )
     n = graphs[0].n
+    work = n ** (k + 1)
+    if work > budget:
+        raise BudgetExceededError(
+            f"{k}-WL reads {work} (tuple, vertex) pairs per round on "
+            f"{n} vertices, budget is {budget}",
+            attempted=k,
+        )
     shape = (len(graphs),) + (n,) * k
 
     def signatures(cols, base):
@@ -340,24 +340,31 @@ class HomogenisingSet:
     eps: Fraction
     method: str
     class_counts: tuple = ()  # gamma classes per greedy iteration
-    size_target: float | None = None  # (d/eps) log(1/eps), constant not asserted
+    system: SetSystem | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def size_target(self) -> float | None:
+        """(d/eps) log(1/eps), d the exact VC dimension of the net's mixed
+        system, computed on first read; the constant is not asserted."""
+        if self.system is None:
+            return None
+        d = max(vc_dimension_exact(self.system), 0)
+        return d / float(self.eps) * max(1.0, math.log(1 / float(self.eps)))
 
 
 def homogenising_set_net(g: Graph, eps) -> HomogenisingSet:
     """An eps-net for the mixed-neighbourhood system, hence eps-homogenising.
 
-    The greedy net size is reported against the dimension-based target
-    (d / eps) * log(1/eps), where d is the exact VC dimension of the mixed
-    system; the target's hidden constant is informational only.
+    The greedy net size can be read against the dimension-based
+    `size_target`, which costs an exact VC computation and so is computed
+    only when read; its hidden constant is informational only.
     """
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     system = mixed_system(g)
     net = epsilon_net_greedy(system, min(eps, Fraction(1)))
-    d = max(vc_dimension_exact(system), 0)
-    target = d / float(eps) * max(1.0, math.log(1 / float(eps)))
-    result = HomogenisingSet(tuple(net), eps, "net", size_target=target)
+    result = HomogenisingSet(tuple(net), eps, "net", system=system)
     if not is_homogenising(g, result.vertices, eps):
         raise VerificationError("net-based set failed the homogenising check")
     return result

@@ -579,7 +579,16 @@ class TestApproximateQap:
 
     def test_alpha_budget(self):
         with pytest.raises(BudgetExceededError):
-            approximate_qap(ged_to_qap(K3, PATH3), 1, 2, seed=1, alpha_budget=3)
+            approximate_qap(ged_to_qap(K3, PATH3), 1, 2, seed=1, budget=3)
+
+    def test_budget_is_checked_before_the_first_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an LP was solved")
+
+        monkeypatch.setattr(approx, "solve_lp", no_lp)
+        with pytest.raises(BudgetExceededError) as err:
+            approximate_qap(ged_to_qap(K3, PATH3), 1, 2, seed=1, budget=26)
+        assert err.value.attempted == 27
 
     def test_trace_records_alphas(self):
         report = approximate_qap(

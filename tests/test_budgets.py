@@ -1,0 +1,54 @@
+"""Every bounded routine refuses oversized work with one error type, which
+carries the figure it compared with its limit."""
+
+import pytest
+
+from conftest import complete_graph, cycle_graph, path_graph
+from robustiso import (
+    Graph,
+    QapInstance,
+    approximate_qap,
+    edit_distance_bruteforce,
+    ged_to_qap,
+    k_wl_stable,
+    neighbourhood_system,
+    qap_bruteforce,
+    sauer_shelah_check,
+    weak_vc_test,
+)
+from robustiso.errors import BudgetExceededError
+
+K3_P3 = ged_to_qap(complete_graph(3), path_graph(3))
+
+CASES = {
+    # n = 4 against a cap of 3
+    "edit_distance_bruteforce": (
+        lambda: edit_distance_bruteforce(Graph(4), Graph(4), cap=3), 4
+    ),
+    "qap_bruteforce": (lambda: qap_bruteforce(QapInstance(4, {}), cap=3), 4),
+    # C(6, 3) = 20 subsets of the C6 ground set
+    "sauer_shelah_check": (
+        lambda: sauer_shelah_check(neighbourhood_system(cycle_graph(6)), 3, budget=19),
+        20,
+    ),
+    # one threshold (0) times C(3, 2) * P(3, 2) = 18 alphas of size 2
+    "weak_vc_test": (lambda: weak_vc_test(K3_P3, 1, budget=17), 18),
+    # the WL commands report the dimension k
+    "k_wl_stable": (lambda: k_wl_stable(cycle_graph(6), 3, budget=6**4 - 1), 3),
+    # 3 * 3 alphas of size 1 plus C(3, 2) * P(3, 2) = 18 of size 2
+    "approximate_qap": (lambda: approximate_qap(K3_P3, 1, 2, seed=1, budget=26), 27),
+    "approximate_qap sampled": (
+        lambda: approximate_qap(
+            K3_P3, 1, 2, seed=1, mode="sampled", samples_per_size=8, budget=15
+        ),
+        16,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_budget_error_carries_what_was_counted(name):
+    run, attempted = CASES[name]
+    with pytest.raises(BudgetExceededError) as err:
+        run()
+    assert err.value.attempted == attempted

@@ -247,13 +247,17 @@ class TestErrorPaths:
             ["vc", "--qap", "small.qap", "--threshold", "1", "--weak-d", "1"],
             ["oracle", "qap", "small.qap", "small.qap"],
             ["oracle", "iso", "k3.graph", "p3.graph", "--cap", "1"],
+            ["gen", "vcgap", "--n", "8", "--base", "prism", "--out", "{tmp}/f"],
+            ["gen", "cfi", "--seed", "3", "--out", "{tmp}/d"],
+            ["gen", "random", "--n", "6", "--seed", "1", "--ell", "3", "--out", "{tmp}/f"],
         ],
     )
-    def test_flag_the_command_would_ignore_is_usage_error(self, files, args):
-        args = [files.get(a, a) for a in args]
+    def test_flag_the_command_would_ignore_is_usage_error(self, files, tmp_path, args):
+        args = [files.get(a, a).replace("{tmp}", str(tmp_path)) for a in args]
         res = run_cli(args)
         assert res.returncode == 2 and res.stdout == ""
         assert "error: " in res.stderr
+        assert not any(tmp_path.iterdir())
 
     def test_parse_error_exit_two(self, files):
         res = run_cli(["vc", "--graph", files["bad.graph"]])
@@ -274,6 +278,17 @@ class TestBudgetOverrideAppliesToSolver:
         )
         assert res.returncode == 3
         assert payload(res)["error"] == "budget-exceeded"
+
+    def test_alpha_count_checked_before_the_sweep(self, files):
+        # K3 vs P3 at m = 2 has 9 + 18 = 27 alphas, none of cost 0
+        argv = ["ged", files["k3.graph"], files["p3.graph"], "--eps", "1",
+                "--seed", "1", "--m", "2"]
+        res = run_cli(argv, env={"ROBUSTISO_BUDGET": "26"})
+        assert res.returncode == 3
+        assert payload(res)["attempted"] == 27
+        res = run_cli(argv, env={"ROBUSTISO_BUDGET": "27"})
+        assert res.returncode == 0
+        assert payload(res)["alphas_tried"] == 27
 
 
 class TestStartUp:

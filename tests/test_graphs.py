@@ -36,7 +36,7 @@ from robustiso import (
     threshold_graph,
     weighted_ged_to_qap,
 )
-from robustiso.errors import CapExceededError, ParseError
+from robustiso.errors import BudgetExceededError, ParseError
 from robustiso.graphs import BIJECTION_CHUNK, colour_preserving_bijections
 
 
@@ -176,7 +176,7 @@ class TestEditDistanceBruteforce:
         assert dist == 2
 
     def test_cap(self):
-        with pytest.raises(CapExceededError):
+        with pytest.raises(BudgetExceededError):
             edit_distance_bruteforce(Graph(11, set()), Graph(11, set()))
 
     def test_colour_histogram_mismatch(self):

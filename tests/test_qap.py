@@ -32,7 +32,7 @@ from robustiso import (
     weighted_ged_to_qap,
 )
 from robustiso.approx import m_bound
-from robustiso.errors import BudgetExceededError, CapExceededError, ParseError
+from robustiso.errors import BudgetExceededError, ParseError
 from robustiso.generators import gen_vc_gap_qap
 from robustiso.graphs import Graph
 from robustiso.setsystems import qap_threshold_system, weak_vc_test
@@ -215,7 +215,7 @@ class TestQapBruteforce:
         assert cost == -16
 
     def test_cap(self):
-        with pytest.raises(CapExceededError):
+        with pytest.raises(BudgetExceededError):
             qap_bruteforce(QapInstance(10, {}))
 
 

@@ -32,7 +32,7 @@ from robustiso import (
     weighted_graph_vc,
 )
 from robustiso import setsystems
-from robustiso.errors import BudgetExceededError, CapExceededError
+from robustiso.errors import BudgetExceededError
 from robustiso.generators import gen_vc_gap_qap
 from robustiso.setsystems import verify_epsilon_approximation
 
@@ -121,7 +121,7 @@ class TestVcDimension:
     def test_size_cap_ends_the_search(self, monkeypatch):
         monkeypatch.setattr(setsystems, "VC_SIZE_CAP", 3)
         assert vc_dimension_exact(powerset_system(2)) == 2
-        with pytest.raises(CapExceededError, match="size cap 3"):
+        with pytest.raises(BudgetExceededError, match="size cap 3"):
             vc_dimension_exact(powerset_system(3))
 
     def test_matches_naive_enumeration(self):

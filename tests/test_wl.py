@@ -25,6 +25,7 @@ from robustiso import (
     robust_gi,
     wl_distinguishes,
 )
+from robustiso import wl
 from robustiso.errors import BudgetExceededError
 from robustiso.wl import wl_compare
 
@@ -262,6 +263,17 @@ class TestNetConstruction:
     def test_reports_dimension_based_target(self):
         hom = homogenising_set_net(complete_graph(4), Fraction(2, 5))
         assert hom.size_target is not None and hom.size_target > 0
+
+    def test_answers_without_the_exact_vc_dimension(self, monkeypatch):
+        # the VC dimension only feeds the informational size_target
+        def refuse(system):
+            raise AssertionError("exact VC dimension computed")
+
+        monkeypatch.setattr(wl, "vc_dimension_exact", refuse)
+        g = er_graph(10, 0.5, 2024)
+        hom = homogenising_set_net(g, Fraction(1, 4))
+        assert is_homogenising(g, hom.vertices, Fraction(1, 4))
+        assert robust_gi(g, g, Fraction(3, 4), strategy="net").answer == "isomorphic"
 
     def test_colour_equal_vertices_avoid_net_in_mixed_neighbourhood(self):
         rng = random.Random(95)
