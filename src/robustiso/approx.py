@@ -41,8 +41,8 @@ class LpModel:
     Variables are x(v, v') indexed v*n + v'.  Row v*n + v' of `block` is the
     coefficient vector a(v, v') (entry w*n + w' is c(v, v', w, w')), times the
     common denominator `denom`, so the block is exact.  The exact simplex
-    reads its `reduced_rows`, HiGHS its float `csc`; no Fraction copy exists.
-    Per alpha only the objective and the row bounds change.
+    reads the block's rows as they are, HiGHS its float `csc`; no Fraction
+    copy exists.  Per alpha only the objective and the row bounds change.
     """
 
     n: int
@@ -69,19 +69,6 @@ class LpModel:
         col, row = np.nonzero(columns)
         start = np.searchsorted(col, np.arange(len(columns) + 1))
         return start.tolist(), row.tolist(), [c / denom for c in columns[col, row].tolist()]
-
-    @cached_property
-    def reduced_rows(self) -> tuple:
-        """Per row a(v, v'): (a(v, v') * r, r) for the least integer r clearing it.
-
-        These are the integers the simplex makes of a Fraction row, so each
-        row's scale, which its phase-1 pivot rule sees, is the same.
-        """
-        reduced = []
-        for row in self.block.tolist():
-            g = math.gcd(self.denom, *row)
-            reduced.append(([c // g for c in row], self.denom // g))
-        return tuple(reduced)
 
 
 def lp_model(q: QapInstance) -> LpModel:
@@ -231,8 +218,9 @@ def solve_lp(lp: LinearProgram, method: str = "exact"):
     Both backends read the instance's shared LpModel, and every LP is solved
     cold: no basis carries over between alphas, so a solution depends on its
     own alpha alone.  "exact" runs the rational simplex (deterministic Bland
-    pivoting, zero tolerance) on the reduced integer rows, each ranged row
-    split into two <= rows with its bounds scaled by the row's r.
+    pivoting, zero tolerance) on the block's integer rows, each ranged row
+    split into two <= rows with its bounds scaled by denom, and on the
+    integer objective b_num; the simplex reduces each row itself.
     "highs" passes the ranged rows and the assignment equalities straight to
     scipy's bundled HiGHS; its float solution is converted to rationals as
     is, unverified.
@@ -241,18 +229,19 @@ def solve_lp(lp: LinearProgram, method: str = "exact"):
     model = lp.model
     if method == "exact":
         a_ub, b_ub = [], []
-        for (row, r), (lo, hi) in zip(model.reduced_rows, lp.bounds):
+        # a(v, v') . x <= hi  <=>  block row . x <= hi * denom
+        for row, (lo, hi) in zip(model.block.tolist(), lp.bounds):
             a_ub += (row, [-c for c in row])
-            b_ub += (hi * r, -lo * r)
+            b_ub += (hi * model.denom, -lo * model.denom)
         status, x, value = simplex.simplex_min(
-            list(lp.objective), a_ub, b_ub, model.assignment.tolist(), [1] * (2 * n)
+            lp.b_num.tolist(), a_ub, b_ub, model.assignment.tolist(), [1] * (2 * n)
         )
         if status == simplex.INFEASIBLE:
             return Infeasible()
         values = {
             (v, vp): x[v * n + vp] for v in range(n) for vp in range(n)
         }
-        return FractionalSolution(values, value)
+        return FractionalSolution(values, value / lp.b_den)
     if method == "highs":
         # exact Python integers until one correctly rounded division each
         b_num, b_den = lp.b_num.tolist(), lp.b_den
@@ -333,17 +322,20 @@ def complete_matching(partial: PartialInjection, n: int) -> Assignment:
     return Assignment(tuple(mapping))
 
 
-def _exhaustive_alphas(n: int, size: int):
-    for sources in itertools.combinations(range(n), size):
-        for targets in itertools.permutations(range(n), size):
-            yield tuple(zip(sources, targets))
-
-
-def _sampled_alphas(n: int, size: int, count: int, rng: random.Random):
-    for _ in range(count):
-        sources = sorted(rng.sample(range(n), size))
-        targets = rng.sample(range(n), size)
-        yield tuple(zip(sources, targets))
+def _alphas(n: int, size: int, count: int, rng: random.Random):
+    """`count` distinct alphas of one size: all of them in exhaustive order
+    when the size has no more, else seeded draws that skip repeats."""
+    if count == math.comb(n, size) * math.perm(n, size):
+        for sources in itertools.combinations(range(n), size):
+            for targets in itertools.permutations(range(n), size):
+                yield tuple(zip(sources, targets))
+        return
+    seen = set()
+    while len(seen) < count:
+        alpha = tuple(zip(sorted(rng.sample(range(n), size)), rng.sample(range(n), size)))
+        if alpha not in seen:
+            seen.add(alpha)
+            yield alpha
 
 
 def approximate_qap(
@@ -360,24 +352,26 @@ def approximate_qap(
     """Best completed assignment over all partial injections of size 1..m.
 
     Exhaustive mode iterates every alpha of each size (the n^O(m) loop);
-    sampled mode draws `samples_per_size` seeded alphas per size and carries
-    no guarantee.  The alpha count is checked against `budget` before the
+    sampled mode draws `samples_per_size` distinct seeded alphas per size,
+    or takes every alpha of a size that has no more, and carries no
+    guarantee.  The alpha count is checked against `budget` before the
     first LP.  Identical arguments give identical reports.
     """
     eps = as_fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     if m < 1:
         raise ValueError("m must be >= 1")
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     n = q.n
     sizes = range(1, min(m, n) + 1)
-    if mode == "exhaustive":
-        total = sum(math.comb(n, s) * math.perm(n, s) for s in sizes)
-        alphas = (a for s in sizes for a in _exhaustive_alphas(n, s))
-    else:
-        total = samples_per_size * len(sizes)
-        rng = random.Random(seed)
-        alphas = (a for s in sizes for a in _sampled_alphas(n, s, samples_per_size, rng))
+    counts = [math.comb(n, s) * math.perm(n, s) for s in sizes]
+    if mode == "sampled":
+        counts = [min(c, samples_per_size) for c in counts]
+    total = sum(counts)
+    rng = random.Random(seed)
+    alphas = (a for s, c in zip(sizes, counts) for a in _alphas(n, s, c, rng))
     if total > budget:
         raise BudgetExceededError(f"{total} alphas to try, budget is {budget}", total)
     model = lp_model(q)

@@ -1,7 +1,8 @@
 """Command-line interface: deterministic, scriptable JSON on stdout.
 
-Exit codes: 0 success (or Isomorphic), 1 Far, 2 usage/input error,
-3 work budget or size cap exceeded.  Rationals are emitted as "p/q"
+Exit codes: 0 success (or Isomorphic), 1 Far, 2 usage/input error or a
+failed self-check of a computed object, 3 work budget or size cap
+exceeded.  `ged`/`qap` need eps > 0.  Rationals are emitted as "p/q"
 strings.  ROBUSTISO_BUDGET overrides all three work budgets, each in its
 own unit: alphas for `ged`/`qap` (default 200,000), (tuple, vertex) pairs
 of one k-WL round (default 10^6) and (threshold, alpha) pairs of the
@@ -20,7 +21,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import approx, generators, setsystems, wl
-from .errors import BudgetExceededError, ParseError
+from .errors import BudgetExceededError, ParseError, VerificationError
 from .graphs import (
     edit_distance_bruteforce,
     is_isomorphic_bruteforce,
@@ -356,7 +357,7 @@ def main(argv=None) -> int:
         key = "k" if args.command in ("robust-gi", "wl") else "attempted"
         _emit({"error": "budget-exceeded", "detail": str(exc), key: exc.attempted})
         return EXIT_BUDGET
-    except (ParseError, ValueError, OSError) as exc:
+    except (ParseError, ValueError, OSError, VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -83,18 +84,14 @@ class Graph:
     # weights/colours are plain dicts, so Graph values must not be hashed.
     __hash__ = None
 
-    @property
+    @cached_property
     def adj(self) -> tuple:
         """Adjacency as a tuple of frozensets, computed once per graph."""
-        cached = self.__dict__.get("_adj")
-        if cached is None:
-            nbrs = [set() for _ in range(self.n)]
-            for u, v in self.edges:
-                nbrs[u].add(v)
-                nbrs[v].add(u)
-            cached = tuple(frozenset(s) for s in nbrs)
-            self.__dict__["_adj"] = cached
-        return cached
+        nbrs = [set() for _ in range(self.n)]
+        for u, v in self.edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        return tuple(frozenset(s) for s in nbrs)
 
     def neighbourhood(self, v: int) -> frozenset:
         if not 0 <= v < self.n:

@@ -5,12 +5,17 @@ pivoting: every stored entry equals the true rational value times the
 current basis determinant, so all sign tests and ratio comparisons are
 integer comparisons and every pivot division is exact.  Bland's rule makes
 the pivot order deterministic and cycle-free.
+
+Every constraint row enters the tableau as a primitive integer vector: its
+denominators cleared, then divided by the gcd of its coefficients and
+right-hand side.  So the returned vertex is invariant under a positive
+rescaling of any row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -19,7 +24,8 @@ INFEASIBLE = "infeasible"
 def _scaled_int_row(coeffs, rhs):
     denom = lcm(rhs.denominator, *(c.denominator for c in coeffs))
     scaled = [c.numerator * (denom // c.denominator) for c in (*coeffs, rhs)]
-    return scaled[:-1], scaled[-1]
+    g = gcd(*scaled) or 1
+    return [c // g for c in scaled[:-1]], scaled[-1] // g
 
 
 def simplex_min(objective, a_ub, b_ub, a_eq, b_eq):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -41,7 +42,7 @@ from robustiso import (
     threshold_grid,
     weighted_ged_to_qap,
 )
-from robustiso import approx
+from robustiso import approx, simplex
 from robustiso.errors import BudgetExceededError
 
 
@@ -289,6 +290,31 @@ SCALE_SENSITIVE_LPS = [
     (41, 4, 4, Fraction(7, 2), ((1, 0), (2, 3))),
     (52, 3, 4, Fraction(7, 2), ((1, 0),)),
 ]
+
+
+def test_exact_vertex_does_not_depend_on_row_scale():
+    # each scale-sensitive LP, split into <= rows at the block's common
+    # denominator and at each row's least clearing integer r, gives one result
+    for seed, n, denom, eps, pairs in SCALE_SENSITIVE_LPS:
+        q = weighted_ged_to_qap(
+            random_weighted_graph(n, 500 + seed, denom=denom),
+            random_weighted_graph(n, 700 + seed, denom=denom),
+        )
+        model = lp_model(q)
+        lp = build_alpha_lp(model, PartialInjection(frozenset(pairs)), eps)
+        results = []
+        for reduce in (False, True):
+            a_ub, b_ub = [], []
+            for row, (lo, hi) in zip(model.block.tolist(), lp.bounds):
+                g = math.gcd(model.denom, *row) if reduce else 1
+                row, r = [c // g for c in row], model.denom // g
+                a_ub += (row, [-c for c in row])
+                b_ub += (hi * r, -lo * r)
+            results.append(simplex.simplex_min(
+                list(lp.objective), a_ub, b_ub, model.assignment.tolist(), [1] * (2 * n)
+            ))
+        assert results[0][0] == simplex.OPTIMAL
+        assert results[0] == results[1], seed
 
 
 def exact_pin_lines():
@@ -572,6 +598,34 @@ class TestApproximateQap:
         )
         assert report.alphas_tried <= 10
         assert report.best_cost == qap_cost(q, report.best_assignment)
+
+    def test_sampled_mode_takes_every_alpha_of_a_small_size(self):
+        # 9 alphas of size 1 and 18 of size 2: none left out, so sampled
+        # mode is exhaustive mode under another label
+        q = ged_to_qap(K3, PATH3)
+        exhaustive = approximate_qap(q, 1, 2, seed=5, keep_trace=True)
+        sampled = approximate_qap(
+            q, 1, 2, seed=5, mode="sampled", samples_per_size=18, keep_trace=True
+        )
+        assert sampled.mode == "sampled" and exhaustive.alphas_tried == 27
+        assert dataclasses.replace(sampled, mode="exhaustive") == exhaustive
+
+    def test_sampled_mode_never_repeats_an_alpha(self):
+        # 16 draws per size where size 1 has only 9 alphas
+        report = approximate_qap(
+            ged_to_qap(K3, PATH3), 1, 2, seed=5, mode="sampled",
+            samples_per_size=16, keep_trace=True,
+        )
+        alphas = [entry["alpha"] for entry in report.trace]
+        assert len(alphas) == report.alphas_tried == 9 + 16
+        assert len(set(alphas)) == len(alphas)
+
+    @pytest.mark.parametrize("eps", [0, -1, Fraction(-1, 2)])
+    def test_rejects_nonpositive_eps(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            approximate_qap(ged_to_qap(K3, PATH3), eps, 1, seed=1)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            approximate_ged(K3, PATH3, eps, 1, seed=1)
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):

@@ -259,6 +259,26 @@ class TestErrorPaths:
         assert "error: " in res.stderr
         assert not any(tmp_path.iterdir())
 
+    def test_failed_self_check_exit_two(self, tmp_path):
+        # no 5-vertex graph has neighbourhood VC dimension 9
+        out = tmp_path / "f"
+        res = run_cli(["gen", "random", "--n", "5", "--seed", "1",
+                       "--target-vc", "9", "--out", str(out)])
+        assert res.returncode == 2 and res.stdout == ""
+        assert "error: " in res.stderr and "Traceback" not in res.stderr
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["ged", "qap"])
+    @pytest.mark.parametrize("eps", ["0", "-1"])
+    def test_nonpositive_eps_is_usage_error(self, files, command, eps):
+        inputs = (
+            [files["k3.graph"], files["p3.graph"]] if command == "ged"
+            else [files["small.qap"]]
+        )
+        res = run_cli([command, *inputs, f"--eps={eps}", "--seed", "1"])
+        assert res.returncode == 2 and res.stdout == ""
+        assert "error: eps must be positive" in res.stderr
+
     def test_parse_error_exit_two(self, files):
         res = run_cli(["vc", "--graph", files["bad.graph"]])
         assert res.returncode == 2

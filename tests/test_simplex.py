@@ -118,6 +118,37 @@ def test_agrees_with_scipy_on_random_programs():
             assert res.status == 2, trial
 
 
+def test_vertex_invariant_under_row_rescaling():
+    # every row enters the tableau in lowest integer terms, so scaling one
+    # row and its right-hand side by a positive factor changes no pivot; a
+    # zero objective makes the phase-1 vertex the answer
+    rng = random.Random(5)
+    for trial in range(200):
+        nv = rng.randint(1, 6)
+        nub = rng.randint(0, 5)
+        neq = rng.randint(0, 2)
+        c = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(nv)]
+        if trial % 2:
+            c = [Fraction(0)] * nv
+        a_ub = [[Fraction(rng.randint(-4, 4)) for _ in range(nv)] for _ in range(nub)]
+        b_ub = [Fraction(rng.randint(-3, 8)) for _ in range(nub)]
+        a_eq = [[Fraction(rng.randint(-3, 3)) for _ in range(nv)] for _ in range(neq)]
+        b_eq = [Fraction(rng.randint(0, 5)) for _ in range(neq)]
+        a_ub.append([Fraction(1)] * nv)  # keep it bounded
+        b_ub.append(Fraction(10))
+        base = simplex_min(c, a_ub, b_ub, a_eq, b_eq)
+        for rows, rhs in ((a_ub, b_ub), (a_eq, b_eq)):
+            for i in range(len(rows)):
+                for factor in (2, 3, 6):
+                    scaled_rows = [*rows[:i], [factor * a for a in rows[i]], *rows[i + 1:]]
+                    scaled_rhs = [*rhs[:i], factor * rhs[i], *rhs[i + 1:]]
+                    if rows is a_ub:
+                        result = simplex_min(c, scaled_rows, scaled_rhs, a_eq, b_eq)
+                    else:
+                        result = simplex_min(c, a_ub, b_ub, scaled_rows, scaled_rhs)
+                    assert result == base, (trial, i, factor)
+
+
 def test_deterministic_pivoting():
     rng = random.Random(7)
     nv = 5
