@@ -11,15 +11,26 @@ instance (LpModel), as exact integers that both LP backends read; each
 alpha adds only its objective and row bounds (LinearProgram).  Each LP is
 solved cold.  HiGHS solutions are converted to rationals unverified.
 
+No LP depends on another, so with HiGHS on more than one usable core the
+LPs are solved on a pool of worker threads (HiGHS releases the GIL while it
+solves) and everything else, from building each LP to rounding and costing,
+stays on the calling thread in alpha order; reports do not depend on the
+number of workers.  The exact simplex is pure Python and holds the GIL, so
+threads would only slow it: it solves inline.
+
 HiGHS is loaded on first use: scipy's solver module is imported when the
 "highs" backend solves its first LP, not when this module is imported, so
-code that never runs that backend does not load scipy.optimize.
+code that never runs that backend does not load scipy.optimize.  Nor does
+it load concurrent.futures, which the first worker pool imports.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import itertools
 import math
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -194,11 +205,20 @@ def _highs_solve(cost, row_lower, row_upper, csc):
     lp.a_matrix_.value_ = value
     solver = _highs._Highs()
     solver.setOptionValue("output_flag", False)
+    # one thread per solve: approximate_qap runs solves side by side, and
+    # with HiGHS's default two such solves ran no faster than one
+    solver.setOptionValue("threads", 1)
     # the dual simplex, as linprog's HiGHS method uses
     dual = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     solver.setOptionValue("simplex_strategy", int(dual))
     solver.passModel(lp)
-    solver.run()
+    if solver.run() == _highs.HighsStatus.kError and (
+        solver.getModelStatus() == _highs.HighsModelStatus.kNotset
+    ):
+        # HiGHS refuses a thread count other than that of this thread's
+        # scheduler, which an earlier solve on this thread may have started
+        solver.setOptionValue("threads", 0)
+        solver.run()
     status = solver.getModelStatus()
     if status == _highs.HighsModelStatus.kOptimal:
         return solver.getSolution().col_value, solver.getInfo().objective_function_value
@@ -217,13 +237,16 @@ def solve_lp(lp: LinearProgram, method: str = "exact"):
 
     Both backends read the instance's shared LpModel, and every LP is solved
     cold: no basis carries over between alphas, so a solution depends on its
-    own alpha alone.  "exact" runs the rational simplex (deterministic Bland
-    pivoting, zero tolerance) on the block's integer rows, each ranged row
-    split into two <= rows with its bounds scaled by denom, and on the
-    integer objective b_num; the simplex reduces each row itself.
-    "highs" passes the ranged rows and the assignment equalities straight to
-    scipy's bundled HiGHS; its float solution is converted to rationals as
-    is, unverified.
+    own alpha alone, whichever thread solves it.  "exact" runs the rational
+    simplex (deterministic Bland pivoting, zero tolerance) on the block's
+    integer rows, each ranged row split into two <= rows with its bounds
+    scaled by denom, and on the integer objective b_num; the simplex reduces
+    each row itself.  It is pure Python and holds the GIL, so approximate_qap
+    calls it inline.  "highs" passes the ranged rows and the assignment
+    equalities straight to scipy's bundled HiGHS, one thread per solve; its
+    float solution is converted to rationals as is, unverified.  HiGHS
+    releases the GIL while it solves, so approximate_qap calls this on
+    worker threads when more than one core is usable.
     """
     n = lp.n
     model = lp.model
@@ -338,6 +361,51 @@ def _alphas(n: int, size: int, count: int, rng: random.Random):
             yield alpha
 
 
+def _workers() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _solved(model: LpModel, alphas, eps, lp_method: str):
+    """(alpha pairs, LP, solve_lp result) for each alpha, in alpha order.
+
+    With HiGHS and more than one usable core, solve_lp runs on a pool of one
+    worker thread per core, at most two solves per worker in flight, while
+    this thread builds the next LPs; otherwise each LP is solved inline.
+    Closing the generator, or an error it raises, cancels the solves not yet
+    started and waits for the running ones, so no worker outlives it.
+    """
+    lps = (
+        (pairs, build_alpha_lp(model, PartialInjection(frozenset(pairs)), eps))
+        for pairs in alphas
+    )
+    workers = _workers()
+    if lp_method != "highs" or workers < 2:
+        for pairs, lp in lps:
+            yield pairs, lp, solve_lp(lp, method=lp_method)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    # first uses on this thread, so no worker races the HiGHS import or the CSC
+    __getattr__("_highs")
+    model.csc
+    pool = ThreadPoolExecutor(workers)
+    pending = collections.deque()
+    try:
+        for pairs, lp in lps:
+            pending.append((pairs, lp, pool.submit(solve_lp, lp, method=lp_method)))
+            if len(pending) == 2 * workers:
+                pairs, lp, future = pending.popleft()
+                yield pairs, lp, future.result()
+        while pending:
+            pairs, lp, future = pending.popleft()
+            yield pairs, lp, future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def approximate_qap(
     q: QapInstance,
     eps,
@@ -355,7 +423,12 @@ def approximate_qap(
     sampled mode draws `samples_per_size` distinct seeded alphas per size,
     or takes every alpha of a size that has no more, and carries no
     guarantee.  The alpha count is checked against `budget` before the
-    first LP.  Identical arguments give identical reports.
+    first LP.  HiGHS LPs may be solved on worker threads (see _solved), but
+    every result is rounded, completed and costed here in alpha order, with
+    the seed of its place in that order, and the first minimiser is kept:
+    stopping at cost 0 or on an error leaves `alphas_tried`, the trace and
+    the error as a serial run gives them.  Identical arguments give
+    identical reports.
     """
     eps = as_fraction(eps)
     if eps <= 0:
@@ -381,28 +454,26 @@ def approximate_qap(
     tried = 0
     infeasible = 0
     trace = []
-    for pairs in alphas:
-        tried += 1
-        alpha = PartialInjection(frozenset(pairs))
-        lp = build_alpha_lp(model, alpha, eps)
-        sol = solve_lp(lp, method=lp_method)
-        if isinstance(sol, Infeasible):
-            infeasible += 1
+    with contextlib.closing(_solved(model, alphas, eps, lp_method)) as solved:
+        for pairs, lp, sol in solved:
+            tried += 1
+            if isinstance(sol, Infeasible):
+                infeasible += 1
+                if keep_trace:
+                    trace.append({"alpha": pairs, "status": "infeasible"})
+                continue
+            partial = round_apec(sol, lp, seed=seed * 1_000_003 + tried)
+            assignment = complete_matching(partial, n)
+            cost = qap_cost(q, assignment)
             if keep_trace:
-                trace.append({"alpha": pairs, "status": "infeasible"})
-            continue
-        partial = round_apec(sol, lp, seed=seed * 1_000_003 + tried)
-        assignment = complete_matching(partial, n)
-        cost = qap_cost(q, assignment)
-        if keep_trace:
-            trace.append(
-                {"alpha": pairs, "status": "ok", "cost": cost,
-                 "matched": len(partial)}
-            )
-        if best is None or cost < best[0]:
-            best = (cost, assignment)
-            if nonnegative and cost == 0:
-                break
+                trace.append(
+                    {"alpha": pairs, "status": "ok", "cost": cost,
+                     "matched": len(partial)}
+                )
+            if best is None or cost < best[0]:
+                best = (cost, assignment)
+                if nonnegative and cost == 0:
+                    break
 
     if best is None:
         assignment = complete_matching(PartialInjection(frozenset()), n)

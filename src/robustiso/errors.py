@@ -22,3 +22,9 @@ class BudgetExceededError(RuntimeError):
 
 class VerificationError(RuntimeError):
     """A post-hoc verification of a computed object failed."""
+
+
+class UnreachableTargetError(ValueError, VerificationError):
+    """A requested property that no input of the given size can have: an
+    argument error, and a VerificationError too, since a search for such an
+    input could only fail."""

@@ -14,7 +14,7 @@ import os
 import random
 from dataclasses import dataclass
 
-from .errors import VerificationError
+from .errors import UnreachableTargetError, VerificationError
 from .graphs import Graph, blowup, parse_graph, serialize_graph
 from .qap import QapInstance
 from .setsystems import neighbourhood_system, vc_dimension_exact
@@ -198,12 +198,20 @@ def gen_random_graph(
     retries: int = 200,
 ) -> Graph:
     """Seeded Erdos-Renyi sample, optionally rejected until the neighbourhood
-    system has exactly the requested VC dimension."""
+    system has exactly the requested VC dimension.
+
+    The n neighbourhoods shatter at most floor(log2 n) vertices, so a
+    target outside [0, floor(log2 n)] is refused before the first sample."""
     if n < 1:
         raise ValueError("n must be >= 1")
     p = 0.5 if edge_prob is None else float(edge_prob)
     if not 0 <= p <= 1:
         raise ValueError("edge probability must lie in [0, 1]")
+    if target_vc is not None and not 0 <= target_vc <= n.bit_length() - 1:
+        raise UnreachableTargetError(
+            f"no graph on {n} vertices has neighbourhood VC {target_vc}: "
+            f"its {n} neighbourhoods shatter at most {n.bit_length() - 1} vertices"
+        )
     rng = random.Random(seed)
 
     def sample() -> Graph:

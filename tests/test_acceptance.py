@@ -353,6 +353,8 @@ def test_cli_outputs_are_deterministic(tmp_path):
         ["vc", "--qap", str(qap_file), "--weak-d", "1"],
         ["ged", str(k3), str(p3), "--eps", "1", "--seed", "7"],
         ["ged", str(k3), str(p3), "--eps", "1", "--seed", "7", "--lp", "exact"],
+        # 36 alphas and no stop at cost 0: the solver pool's window fills
+        ["ged", str(c6), str(tc3), "--eps", "1", "--seed", "7"],
         ["qap", str(qap_file), "--eps", "1", "--seed", "3"],
         ["robust-gi", str(k3), str(k3), "--eps", "1/2"],
         ["robust-gi", str(c6), str(tc3), "--eps", "1/4"],

@@ -4,6 +4,10 @@ import hashlib
 import itertools
 import math
 import random
+import subprocess
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -681,6 +685,142 @@ class TestApproximateGed:
         g = Graph(3, set(), colours={0: 0, 1: 0, 2: 1})
         with pytest.raises(ValueError, match="colour"):
             approximate_ged(g, g, 1, 1, seed=1)
+
+
+class TestWorkerPool:
+    """HiGHS LPs are solved on worker threads; reports and errors must be
+    those of the serial run, and no worker may outlive the call."""
+
+    @staticmethod
+    def reports_by_workers(monkeypatch, run):
+        """run() for 1, 2 and 3 workers: equal results, solves off the main
+        thread exactly when workers > 1, and no thread left behind."""
+        names = []
+        real = approx.solve_lp
+
+        def solve(lp, method="exact"):
+            names.append(threading.current_thread().name)
+            return real(lp, method)
+
+        monkeypatch.setattr(approx, "solve_lp", solve)
+        reports = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(approx, "_workers", lambda: workers)
+            names.clear()
+            before = threading.active_count()
+            reports[workers] = run()
+            assert threading.active_count() == before
+            main = threading.main_thread().name
+            assert (set(names) == {main}) == (workers == 1)
+        assert reports[2] == reports[1] and reports[3] == reports[1]
+        return reports[1]
+
+    def test_gnp_pair(self, monkeypatch):
+        g, h = er_graph(8, 0.5, 910), er_graph(8, 0.5, 911)
+        result = self.reports_by_workers(
+            monkeypatch, lambda: approximate_ged(g, h, 1, 1, seed=4, keep_trace=True)
+        )
+        assert result.report.alphas_tried == 64
+
+    def test_weighted_pair_with_infeasible_lps(self, monkeypatch):
+        g = random_weighted_graph(7, 700, p=0.5)
+        h = random_weighted_graph(7, 800, p=0.5)
+        result = self.reports_by_workers(
+            monkeypatch, lambda: approximate_ged(g, h, 2, 1, seed=0, keep_trace=True)
+        )
+        assert 0 < result.report.lps_infeasible < result.report.alphas_tried
+
+    def test_sampled_mode(self, monkeypatch):
+        q = ged_to_qap(er_graph(6, 0.5, 920), er_graph(6, 0.5, 921))
+        report = self.reports_by_workers(
+            monkeypatch,
+            lambda: approximate_qap(
+                q, 1, 2, seed=6, mode="sampled", samples_per_size=20, keep_trace=True
+            ),
+        )
+        assert report.alphas_tried == 40
+
+    def test_stop_at_cost_zero_with_solves_in_flight(self, monkeypatch):
+        g = er_graph(6, 0.5, 900)
+        h = relabelled_copy(g, 1000)
+        result = self.reports_by_workers(
+            monkeypatch, lambda: approximate_ged(g, h, 1, 1, seed=0, keep_trace=True)
+        )
+        # the stop leaves at least 6 of the 36 alphas, so solves are in flight
+        assert result.cost == 0 and result.report.alphas_tried + 6 <= 36
+
+    def test_solver_error_as_in_serial_run(self, monkeypatch):
+        class FailedSolver(approx._highs._Highs):
+            def getModelStatus(self):
+                return approx._highs.HighsModelStatus.kSolveError
+
+        monkeypatch.setattr(approx._highs, "_Highs", FailedSolver)
+        errors = []
+        for workers in (1, 2):
+            monkeypatch.setattr(approx, "_workers", lambda: workers)
+            before = threading.active_count()
+            with pytest.raises(RuntimeError, match="HiGHS stopped") as err:
+                approximate_qap(ged_to_qap(K3, PATH3), 1, 1, seed=1)
+            assert threading.active_count() == before
+            errors.append(str(err.value))
+        assert errors[0] == errors[1] == "HiGHS stopped with status Solve error"
+
+    def test_first_error_in_alpha_order_is_raised(self, monkeypatch):
+        # alphas 9 and 11 fail, 9 the later of the two in time: the error
+        # of alpha 9 is raised, after alphas 0..8 and before any later one
+        built = []
+        real_build, real_solve = approx.build_alpha_lp, approx.solve_lp
+
+        def build(model, alpha, eps):
+            built.append(real_build(model, alpha, eps))
+            return built[-1]
+
+        def solve(lp, method="exact"):
+            index = next(i for i, b in enumerate(built) if b is lp)
+            if index == 9:
+                time.sleep(0.2)
+            if index in (9, 11):
+                raise RuntimeError(f"alpha {index}")
+            return real_solve(lp, method)
+
+        monkeypatch.setattr(approx, "build_alpha_lp", build)
+        monkeypatch.setattr(approx, "solve_lp", solve)
+        monkeypatch.setattr(approx, "_workers", lambda: 3)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^alpha 9$"):
+            approximate_ged(er_graph(5, 0.5, 930), er_graph(5, 0.5, 931), 1, 1, seed=1)
+        assert threading.active_count() == before
+        # at most 2 * 3 solves in flight: alpha 9 was consumed with 15 built
+        assert len(built) <= 9 + 6
+
+    def test_highs_scheduler_started_larger_on_this_thread(self):
+        # HiGHS refuses threads=1 on a thread whose scheduler an earlier
+        # solve started with more threads; the inline solves must then run
+        # on that scheduler and give the same report
+        script = (
+            "from robustiso import Graph, PartialInjection, approx\n"
+            "from robustiso import approximate_qap, build_alpha_lp, ged_to_qap, lp_model\n"
+            "c6 = Graph(6, {(i, (i + 1) % 6) for i in range(6)})\n"
+            "tc3 = Graph(6, {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)})\n"
+            "q = ged_to_qap(c6, tc3)\n"
+            "real = approx._highs._Highs\n"
+            "class Wide(real):\n"
+            "    def passModel(self, lp):\n"
+            "        self.setOptionValue('threads', 2)\n"
+            "        return super().passModel(lp)\n"
+            "approx._highs._Highs = Wide\n"
+            "lp = build_alpha_lp(lp_model(q), PartialInjection(frozenset({(0, 0)})), 2)\n"
+            "approx.solve_lp(lp, 'highs')\n"
+            "approx._highs._Highs = real\n"
+            "approx._workers = lambda: 1\n"
+            "print(repr(approximate_qap(q, 2, 1, seed=42, keep_trace=True)))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        c6 = cycle_graph(6)
+        tc3 = Graph(6, {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)})
+        here = approximate_qap(ged_to_qap(c6, tc3), 2, 1, seed=42, keep_trace=True)
+        assert res.stdout.strip() == repr(here)
 
 
 def per_threshold_approximation_holds(q, phi_star, alpha, grid, eps):

@@ -268,6 +268,24 @@ class TestErrorPaths:
         assert "error: " in res.stderr and "Traceback" not in res.stderr
         assert not any(tmp_path.iterdir())
 
+    def test_impossible_target_vc_is_usage_error(self, tmp_path):
+        # 30 neighbourhoods shatter at most 4 vertices: refused before sampling
+        out = tmp_path / "f"
+        res = run_cli(["gen", "random", "--n", "30", "--seed", "1",
+                       "--target-vc", "9", "--out", str(out)])
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == (
+            "error: no graph on 30 vertices has neighbourhood VC 9: "
+            "its 30 neighbourhoods shatter at most 4 vertices\n"
+        )
+        assert not any(tmp_path.iterdir())
+        # a possible target that the search does not find fails after it
+        res = run_cli(["gen", "random", "--n", "5", "--seed", "1", "--p", "0",
+                       "--target-vc", "1", "--out", str(out)])
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == "error: no graph of neighbourhood VC 1 found in 200 samples\n"
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command", ["ged", "qap"])
     @pytest.mark.parametrize("eps", ["0", "-1"])
     def test_nonpositive_eps_is_usage_error(self, files, command, eps):
@@ -313,20 +331,26 @@ class TestBudgetOverrideAppliesToSolver:
 
 class TestStartUp:
     def test_commands_that_solve_no_lp_leave_scipy_optimize_unloaded(self, files, tmp_path):
-        # a fresh interpreter, since this test process has loaded scipy already
+        # a fresh interpreter, since this test process has loaded scipy already;
+        # the exact simplex solves inline, so `ged --lp exact` loads neither
+        # scipy.optimize nor the thread pool
         commands = [
             ["wl", files["c6.graph"], files["2c3.graph"], "--k", "2"],
             ["vc", "--graph", files["c6.graph"]],
             ["gen", "random", "--n", "6", "--seed", "1", "--out", str(tmp_path / "r.graph")],
+            ["ged", files["k3.graph"], files["p3.graph"], "--eps", "1", "--seed", "7",
+             "--lp", "exact"],
         ]
         script = (
             "import json, sys\n"
+            "def loaded():\n"
+            "    return [m in sys.modules for m in ('scipy.optimize', 'concurrent.futures')]\n"
             "import robustiso\n"
-            "seen = [('import robustiso', 0, 'scipy.optimize' in sys.modules)]\n"
+            "seen = [('import robustiso', 0, *loaded())]\n"
             "from robustiso.cli import main\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    code = main(argv)\n"
-            "    seen.append((argv[0], code, 'scipy.optimize' in sys.modules))\n"
+            "    seen.append((argv[0], code, *loaded()))\n"
             "print(json.dumps(seen), file=sys.stderr)\n"
         )
         res = subprocess.run(
@@ -337,8 +361,9 @@ class TestStartUp:
         assert res.returncode == 0, res.stderr
         seen = json.loads(res.stderr.splitlines()[-1])
         assert seen == [
-            ["import robustiso", 0, False],
-            ["wl", 0, False],
-            ["vc", 0, False],
-            ["gen", 0, False],
+            ["import robustiso", 0, False, False],
+            ["wl", 0, False, False],
+            ["vc", 0, False, False],
+            ["gen", 0, False, False],
+            ["ged", 0, False, False],
         ]

@@ -15,6 +15,7 @@ from robustiso import (
     vc_dimension_exact,
     wl_distinguishes,
 )
+from robustiso import generators
 from robustiso.errors import VerificationError
 from robustiso.generators import (
     InstanceBundle,
@@ -174,6 +175,29 @@ class TestRandomGraphs:
     def test_unreachable_target_errors(self):
         with pytest.raises(VerificationError):
             gen_random_graph(4, edge_prob=0.5, target_vc=5, seed=3, retries=5)
+
+    @pytest.mark.parametrize(
+        "n, target", [(30, 9), (1, 1), (4, 3), (7, 3), (15, 4), (8, -1)]
+    )
+    def test_impossible_target_refused_before_sampling(self, monkeypatch, n, target):
+        # n neighbourhoods shatter at most floor(log2 n) vertices
+        def no_search(system):
+            raise AssertionError("a VC dimension was computed")
+
+        monkeypatch.setattr(generators, "vc_dimension_exact", no_search)
+        with pytest.raises(ValueError, match=f"neighbourhood VC {target}"):
+            gen_random_graph(n, target_vc=target, seed=1)
+
+    def test_possible_target_not_found_is_a_failed_search(self):
+        # edgeless graphs have VC 0, so the search for VC 1 runs out
+        with pytest.raises(VerificationError, match="found in 3 samples") as err:
+            gen_random_graph(4, edge_prob=0, target_vc=1, seed=1, retries=3)
+        assert not isinstance(err.value, ValueError)
+
+    @pytest.mark.parametrize("n, target", [(1, 0), (4, 2), (7, 2), (8, 3), (30, 4)])
+    def test_largest_possible_target_is_searched(self, monkeypatch, n, target):
+        monkeypatch.setattr(generators, "vc_dimension_exact", lambda system: target)
+        assert gen_random_graph(n, target_vc=target, seed=1).n == n
 
 
 class TestBundleIo:
