@@ -15,8 +15,9 @@ No LP depends on another, so with HiGHS on more than one usable core the
 LPs are solved on a pool of worker threads (HiGHS releases the GIL while it
 solves) and everything else, from building each LP to rounding and costing,
 stays on the calling thread in alpha order; reports do not depend on the
-number of workers.  The exact simplex is pure Python and holds the GIL, so
-threads would only slow it: it solves inline.
+number of workers.  The exact simplex (an int64 numpy tableau, Python ints
+once entries might overflow) holds the GIL for most of a solve, so threads
+would only slow it: it solves inline.
 
 HiGHS is loaded on first use: scipy's solver module is imported when the
 "highs" backend solves its first LP, not when this module is imported, so
@@ -52,8 +53,9 @@ class LpModel:
     Variables are x(v, v') indexed v*n + v'.  Row v*n + v' of `block` is the
     coefficient vector a(v, v') (entry w*n + w' is c(v, v', w, w')), times the
     common denominator `denom`, so the block is exact.  The exact simplex
-    reads the block's rows as they are, HiGHS its float `csc`; no Fraction
-    copy exists.  Per alpha only the objective and the row bounds change.
+    reads the block's rows as they are (`exact_rows`), HiGHS its float
+    `csc`; no Fraction copy exists.  Per alpha only the objective and the
+    row bounds change.
     """
 
     n: int
@@ -80,6 +82,18 @@ class LpModel:
         col, row = np.nonzero(columns)
         start = np.searchsorted(col, np.arange(len(columns) + 1))
         return start.tolist(), row.tolist(), [c / denom for c in columns[col, row].tolist()]
+
+    @cached_property
+    def exact_rows(self):
+        """(<= rows, equality rows) of the exact backend as Python ints.
+
+        Each block row is followed by its negation, so a ranged row is two <=
+        rows; the equalities are the assignment rows.  Shared by every alpha.
+        """
+        rows = []
+        for row in self.block.tolist():
+            rows += (tuple(row), tuple(-c for c in row))
+        return tuple(rows), tuple(map(tuple, self.assignment.tolist()))
 
 
 def lp_model(q: QapInstance) -> LpModel:
@@ -115,6 +129,13 @@ class LinearProgram:
     def bounds(self) -> tuple:
         """(lo, hi) of the row a(v, v') as Fractions, indexed v*n + v'."""
         return tuple((b - self.slack, b + self.slack) for b in self.objective)
+
+    def integer_bounds(self):
+        """(lo, hi, den): the row bounds b -+ slack as integers over one denominator."""
+        sn, sd = self.slack.numerator, self.slack.denominator
+        shift = sn * self.b_den
+        centre = [b * sd for b in self.b_num.tolist()]
+        return [c - shift for c in centre], [c + shift for c in centre], sd * self.b_den
 
 
 @dataclass(frozen=True)
@@ -240,24 +261,27 @@ def solve_lp(lp: LinearProgram, method: str = "exact"):
     own alpha alone, whichever thread solves it.  "exact" runs the rational
     simplex (deterministic Bland pivoting, zero tolerance) on the block's
     integer rows, each ranged row split into two <= rows with its bounds
-    scaled by denom, and on the integer objective b_num; the simplex reduces
-    each row itself.  It is pure Python and holds the GIL, so approximate_qap
-    calls it inline.  "highs" passes the ranged rows and the assignment
-    equalities straight to scipy's bundled HiGHS, one thread per solve; its
-    float solution is converted to rationals as is, unverified.  HiGHS
-    releases the GIL while it solves, so approximate_qap calls this on
+    scaled by denom, and on the integer objective b_num; the bounds are
+    computed as integers over one denominator, and the simplex reduces each
+    row itself.  Its tableau is int64 numpy while that cannot overflow and
+    Python ints after; it holds the GIL for most of a solve, so
+    approximate_qap calls it inline.  "highs" passes the ranged rows and the
+    assignment equalities straight to scipy's bundled HiGHS, one thread per
+    solve; its float solution is converted to rationals as is, unverified.
+    HiGHS releases the GIL while it solves, so approximate_qap calls this on
     worker threads when more than one core is usable.
     """
     n = lp.n
     model = lp.model
     if method == "exact":
-        a_ub, b_ub = [], []
+        a_ub, a_eq = model.exact_rows
+        lows, highs, den = lp.integer_bounds()
+        b_ub = []
         # a(v, v') . x <= hi  <=>  block row . x <= hi * denom
-        for row, (lo, hi) in zip(model.block.tolist(), lp.bounds):
-            a_ub += (row, [-c for c in row])
-            b_ub += (hi * model.denom, -lo * model.denom)
+        for lo, hi in zip(lows, highs):
+            b_ub += (Fraction(hi * model.denom, den), Fraction(-lo * model.denom, den))
         status, x, value = simplex.simplex_min(
-            lp.b_num.tolist(), a_ub, b_ub, model.assignment.tolist(), [1] * (2 * n)
+            lp.b_num.tolist(), a_ub, b_ub, a_eq, [1] * (2 * n)
         )
         if status == simplex.INFEASIBLE:
             return Infeasible()
@@ -267,14 +291,12 @@ def solve_lp(lp: LinearProgram, method: str = "exact"):
         return FractionalSolution(values, value / lp.b_den)
     if method == "highs":
         # exact Python integers until one correctly rounded division each
-        b_num, b_den = lp.b_num.tolist(), lp.b_den
-        sn, sd = lp.slack.numerator, lp.slack.denominator
-        shift, den = sn * b_den, sd * b_den
+        lows, highs, den = lp.integer_bounds()
         ones = [1.0] * (2 * n)
         solved = _highs_solve(
-            [b / b_den for b in b_num],
-            [(b * sd - shift) / den for b in b_num] + ones,
-            [(b * sd + shift) / den for b in b_num] + ones,
+            [b / lp.b_den for b in lp.b_num.tolist()],
+            [lo / den for lo in lows] + ones,
+            [hi / den for hi in highs] + ones,
             model.csc,
         )
         if solved is None:

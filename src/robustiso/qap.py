@@ -21,6 +21,20 @@ from .graphs import Assignment, Graph, PartialInjection, cheapest_bijection, wei
 from .rationals import as_fraction, format_rational
 
 
+# The coefficient block, the threshold masks and the edit-distance
+# reduction are dense n^4 arrays: orders past this many cells are refused
+# before they are allocated.
+CELL_CAP = 2**24
+
+
+def _check_cells(n: int) -> None:
+    """Raise BudgetExceededError when a dense n^4 array passes CELL_CAP."""
+    if n**4 > CELL_CAP:
+        raise BudgetExceededError(
+            f"order {n} needs {n**4} dense coefficient cells, cap is {CELL_CAP}", n**4
+        )
+
+
 class QapInstance:
     """Order-n QAP given by rational coefficients c(v, v', w, w').
 
@@ -96,9 +110,11 @@ class QapInstance:
         """(block, denom): the n^2 x n^2 coefficient block as exact integers.
 
         block[v*n + v', w*n + w'] = c(v, v', w, w') * denom, with the dtype of
-        `scaled`.  Built afresh on each call.
+        `scaled`.  Built afresh on each call; past CELL_CAP cells it raises
+        BudgetExceededError instead.
         """
         n = self.n
+        _check_cells(n)
         block = np.zeros(n**4, dtype=self.scaled.dtype)
         block[self.index] = self.scaled
         return block.reshape(n * n, n * n), self.denom
@@ -107,9 +123,11 @@ class QapInstance:
         """Boolean n^2 x n^2 block of c(v, v', w, w') > t.
 
         Compared in integers: c > t exactly when scaled > floor(t * denom).
+        Past CELL_CAP cells it raises BudgetExceededError instead.
         """
         k = math.floor(as_fraction(t) * self.denom)
         n = self.n
+        _check_cells(n)
         above = np.full(n**4, k < 0)
         above[self.index] = self.scaled > k
         return above.reshape(n * n, n * n)
@@ -156,8 +174,10 @@ def weighted_ged_to_qap(g: Graph, h: Graph) -> QapInstance:
     """Reduction with coefficient |w_G(v,w) - w_H(v',w')| on effective weights.
 
     For every bijection phi, the QAP cost is twice the edit cost (each pair
-    is counted once per ordered pair).
+    is counted once per ordered pair).  Past CELL_CAP cells it raises
+    BudgetExceededError before building anything.
     """
+    _check_cells(g.n)
     a, b, denom = weight_matrices(g, h)
     if g.is_coloured or h.is_coloured:
         raise ValueError("the QAP reduction has no colour channel")

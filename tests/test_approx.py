@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -381,6 +382,55 @@ def test_exact_solutions_feasible_on_rational_instances():
     assert counts["optimal"] >= 50 and counts["infeasible"] >= 20
 
 
+def test_wide_tableau_gives_the_same_exact_solutions(monkeypatch):
+    # every solve in object dtype from the start: the same integers, so the
+    # same pivots and the same vertex as the int64 tableau
+    solves = exact_pin_solves()
+    monkeypatch.setattr(simplex, "_INT64_LIMIT", 0)
+    for q, lp, sol in solves:
+        assert solve_lp(lp, "exact") == sol
+
+
+def small_alphas(n):
+    """Every alpha of size 1 and 2 on n vertices."""
+    for size in (1, 2):
+        for sources in itertools.combinations(range(n), size):
+            for targets in itertools.permutations(range(n), size):
+                yield PartialInjection(frozenset(zip(sources, targets)))
+
+
+def agreement_instance(kind, n):
+    """A seeded order-n instance: unweighted GED, weighted GED or rational QAP."""
+    if kind == "ged":
+        return ged_to_qap(er_graph(n, 0.5, 9_400 + n), er_graph(n, 0.5, 9_500 + n))
+    if kind == "weighted-ged":
+        return weighted_ged_to_qap(
+            random_weighted_graph(n, 9_600 + n), random_weighted_graph(n, 9_700 + n)
+        )
+    return random_qap(n, 9_800 + n, denom=4)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("kind", ["ged", "weighted-ged", "qap"])
+def test_lp_backends_agree_on_every_small_alpha(kind, n):
+    # both backends on every alpha of size 1 and 2, at an eps where some LPs
+    # are infeasible and at one where more are feasible: same verdict, and
+    # optimal values within 1e-6
+    q = agreement_instance(kind, n)
+    model = lp_model(q)
+    verdicts = collections.Counter()
+    for eps in (q.bound_b / 2, 2 * q.bound_b):
+        for alpha in small_alphas(q.n):
+            lp = build_alpha_lp(model, alpha, eps)
+            exact, fast = solve_lp(lp, "exact"), solve_lp(lp, "highs")
+            verdicts[type(exact).__name__] += 1
+            assert type(exact) is type(fast), (eps, alpha)
+            if isinstance(exact, FractionalSolution):
+                gap = float(exact.objective_value) - float(fast.objective_value)
+                assert abs(gap) < 1e-6, (eps, alpha)
+    assert verdicts["Infeasible"] > 0 and verdicts["FractionalSolution"] > 0, verdicts
+
+
 def csc_pin_instances():
     """Instances for the CSC pin: n = 0..6, weighted, rational, an object-dtype
     block (a 2^70 coefficient) and denominators above 2^53."""
@@ -481,6 +531,23 @@ class TestRounding:
         frac = FractionalSolution(values, Fraction(0))
         partial = round_apec(frac, lp2, seed=3, retries=8)
         assert partial.sorted_pairs() == ((1, 1),)
+
+
+def test_rounding_stays_inside_the_support():
+    # exact fractional solutions, several seeds each: the returned pairs form
+    # an injection, and each has mass at least the floor 1/(2n), exactly
+    below_floor = 0
+    for q, lp, sol in exact_pin_solves():
+        if isinstance(sol, Infeasible):
+            continue
+        floor = Fraction(1, 2 * q.n)
+        below_floor += any(0 < x < floor for x in sol.values.values())
+        for seed in range(8):
+            pairs = round_apec(sol, lp, seed=seed).sorted_pairs()
+            assert len({v for v, _ in pairs}) == len({vp for _, vp in pairs}) == len(pairs)
+            assert all(sol.values[pair] >= floor for pair in pairs), (sol, seed)
+    # solutions with positive mass under the floor, where the floor decides
+    assert below_floor >= 5
 
 
 def rounding_case(i):

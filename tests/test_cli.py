@@ -329,6 +329,30 @@ class TestBudgetOverrideAppliesToSolver:
         assert payload(res)["alphas_tried"] == 27
 
 
+class TestOrderCap:
+    # an order-300 instance has 300^4 = 8.1e9 dense cells (60 GiB as int64):
+    # each command must refuse it with exit 3 before allocating anything
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qap", "{qap}", "--eps", "1", "--seed", "1"],
+            ["vc", "--qap", "{qap}"],
+            ["ged", "{graph}", "{graph}", "--eps", "1", "--seed", "1"],
+        ],
+        ids=["qap", "vc-qap", "ged"],
+    )
+    def test_order_300_exits_three(self, tmp_path, argv):
+        (tmp_path / "empty.qap").write_text("qap 300\n")
+        (tmp_path / "edgeless.graph").write_text("n 300\n")
+        paths = {"qap": str(tmp_path / "empty.qap"), "graph": str(tmp_path / "edgeless.graph")}
+        res = run_cli([arg.format(**paths) for arg in argv])
+        assert res.returncode == 3, res.stderr
+        data = payload(res)
+        assert data["error"] == "budget-exceeded"
+        assert data["attempted"] == 300**4
+        assert "Traceback" not in res.stderr
+
+
 class TestStartUp:
     def test_commands_that_solve_no_lp_leave_scipy_optimize_unloaded(self, files, tmp_path):
         # a fresh interpreter, since this test process has loaded scipy already;

@@ -31,6 +31,7 @@ from robustiso import (
     threshold_grid,
     weighted_ged_to_qap,
 )
+from robustiso import qap
 from robustiso.approx import m_bound
 from robustiso.errors import BudgetExceededError, ParseError
 from robustiso.generators import gen_vc_gap_qap
@@ -106,6 +107,26 @@ class TestQapInstance:
         halves = dict.fromkeys(itertools.product(range(2), repeat=4), Fraction(1, 2))
         assert doubled == QapInstance(2, halves)
         assert doubled.denom == 2 and doubled.scaled.tolist() == [1] * 16
+
+    def test_dense_forms_past_the_cell_cap_are_refused(self, monkeypatch):
+        # the block, the threshold mask and the GED reduction of an order-65
+        # instance (65^4 > 2^24 cells) raise before allocating; at a cap of
+        # 3^4 order 3 still builds and order 4 does not
+        builds = {
+            "block": lambda n: QapInstance(n, {}).scaled_block(),
+            "mask": lambda n: QapInstance(n, {}).exceeds(0),
+            "reduction": lambda n: weighted_ged_to_qap(Graph(n), Graph(n)),
+        }
+        for name, build in builds.items():
+            with pytest.raises(BudgetExceededError) as info:
+                build(65)
+            assert info.value.attempted == 65**4, name
+        monkeypatch.setattr(qap, "CELL_CAP", 3**4)
+        for name, build in builds.items():
+            build(3)
+            with pytest.raises(BudgetExceededError) as info:
+                build(4)
+            assert info.value.attempted == 4**4, name
 
 
 class TestQapCost:

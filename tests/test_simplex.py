@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from robustiso import simplex
 from robustiso.simplex import INFEASIBLE, OPTIMAL, simplex_min
 
 
@@ -86,7 +87,8 @@ def test_exact_rational_objective():
     assert value == Fraction(1, 6) + Fraction(1, 35)
 
 
-def test_agrees_with_scipy_on_random_programs():
+def random_programs():
+    """150 seeded bounded programs (c, a_ub, b_ub, a_eq, b_eq) in Fractions."""
     rng = random.Random(99)
     for trial in range(150):
         nv = rng.randint(1, 6)
@@ -103,19 +105,86 @@ def test_agrees_with_scipy_on_random_programs():
         b_eq = [Fraction(rng.randint(0, 5)) for _ in range(neq)]
         a_ub.append([Fraction(1)] * nv)  # keep it bounded
         b_ub.append(Fraction(10))
-        status, x, value = simplex_min(c, a_ub, b_ub, a_eq, b_eq)
-        res = solve_with_scipy(c, a_ub, b_ub, a_eq, b_eq)
-        if status == OPTIMAL:
-            assert res.status == 0, trial
-            assert abs(float(value) - res.fun) < 1e-7, trial
-            for row, rhs in zip(a_ub, b_ub):
-                assert sum(r * v for r, v in zip(row, x)) <= rhs
-            for row, rhs in zip(a_eq, b_eq):
-                assert sum(r * v for r, v in zip(row, x)) == rhs
-            assert all(v >= 0 for v in x)
-            assert sum(ci * vi for ci, vi in zip(c, x)) == value
-        else:
-            assert res.status == 2, trial
+        yield c, a_ub, b_ub, a_eq, b_eq
+
+
+def check_against_scipy(program, result, scipy_program=None, label=None):
+    """result is optimal and exactly feasible with scipy's value, or both
+    call the program infeasible.  scipy solves scipy_program, an equivalent
+    program in smaller numbers, when given."""
+    c, a_ub, b_ub, a_eq, b_eq = program
+    status, x, value = result
+    res = solve_with_scipy(*(scipy_program or program))
+    if status == OPTIMAL:
+        assert res.status == 0, label
+        assert abs(float(value) - res.fun) < 1e-7, label
+        for row, rhs in zip(a_ub, b_ub):
+            assert sum(r * v for r, v in zip(row, x)) <= rhs
+        for row, rhs in zip(a_eq, b_eq):
+            assert sum(r * v for r, v in zip(row, x)) == rhs
+        assert all(v >= 0 for v in x)
+        assert sum(ci * vi for ci, vi in zip(c, x)) == value
+    else:
+        assert res.status == 2, label
+
+
+def test_agrees_with_scipy_on_random_programs():
+    for trial, program in enumerate(random_programs()):
+        check_against_scipy(program, simplex_min(*program), label=trial)
+
+
+@pytest.mark.parametrize("limit", [0, 2**10], ids=["wide-from-start", "wide-mid-solve"])
+def test_wide_tableau_gives_the_same_results(monkeypatch, limit):
+    # the object-dtype tableau holds the same integers as the int64 one, so
+    # a lowered int64 limit changes no pivot and no result
+    programs = list(random_programs())
+    narrow = [simplex_min(*p) for p in programs]
+    monkeypatch.setattr(simplex, "_INT64_LIMIT", limit)
+    assert [simplex_min(*p) for p in programs] == narrow
+
+
+def largest_denominator(result):
+    status, x, value = result
+    return max(v.denominator for v in [*x, value])
+
+
+def test_inputs_beyond_int64():
+    # rows K*a + e with K = 3^41 > 2^64: the tableau is wide from the start;
+    # scipy solves the same rows divided by K
+    big = 3**41
+    a_ub = [[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]
+    perturb = [[1, 0, 2], [0, -1, 1], [2, 1, 0], [0, 0, 0]]
+    b_ub = [4 * big + 3, 5 * big - 2, 6 * big + 1, 10 * big]
+    rows = [[big * a + e for a, e in zip(r, p)] for r, p in zip(a_ub, perturb)]
+    c = [Fraction(-1), Fraction(-2), Fraction(-1, 3)]
+    program = (c, rows, b_ub, [], [])
+    scaled = [[Fraction(a, big) for a in row] for row in rows]
+    result = simplex_min(*program)
+    assert result[0] == OPTIMAL
+    assert max(abs(a) for row in rows for a in row) >= 2**63
+    check_against_scipy(program, result, (c, scaled, [Fraction(b, big) for b in b_ub], [], []))
+
+
+def test_intermediate_entries_beyond_int64():
+    # dense rows of 31-bit coefficients fit int64, but their basis
+    # determinants do not: a vertex denominator above 2^63 means the
+    # tableau held an entry that int64 cannot, so the solve went wide midway
+    rng = random.Random(2028)
+    nv = 6
+    a_ub = [
+        [rng.choice((-1, 1)) * rng.randint(2**30, 2**31) for _ in range(nv)]
+        for _ in range(nv)
+    ]
+    b_ub = [rng.randint(2**30, 2**32) for _ in range(nv)]
+    a_ub.append([1] * nv)  # keep it bounded
+    b_ub.append(10)
+    c = [Fraction(rng.randint(-9, 9)) for _ in range(nv)]
+    program = (c, a_ub, b_ub, [], [])
+    result = simplex_min(*program)
+    assert result[0] == OPTIMAL
+    assert max(abs(a) for row in [*a_ub, b_ub] for a in row) < 2**32
+    assert largest_denominator(result) >= 2**63
+    check_against_scipy(program, result)
 
 
 def test_vertex_invariant_under_row_rescaling():
