@@ -317,7 +317,9 @@ def round_apec(
     Each retry draws targets source by source with probability proportional
     to the remaining fractional mass, dropping draws below the mass floor
     1/(2n).  Among all retries the result with the most matched pairs wins,
-    ties broken by smaller LP objective, then lexicographically.
+    ties broken by smaller LP objective, then lexicographically.  When no
+    source has two targets to choose from, every retry draws alike, so one
+    retry is made.
     """
     n = lp.n
     floor = Fraction(1, 2 * n)
@@ -330,6 +332,8 @@ def round_apec(
         support.append([(vp, float(x), x >= floor) for vp, x in row if x > 0])
     # b_alpha over one positive common denominator: integer sums order alike
     objective = lp.b_num.tolist()
+    if all(len(options) <= 1 for options in support):
+        retries = 1
     best = None
     for _ in range(max(1, retries)):
         used = set()

@@ -421,84 +421,84 @@ def blowup(g: Graph, ell: int) -> Graph:
     )
 
 
+def read_records(text: str, header: str, forms: dict):
+    """(n, records) of a line-based file whose first line is '<header> <count>'.
+
+    `#` starts a comment and blank lines are skipped.  `forms` maps each
+    record kind to its usage, such as "e <u> <v> [weight]" (bracketed words
+    optional).  `records` lazily yields (line number, kind, tokens after the
+    kind), so the caller's checks and these raise ParseError in line order.
+    """
+    lines = (
+        (lineno, tokens)
+        for lineno, raw in enumerate(text.splitlines(), 1)
+        if (tokens := raw.split("#", 1)[0].split())
+    )
+    lineno, tokens = next(lines, (None, []))
+    if tokens[:1] != [header] or len(tokens) != 2:
+        raise ParseError(f"first line must be the header '{header} <count>'", lineno)
+    n = parse_int(tokens[1], lineno)
+    if n < 0:
+        raise ParseError(f"header count {n} must be non-negative", lineno)
+
+    def records():
+        for lineno, (kind, *rest) in lines:
+            if kind not in forms:
+                what = "duplicate header" if kind == header else "unknown line kind"
+                raise ParseError(f"{what} {kind!r}", lineno)
+            words = forms[kind].split()[1:]
+            required = [w for w in words if not w.startswith("[")]
+            if not len(required) <= len(rest) <= len(words):
+                raise ParseError(f"line must be {forms[kind]!r}", lineno)
+            yield lineno, kind, rest
+
+    return n, records()
+
+
+def parse_int(token: str, lineno: int, n: int | None = None) -> int:
+    """The integer token of a record; with n, an index that must lie in [0, n)."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise ParseError(f"invalid integer {token!r}", lineno) from None
+    if n is not None and not 0 <= value < n:
+        raise ParseError(f"index {value} out of range for n={n}", lineno)
+    return value
+
+
+def parse_value(token: str, lineno: int) -> Fraction:
+    """The rational value token ("p/q" or decimal) of a record."""
+    try:
+        return as_fraction(token)
+    except ValueError:
+        raise ParseError(f"invalid value {token!r}", lineno) from None
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the line-based graph format (see serialize_graph)."""
-    n = None
-    edges = set()
-    weights = {}
-    any_weight = False
-    colours = {}
-    any_colour = False
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        kind = tokens[0]
-        if kind == "n":
-            if n is not None:
-                raise ParseError("duplicate header", lineno)
-            if len(tokens) != 2:
-                raise ParseError("header must be 'n <count>'", lineno)
-            try:
-                n = int(tokens[1])
-            except ValueError:
-                raise ParseError(f"invalid vertex count {tokens[1]!r}", lineno)
-            if n < 0:
-                raise ParseError("vertex count must be non-negative", lineno)
-        elif kind == "e":
-            if n is None:
-                raise ParseError("edge line before header", lineno)
-            if len(tokens) not in (3, 4):
-                raise ParseError("edge line must be 'e <u> <v> [weight]'", lineno)
-            try:
-                u, v = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise ParseError("invalid edge endpoints", lineno)
-            if u == v:
-                raise ParseError(f"self-loop at vertex {u}", lineno)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(f"vertex index out of range in edge {u} {v}", lineno)
-            e = _norm_edge(u, v)
-            if e in edges:
-                raise ParseError(f"duplicate edge {u} {v}", lineno)
-            edges.add(e)
-            if len(tokens) == 4:
-                try:
-                    w = as_fraction(tokens[3])
-                except ValueError:
-                    raise ParseError(f"invalid weight {tokens[3]!r}", lineno)
-                if w == 0:
-                    raise ParseError("edge weight must be nonzero", lineno)
-                weights[e] = w
-                any_weight = True
-        elif kind == "c":
-            if n is None:
-                raise ParseError("colour line before header", lineno)
-            if len(tokens) != 3:
-                raise ParseError("colour line must be 'c <v> <colour>'", lineno)
-            try:
-                v, c = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise ParseError("invalid colour line", lineno)
-            if not 0 <= v < n:
-                raise ParseError(f"vertex index {v} out of range", lineno)
+    n, records = read_records(text, "n", {"e": "e <u> <v> [weight]", "c": "c <v> <colour>"})
+    edges, weights, colours = set(), {}, {}
+    for lineno, kind, tokens in records:
+        if kind == "c":
+            v, c = parse_int(tokens[0], lineno, n), parse_int(tokens[1], lineno)
             if c < 0:
                 raise ParseError("colour must be non-negative", lineno)
             if v in colours:
                 raise ParseError(f"duplicate colour for vertex {v}", lineno)
             colours[v] = c
-            any_colour = True
-        else:
-            raise ParseError(f"unknown line kind {kind!r}", lineno)
-    if n is None:
-        raise ParseError("missing header line 'n <count>'")
-    return Graph(
-        n,
-        frozenset(edges),
-        weights=weights if any_weight else None,
-        colours=colours if any_colour else None,
-    )
+            continue
+        u, v = (parse_int(t, lineno, n) for t in tokens[:2])
+        if u == v:
+            raise ParseError(f"self-loop at vertex {u}", lineno)
+        e = _norm_edge(u, v)
+        if e in edges:
+            raise ParseError(f"duplicate edge {u} {v}", lineno)
+        edges.add(e)
+        if len(tokens) == 3:
+            weights[e] = parse_value(tokens[2], lineno)
+            if weights[e] == 0:
+                raise ParseError("edge weight must be nonzero", lineno)
+    return Graph(n, frozenset(edges), weights=weights or None, colours=colours or None)
 
 
 def serialize_graph(g: Graph) -> str:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, ParseError
 from .graphs import Assignment, Graph, PartialInjection, cheapest_bijection, weight_matrices
+from .graphs import parse_int, parse_value, read_records
 from .rationals import as_fraction, format_rational
 
 
@@ -75,8 +76,10 @@ class QapInstance:
         return q
 
     def _store(self, n: int, index: np.ndarray, scaled: np.ndarray, denom: int):
-        common = int(np.gcd.reduce(scaled, initial=denom))
-        scaled = scaled // common
+        # denom may pass int64: it joins the gcd as a Python int, and no
+        # empty int64 array is divided by it
+        common = math.gcd(int(np.gcd.reduce(scaled, initial=0)), denom)
+        scaled = scaled // common if scaled.size else scaled
         largest = int(np.abs(scaled).max(initial=0))
         self.n = n
         self.index = index
@@ -279,47 +282,15 @@ def distinct_value_count(q: QapInstance) -> int:
 
 def parse_qap(text: str) -> QapInstance:
     """Parse the line-based QAP format (see serialize_qap)."""
-    n = None
+    n, records = read_records(text, "qap", {"q": "q <v> <v'> <w> <w'> <value>"})
+    if n**4 >= 2**63:
+        raise ParseError(f"order {n} has n^4 >= 2^63 coefficient positions, past int64")
     entries = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] == "qap":
-            if n is not None:
-                raise ParseError("duplicate header", lineno)
-            if len(tokens) != 2:
-                raise ParseError("header must be 'qap <n>'", lineno)
-            try:
-                n = int(tokens[1])
-            except ValueError:
-                raise ParseError(f"invalid order {tokens[1]!r}", lineno)
-            if n < 0:
-                raise ParseError("order must be non-negative", lineno)
-        elif tokens[0] == "q":
-            if n is None:
-                raise ParseError("coefficient line before header", lineno)
-            if len(tokens) != 6:
-                raise ParseError(
-                    "coefficient line must be 'q <v> <v'> <w> <w'> <value>'", lineno
-                )
-            try:
-                key = tuple(int(x) for x in tokens[1:5])
-            except ValueError:
-                raise ParseError("invalid coefficient indices", lineno)
-            if any(not 0 <= i < n for i in key):
-                raise ParseError(f"coefficient index out of range in {key}", lineno)
-            if key in entries:
-                raise ParseError(f"duplicate coefficient {key}", lineno)
-            try:
-                entries[key] = as_fraction(tokens[5])
-            except ValueError:
-                raise ParseError(f"invalid value {tokens[5]!r}", lineno)
-        else:
-            raise ParseError(f"unknown line kind {tokens[0]!r}", lineno)
-    if n is None:
-        raise ParseError("missing header line 'qap <n>'")
+    for lineno, _, tokens in records:
+        key = tuple(parse_int(t, lineno, n) for t in tokens[:4])
+        if key in entries:
+            raise ParseError(f"duplicate coefficient {key}", lineno)
+        entries[key] = parse_value(tokens[4], lineno)
     return QapInstance(n, entries)
 
 

@@ -1,5 +1,6 @@
 """Exact rational helpers: conversion, parsing and the p/q wire format."""
 
+import sys
 from fractions import Fraction
 
 
@@ -22,12 +23,20 @@ def as_fraction(x) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or a decimal literal into a Fraction."""
+    """Parse "p/q" or a decimal literal into a Fraction.
+
+    Its exponent may not pass sys.get_int_max_str_digits() (no limit at 0),
+    which bounds int(text) alike: "1e10000000" would take seconds to expand.
+    """
     text = text.strip()
     try:
         if "/" in text:
             num, den = text.split("/", 1)
             return Fraction(int(num), int(den))
+        _, e, exponent = text.upper().partition("E")
+        limit = sys.get_int_max_str_digits()
+        if e and limit and abs(int(exponent)) > limit:
+            raise ValueError(f"exponent {exponent} passes {limit}")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational {text!r}") from exc

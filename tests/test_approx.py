@@ -478,6 +478,23 @@ class TestRounding:
         partial = round_apec(frac, self.lp3(), seed=1)
         assert partial.sorted_pairs() == ((0, 0), (1, 1), (2, 2))
 
+    def test_integral_solution_is_drawn_once(self, monkeypatch):
+        # with one target per source every retry draws alike: one retry of
+        # n draws; with a split row all 32 retries run, and in each of them
+        # sources 0 and 2 always have a target left to draw
+        draws = []
+        choices = random.Random.choices
+        monkeypatch.setattr(
+            random.Random, "choices", lambda rng, *a, **k: draws.append(1) or choices(rng, *a, **k)
+        )
+        integral = {(v, (v + 1) % 3): Fraction(1) for v in range(3)}
+        partial = round_apec(FractionalSolution(integral, Fraction(0)), self.lp3(), seed=1)
+        assert partial.sorted_pairs() == ((0, 1), (1, 2), (2, 0)) and len(draws) == 3
+        draws.clear()
+        split = {**integral, (0, 1): Fraction(1, 2), (0, 2): Fraction(1, 2)}
+        round_apec(FractionalSolution(split, Fraction(0)), self.lp3(), seed=1)
+        assert len(draws) >= 2 * 32
+
     def test_uniform_matrix_rounds_to_perfect_matching(self):
         values = {(v, vp): Fraction(1, 3) for v in range(3) for vp in range(3)}
         frac = FractionalSolution(values, Fraction(0))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -88,6 +89,16 @@ class TestGedCommand:
         assert data["oracle_cost"] == "1/1"
         assert data["seed"] == 7
         assert "timing_ms" in data
+
+    @pytest.mark.parametrize("lp", ["exact", "highs"])
+    def test_common_denominator_past_int64(self, tmp_path, lp):
+        # weights 1e-20 and 3e-20 share the denominator 10^20 >= 2^63
+        path = str(tmp_path / "tiny.graph")
+        with open(path, "w") as fh:
+            fh.write("n 3\ne 0 1 1e-20\ne 1 2 3e-20\n")
+        res = run_cli(["ged", path, path, "--eps", "1", "--seed", "1", "--lp", lp])
+        assert res.returncode == 0, res.stderr
+        assert payload(res)["oracle_cost"] == "0/1"
 
     def test_requires_seed(self, files):
         res = run_cli(["ged", files["k3.graph"], files["p3.graph"], "--eps", "1"])
@@ -301,6 +312,23 @@ class TestErrorPaths:
         res = run_cli(["vc", "--graph", files["bad.graph"]])
         assert res.returncode == 2
         assert "self-loop" in res.stderr
+
+    def test_huge_exponent_is_refused_at_once(self, files, tmp_path):
+        # building 10^10000000 once took seconds, and ged then crashed
+        path = str(tmp_path / "exp.graph")
+        with open(path, "w") as fh:
+            fh.write("n 2\ne 0 1 1e-10000000\n")
+        k3 = files["k3.graph"]
+        for args, shown in (
+            (["vc", "--graph", path], "error: line 2: invalid value '1e-10000000'"),
+            (["ged", path, path, "--eps", "1", "--seed", "1"], "error: line 2:"),
+            (["ged", k3, k3, "--eps", "1e99999999", "--seed", "1"], "error: argument --eps"),
+        ):
+            start = time.perf_counter()
+            res = run_cli(args)
+            assert time.perf_counter() - start < 5, args
+            assert res.returncode == 2 and res.stdout == "", args
+            assert shown in res.stderr and "Traceback" not in res.stderr
 
     def test_missing_file_exit_two(self):
         res = run_cli(["vc", "--graph", "/nonexistent.graph"])

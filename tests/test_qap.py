@@ -108,6 +108,21 @@ class TestQapInstance:
         assert doubled == QapInstance(2, halves)
         assert doubled.denom == 2 and doubled.scaled.tolist() == [1] * 16
 
+    def test_denominator_past_int64(self):
+        # an int64 array over a denominator of 2^70, and the GED reduction of
+        # weights 1e-20 and 3e-20 (common denominator 10^20 >= 2^63)
+        scaled = np.zeros((2,) * 4, dtype=np.int64)
+        scaled[0, 1, 1, 0], scaled[1, 1, 1, 1] = 4, 6
+        q = QapInstance.from_array(scaled, 2**70)
+        assert q.denom == 2**69 and q.scaled.dtype == np.int64
+        assert q.scaled.tolist() == [2, 3]
+        zero = QapInstance.from_array(np.zeros((2,) * 4, dtype=np.int64), 2**70)
+        assert zero == QapInstance(2) and zero.denom == 1
+        g = Graph(3, {(0, 1), (1, 2)}, weights={(0, 1): "1e-20", (1, 2): "3e-20"})
+        q = weighted_ged_to_qap(g, g)
+        assert q.c(0, 0, 0, 1) == Fraction(1, 10**20)
+        assert q == QapInstance(3, dict(q.nonzero_entries()))
+
     def test_dense_forms_past_the_cell_cap_are_refused(self, monkeypatch):
         # the block, the threshold mask and the GED reduction of an order-65
         # instance (65^4 > 2^24 cells) raise before allocating; at a cap of
