@@ -11,6 +11,13 @@ instance (LpModel), as exact integers that both LP backends read; each
 alpha adds only its objective and row bounds (LinearProgram).  Each LP is
 solved cold.  HiGHS solutions are converted to rationals unverified.
 
+Two shortcuts skip solves without changing any output.  Twin vertices give
+equal block columns, so alphas that differ only in twins have equal LPs; a
+memo keyed by (b_num, b_den) lets them share one solve (see _solved).  And
+the range of each block row over the whole assignment polytope, the same
+for every alpha (LpModel.row_ranges), refutes any LP with a row interval
+outside it before either backend runs (_refutes).
+
 No LP depends on another, so with HiGHS on more than one usable core the
 LPs are solved on a pool of worker threads (HiGHS releases the GIL while it
 solves) and everything else, from building each LP to rounding and costing,
@@ -27,6 +34,7 @@ it load concurrent.futures, which the first worker pool imports.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import contextlib
 import itertools
@@ -94,6 +102,32 @@ class LpModel:
         for row in self.block.tolist():
             rows += (tuple(row), tuple(-c for c in row))
         return tuple(rows), tuple(map(tuple, self.assignment.tolist()))
+
+    @cached_property
+    def row_ranges(self):
+        """(lower, upper): integer bounds on each block row . x over the polytope.
+
+        Row v*n + v' is the n x n cell matrix M[w, w'] = block[v*n + v', w*n + w'].
+        Every point of the assignment polytope takes one unit from each row of
+        M and one from each column, so block row . x lies between the larger of
+        the sums of M's row minima and of its column minima and the smaller of
+        the sums of its row maxima and of its column maxima.
+        """
+        n = self.n
+        cells = self.block.reshape(n * n, n, n)
+        lower = np.maximum(cells.min(axis=2).sum(axis=1), cells.min(axis=1).sum(axis=1))
+        upper = np.minimum(cells.max(axis=2).sum(axis=1), cells.max(axis=1).sum(axis=1))
+        return lower.tolist(), upper.tolist()
+
+    @cached_property
+    def twin_columns(self) -> list:
+        """Per block column w*n + w': whether another column is equal to it.
+
+        Alphas that differ only in pairs with equal columns have equal LPs.
+        """
+        columns = list(map(tuple, self.block.T.tolist()))
+        counts = collections.Counter(columns)
+        return [counts[column] > 1 for column in columns]
 
 
 def lp_model(q: QapInstance) -> LpModel:
@@ -253,6 +287,22 @@ def _highs_solve(cost, row_lower, row_upper, csc):
     raise RuntimeError(f"HiGHS stopped with status {name}")
 
 
+def _refutes(lp: LinearProgram) -> bool:
+    """Whether some row's interval misses the range of its row over the polytope.
+
+    Row v*n + v' asks lo / den <= block row . x / denom <= hi / den, and
+    block row . x lies in [lower, upper] (LpModel.row_ranges) at every point
+    of the assignment polytope; compared in integers, a miss proves the LP
+    infeasible without solving it.
+    """
+    lows, highs, den = lp.integer_bounds()
+    denom = lp.model.denom
+    return any(
+        hi * denom < lower * den or lo * denom > upper * den
+        for lo, hi, lower, upper in zip(lows, highs, *lp.model.row_ranges)
+    )
+
+
 def solve_lp(lp: LinearProgram, method: str = "exact"):
     """Solve to optimality, returning FractionalSolution or Infeasible.
 
@@ -270,16 +320,24 @@ def solve_lp(lp: LinearProgram, method: str = "exact"):
     solve; its float solution is converted to rationals as is, unverified.
     HiGHS releases the GIL while it solves, so approximate_qap calls this on
     worker threads when more than one core is usable.
+
+    Before either backend runs, an LP that _refutes proves infeasible from
+    the rows' ranges over the polytope gives Infeasible without a solve.
     """
+    if method not in ("exact", "highs"):
+        raise ValueError(f"unknown LP method {method!r}")
+    if _refutes(lp):
+        return Infeasible()
     n = lp.n
     model = lp.model
+    denom = model.denom
+    lows, highs, den = lp.integer_bounds()
     if method == "exact":
         a_ub, a_eq = model.exact_rows
-        lows, highs, den = lp.integer_bounds()
         b_ub = []
         # a(v, v') . x <= hi  <=>  block row . x <= hi * denom
         for lo, hi in zip(lows, highs):
-            b_ub += (Fraction(hi * model.denom, den), Fraction(-lo * model.denom, den))
+            b_ub += (Fraction(hi * denom, den), Fraction(-lo * denom, den))
         status, x, value = simplex.simplex_min(
             lp.b_num.tolist(), a_ub, b_ub, a_eq, [1] * (2 * n)
         )
@@ -289,24 +347,21 @@ def solve_lp(lp: LinearProgram, method: str = "exact"):
             (v, vp): x[v * n + vp] for v in range(n) for vp in range(n)
         }
         return FractionalSolution(values, value / lp.b_den)
-    if method == "highs":
-        # exact Python integers until one correctly rounded division each
-        lows, highs, den = lp.integer_bounds()
-        ones = [1.0] * (2 * n)
-        solved = _highs_solve(
-            [b / lp.b_den for b in lp.b_num.tolist()],
-            [lo / den for lo in lows] + ones,
-            [hi / den for hi in highs] + ones,
-            model.csc,
-        )
-        if solved is None:
-            return Infeasible()
-        x, value = solved
-        values = {
-            (v, vp): Fraction(max(x[v * n + vp], 0.0)) for v in range(n) for vp in range(n)
-        }
-        return FractionalSolution(values, Fraction(value))
-    raise ValueError(f"unknown LP method {method!r}")
+    # exact Python integers until one correctly rounded division each
+    ones = [1.0] * (2 * n)
+    solved = _highs_solve(
+        [b / lp.b_den for b in lp.b_num.tolist()],
+        [lo / den for lo in lows] + ones,
+        [hi / den for hi in highs] + ones,
+        model.csc,
+    )
+    if solved is None:
+        return Infeasible()
+    x, value = solved
+    values = {
+        (v, vp): Fraction(max(x[v * n + vp], 0.0)) for v in range(n) for vp in range(n)
+    }
+    return FractionalSolution(values, Fraction(value))
 
 
 def round_apec(
@@ -320,30 +375,44 @@ def round_apec(
     ties broken by smaller LP objective, then lexicographically.  When no
     source has two targets to choose from, every retry draws alike, so one
     retry is made.
+
+    Each draw is the one random.choices(options, weights) makes, call for
+    call: one rng.random() scaled by the float total, bisected into the
+    accumulated float weights.  A source none of whose targets is used yet
+    reuses its accumulated weights instead of building them again.
     """
     n = lp.n
     floor = Fraction(1, 2 * n)
-    rng = random.Random(seed)
-    # per source: the targets of positive mass, their float weights, and
-    # whether the mass reaches the floor (compared exactly)
+    draw = random.Random(seed).random
+    # per source: the targets of positive mass, each with its float weight and
+    # whether the mass reaches the floor (compared exactly); the set of those
+    # targets; and the accumulated weights of all of them
     support = []
     for v in range(n):
         row = [(vp, frac.values.get((v, vp), Fraction(0))) for vp in range(n)]
-        support.append([(vp, float(x), x >= floor) for vp, x in row if x > 0])
+        options = [(vp, float(x), x >= floor) for vp, x in row if x > 0]
+        cumulative = list(itertools.accumulate(w for _, w, _ in options))
+        support.append((options, {vp for vp, _, _ in options}, cumulative))
     # b_alpha over one positive common denominator: integer sums order alike
     objective = lp.b_num.tolist()
-    if all(len(options) <= 1 for options in support):
+    if all(len(options) <= 1 for options, _, _ in support):
         retries = 1
     best = None
     for _ in range(max(1, retries)):
         used = set()
         pairs = []
         obj = 0
-        for v in range(n):
-            options = [entry for entry in support[v] if entry[0] not in used]
+        for v, (options, targets, cumulative) in enumerate(support):
+            if not used.isdisjoint(targets):
+                options = [entry for entry in options if entry[0] not in used]
+                cumulative = list(itertools.accumulate(w for _, w, _ in options))
             if not options:
                 continue
-            vp, _, kept = rng.choices(options, weights=[w for _, w, _ in options])[0]
+            total = cumulative[-1] + 0.0
+            if not 0.0 < total < math.inf:
+                raise ValueError("Total of weights must be greater than zero and finite")
+            hit = bisect.bisect(cumulative, draw() * total, 0, len(options) - 1)
+            vp, _, kept = options[hit]
             if not kept:
                 continue
             pairs.append((v, vp))
@@ -397,12 +466,38 @@ def _workers() -> int:
 def _solved(model: LpModel, alphas, eps, lp_method: str):
     """(alpha pairs, LP, solve_lp result) for each alpha, in alpha order.
 
+    Alphas with equal LPs share one solve: a memo keyed by (b_num, b_den)
+    holds the result, or its future on the worker pool.  It stores only
+    alphas with a pair in a twin column, the alphas whose columns another
+    alpha of the same size can repeat (alphas are distinct within a run),
+    and it is cleared when the alpha size changes, since b_den changes with
+    it; so it holds at most one size's twin alphas.
+
     With HiGHS and more than one usable core, solve_lp runs on a pool of one
     worker thread per core, at most two solves per worker in flight, while
     this thread builds the next LPs; otherwise each LP is solved inline.
     Closing the generator, or an error it raises, cancels the solves not yet
     started and waits for the running ones, so no worker outlives it.
     """
+    n = model.n
+    twins = model.twin_columns
+    memo = {}
+    size = None
+
+    def shared(pairs, lp, solve):
+        """solve(lp), or the result an earlier alpha with an equal LP got."""
+        nonlocal size
+        if len(pairs) != size:
+            memo.clear()
+            size = len(pairs)
+        key = (tuple(lp.b_num.tolist()), lp.b_den)
+        if key in memo:
+            return memo[key]
+        result = solve(lp)
+        if any(twins[w * n + wp] for w, wp in pairs):
+            memo[key] = result
+        return result
+
     lps = (
         (pairs, build_alpha_lp(model, PartialInjection(frozenset(pairs)), eps))
         for pairs in alphas
@@ -410,18 +505,20 @@ def _solved(model: LpModel, alphas, eps, lp_method: str):
     workers = _workers()
     if lp_method != "highs" or workers < 2:
         for pairs, lp in lps:
-            yield pairs, lp, solve_lp(lp, method=lp_method)
+            yield pairs, lp, shared(pairs, lp, lambda lp: solve_lp(lp, method=lp_method))
         return
     from concurrent.futures import ThreadPoolExecutor
 
     # first uses on this thread, so no worker races the HiGHS import or the CSC
     __getattr__("_highs")
     model.csc
+    model.row_ranges
     pool = ThreadPoolExecutor(workers)
     pending = collections.deque()
     try:
         for pairs, lp in lps:
-            pending.append((pairs, lp, pool.submit(solve_lp, lp, method=lp_method)))
+            future = shared(pairs, lp, lambda lp: pool.submit(solve_lp, lp, method=lp_method))
+            pending.append((pairs, lp, future))
             if len(pending) == 2 * workers:
                 pairs, lp, future = pending.popleft()
                 yield pairs, lp, future.result()

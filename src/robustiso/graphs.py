@@ -22,6 +22,10 @@ from .rationals import as_fraction, format_rational
 
 Edge = tuple[int, int]
 
+# A graph's colour map, adjacency and every per-vertex pass are built over
+# range(n): orders past this many vertices are refused before any of them.
+VERTEX_CAP = 2**20
+
 
 def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
@@ -35,6 +39,7 @@ class Graph:
     If `weights` is given it is completed so that every edge has a stored
     (nonzero) weight; edges listed without one default to weight 1.
     If `colours` is given it is completed with colour 0 for missing vertices.
+    An order past VERTEX_CAP raises BudgetExceededError.
     """
 
     n: int
@@ -45,6 +50,10 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
+        if self.n > VERTEX_CAP:
+            raise BudgetExceededError(
+                f"order {self.n} passes the vertex cap {VERTEX_CAP}", self.n
+            )
         edges = set()
         for e in self.edges:
             u, v = e

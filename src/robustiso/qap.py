@@ -49,9 +49,14 @@ class QapInstance:
     """
 
     def __init__(self, n: int, entries=None):
-        """Build from a sparse {(v,v',w,w'): value} mapping (missing = 0)."""
+        """Build from a sparse {(v,v',w,w'): value} mapping (missing = 0).
+
+        The order must be non-negative, with its n^4 flat positions in int64.
+        """
         if n < 0:
             raise ValueError("order must be non-negative")
+        if n**4 >= 2**63:
+            raise ValueError(f"order {n} has n^4 >= 2^63 coefficient positions, past int64")
         cleaned = {}
         for key, value in (entries or {}).items():
             v, vp, w, wp = key
@@ -283,15 +288,16 @@ def distinct_value_count(q: QapInstance) -> int:
 def parse_qap(text: str) -> QapInstance:
     """Parse the line-based QAP format (see serialize_qap)."""
     n, records = read_records(text, "qap", {"q": "q <v> <v'> <w> <w'> <value>"})
-    if n**4 >= 2**63:
-        raise ParseError(f"order {n} has n^4 >= 2^63 coefficient positions, past int64")
     entries = {}
     for lineno, _, tokens in records:
         key = tuple(parse_int(t, lineno, n) for t in tokens[:4])
         if key in entries:
             raise ParseError(f"duplicate coefficient {key}", lineno)
         entries[key] = parse_value(tokens[4], lineno)
-    return QapInstance(n, entries)
+    try:
+        return QapInstance(n, entries)
+    except ValueError as exc:  # the order check: entries are in range here
+        raise ParseError(str(exc)) from None
 
 
 def serialize_qap(q: QapInstance) -> str:

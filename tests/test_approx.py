@@ -11,6 +11,7 @@ import threading
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy.optimize import linprog
 
@@ -431,6 +432,106 @@ def test_lp_backends_agree_on_every_small_alpha(kind, n):
     assert verdicts["Infeasible"] > 0 and verdicts["FractionalSolution"] > 0, verdicts
 
 
+def permutation_activities(model):
+    """(n^2, n!) array: block row . x at every permutation matrix x."""
+    n = model.n
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    columns = np.arange(n) * n + perms  # (n!, n): the cells each permutation takes
+    return model.block[:, columns].sum(axis=2)
+
+
+def brackets(ranges, activities):
+    """Whether every row's activity at every permutation lies in its range."""
+    lower, upper = (np.array(bound, dtype=object)[:, None] for bound in ranges)
+    return bool(((lower <= activities) & (activities <= upper)).all())
+
+
+def test_row_ranges_bracket_every_permutation():
+    # the polytope is the hull of the permutation matrices, so the ranges must
+    # hold each row's activity at all n! of them; on most instances a range
+    # tightened by one unit at either end must not, or the check could not
+    # catch a wrong bound
+    caught = collections.Counter()
+    for kind in ("ged", "weighted-ged", "qap"):
+        for n in (2, 3, 4, 5):
+            model = lp_model(agreement_instance(kind, n))
+            activities = permutation_activities(model)
+            lower, upper = model.row_ranges
+            assert brackets((lower, upper), activities), (kind, n)
+            tighter = [lo + 1 for lo in lower], [hi - 1 for hi in upper]
+            caught["lower"] += not brackets((tighter[0], upper), activities)
+            caught["upper"] += not brackets((lower, tighter[1]), activities)
+    assert caught["lower"] >= 6 and caught["upper"] >= 6, caught
+
+
+def test_refused_lps_are_infeasible_for_both_solvers(monkeypatch):
+    # every alpha of size 1 and 2 at n = 3..5, at the eps of the backend
+    # agreement test: each LP the ranges refuse is infeasible for the exact
+    # simplex and for HiGHS too
+    real = approx._refutes
+    refused = []
+    for kind in ("ged", "weighted-ged", "qap"):
+        for n in (3, 4, 5):
+            q = agreement_instance(kind, n)
+            model = lp_model(q)
+            for eps in (q.bound_b / 2, 2 * q.bound_b):
+                lps = (build_alpha_lp(model, alpha, eps) for alpha in small_alphas(n))
+                refused += filter(real, lps)
+    monkeypatch.setattr(approx, "_refutes", lambda lp: False)
+    for lp in refused:
+        assert isinstance(solve_lp(lp, "exact"), Infeasible), lp.b_num
+        assert isinstance(solve_lp(lp, "highs"), Infeasible), lp.b_num
+    assert len(refused) >= 400
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_twin_alphas_share_one_solve(monkeypatch, n):
+    # in P3 the ends 0 and 2 are twins, so alphas that differ only there have
+    # equal LPs: one solve each, and the same report as solving every alpha.
+    # At n = 4 both graphs gain an isolated vertex 3, whose zero column (3, 3)
+    # gives alphas of sizes 1 and 2 equal b_num over different b_den
+    q = ged_to_qap(Graph(n, K3.edges), Graph(n, PATH3.edges))
+    model = lp_model(q)
+    assert model.twin_columns[:3] == [True, False, True]
+    alphas = sum(math.comb(n, s) * math.perm(n, s) for s in (1, 2))
+    real_solve = approx.solve_lp
+    solved = []
+
+    def solve(lp, method="exact"):
+        solved.append((tuple(lp.b_num.tolist()), lp.b_den))
+        return real_solve(lp, method)
+
+    def separately(model, alphas, eps, lp_method):
+        for pairs in alphas:
+            lp = build_alpha_lp(model, PartialInjection(frozenset(pairs)), eps)
+            yield pairs, lp, real_solve(lp, lp_method)
+
+    for method in ("exact", "highs"):
+        for eps in (Fraction(1, 2), 1):
+            for workers in (1, 2):
+                monkeypatch.setattr(approx, "_workers", lambda: workers)
+                monkeypatch.setattr(approx, "solve_lp", solve)
+                solved.clear()
+                report = approximate_qap(q, eps, 2, seed=3, lp_method=method, keep_trace=True)
+                monkeypatch.setattr(approx, "solve_lp", real_solve)
+                lps = {
+                    (tuple(lp.b_num.tolist()), lp.b_den)
+                    for lp in (
+                        build_alpha_lp(model, PartialInjection(frozenset(e["alpha"])), eps)
+                        for e in report.trace
+                    )
+                }
+                assert report.alphas_tried == alphas and len(lps) < alphas
+                assert sorted(solved) == sorted(lps)
+                with monkeypatch.context() as m:
+                    m.setattr(approx, "_solved", separately)
+                    m.setattr(approx, "_refutes", lambda lp: False)
+                    reference = approximate_qap(
+                        q, eps, 2, seed=3, lp_method=method, keep_trace=True
+                    )
+                assert report == reference, (method, eps, workers)
+
+
 def csc_pin_instances():
     """Instances for the CSC pin: n = 0..6, weighted, rational, an object-dtype
     block (a 2^70 coefficient) and denominators above 2^53."""
@@ -483,9 +584,9 @@ class TestRounding:
         # n draws; with a split row all 32 retries run, and in each of them
         # sources 0 and 2 always have a target left to draw
         draws = []
-        choices = random.Random.choices
+        real = random.Random.random
         monkeypatch.setattr(
-            random.Random, "choices", lambda rng, *a, **k: draws.append(1) or choices(rng, *a, **k)
+            random.Random, "random", lambda rng: draws.append(1) or real(rng)
         )
         integral = {(v, (v + 1) % 3): Fraction(1) for v in range(3)}
         partial = round_apec(FractionalSolution(integral, Fraction(0)), self.lp3(), seed=1)
@@ -494,6 +595,12 @@ class TestRounding:
         split = {**integral, (0, 1): Fraction(1, 2), (0, 2): Fraction(1, 2)}
         round_apec(FractionalSolution(split, Fraction(0)), self.lp3(), seed=1)
         assert len(draws) >= 2 * 32
+
+    def test_zero_float_total_raises_as_random_choices_does(self):
+        # positive masses that round to 0.0 as floats leave nothing to draw by
+        tiny = {(v, vp): Fraction(1, 10**400) for v in range(3) for vp in range(3)}
+        with pytest.raises(ValueError, match="greater than zero"):
+            round_apec(FractionalSolution(tiny, Fraction(0)), self.lp3(), seed=1)
 
     def test_uniform_matrix_rounds_to_perfect_matching(self):
         values = {(v, vp): Fraction(1, 3) for v in range(3) for vp in range(3)}
@@ -565,6 +672,50 @@ def test_rounding_stays_inside_the_support():
             assert all(sol.values[pair] >= floor for pair in pairs), (sol, seed)
     # solutions with positive mass under the floor, where the floor decides
     assert below_floor >= 5
+
+
+def choices_rounding(frac, lp, seed, retries=32):
+    """round_apec as written with one random.choices call per draw."""
+    n = lp.n
+    floor = Fraction(1, 2 * n)
+    rng = random.Random(seed)
+    support = [
+        [(vp, float(x), x >= floor) for vp in range(n)
+         if (x := frac.values.get((v, vp), Fraction(0))) > 0]
+        for v in range(n)
+    ]
+    if all(len(options) <= 1 for options in support):
+        retries = 1
+    best = None
+    for _ in range(max(1, retries)):
+        used, pairs, obj = set(), [], 0
+        for v in range(n):
+            options = [entry for entry in support[v] if entry[0] not in used]
+            if not options:
+                continue
+            vp, _, kept = rng.choices(options, weights=[w for _, w, _ in options])[0]
+            if kept:
+                pairs.append((v, vp))
+                used.add(vp)
+                obj += int(lp.b_num[v * n + vp])
+        key = (-len(pairs), obj, tuple(pairs))
+        best = key if best is None or key < best else best
+    return PartialInjection(frozenset(best[2]))
+
+
+def test_rounding_draws_as_random_choices_does():
+    # every exact pin solution and every pinned case, several seeds each:
+    # the same partial matching as one random.choices call per draw
+    cases = [
+        (sol, lp, seed, 32)
+        for _, lp, sol in exact_pin_solves() if not isinstance(sol, Infeasible)
+        for seed in range(4)
+    ]
+    cases += [rounding_case(i) for i in range(len(PINNED_ROUNDINGS))]
+    for frac, lp, seed, retries in cases:
+        ours = round_apec(frac, lp, seed=seed, retries=retries)
+        assert ours == choices_rounding(frac, lp, seed, retries), (frac, seed)
+    assert len(cases) > 400
 
 
 def rounding_case(i):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -379,6 +380,34 @@ class TestOrderCap:
         assert data["error"] == "budget-exceeded"
         assert data["attempted"] == 300**4
         assert "Traceback" not in res.stderr
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["vc", "--graph", "{graph}"],
+            ["ged", "{graph}", "{graph}", "--eps", "1", "--seed", "1"],
+            ["wl", "{graph}", "--k", "1"],
+        ],
+        ids=["vc", "ged", "wl"],
+    )
+    def test_huge_graph_order_exits_three_at_once(self, tmp_path, argv):
+        # a 20-byte file naming 10^10 vertices: refused before any per-vertex
+        # map is built, so the command ends at once in a 1 GiB address space
+        path = tmp_path / "huge.graph"
+        path.write_text("n 10000000000\nc 0 1\n")
+        limit = (2**30, 2**30)
+        res = subprocess.run(
+            [sys.executable, "-m", "robustiso.cli", *(a.format(graph=path) for a in argv)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+        )
+        assert res.returncode == 3, res.stderr
+        data = payload(res)
+        assert data["error"] == "budget-exceeded" and "vertex cap" in data["detail"]
+        assert 10**10 in data.values()
 
 
 class TestStartUp:

@@ -109,6 +109,17 @@ def test_qap_order_is_bounded_by_int64_positions():
             parse_qap(f"qap {n}\nq 1 1 1 1 1\n")
 
 
+def test_qap_constructor_bounds_the_order_as_the_parser_does():
+    # an instance the constructor accepts can be serialised and read back
+    assert QapInstance(55108).n == 55108
+    assert parse_qap(serialize_qap(QapInstance(55108))) == QapInstance(55108)
+    for n in (55109, 10**5):
+        with pytest.raises(ValueError, match=f"order {n} has n\\^4 >= 2\\^63"):
+            QapInstance(n)
+        with pytest.raises(ValueError, match=f"order {n} has n\\^4 >= 2\\^63"):
+            QapInstance(n, {(n - 1, 0, 0, n - 1): 1})
+
+
 rationals = st.fractions(max_denominator=12).filter(lambda x: abs(x) <= 50)
 
 

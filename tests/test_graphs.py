@@ -73,6 +73,16 @@ class TestGraphConstruction:
         g = Graph(3, {(0, 1)}, colours={2: 5})
         assert g.colour_of(0) == 0 and g.colour_of(2) == 5
 
+    def test_order_past_the_vertex_cap_is_refused(self):
+        # refused before the colour map is completed over range(n)
+        from robustiso.graphs import VERTEX_CAP
+
+        assert Graph(VERTEX_CAP).n == VERTEX_CAP
+        for n in (VERTEX_CAP + 1, 10**10):
+            with pytest.raises(BudgetExceededError, match="vertex cap") as err:
+                Graph(n, colours={0: 1})
+            assert err.value.attempted == n
+
     def test_bound(self):
         assert Graph(3, set()).bound_b() == 0
         assert K3.bound_b() == 1
