@@ -31,7 +31,6 @@ from .qap import (
     QapInstance,
     ThresholdGrid,
     b_alpha,
-    distinct_value_count,
     ged_to_qap,
     mean_threshold_estimate,
     parse_qap,
@@ -66,7 +65,6 @@ from .wl import (
     is_homogenising,
     k_wl_stable,
     robust_gi,
-    wl_distinguishes,
 )
 from .generators import (
     InstanceBundle,

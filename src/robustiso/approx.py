@@ -5,6 +5,9 @@ assignment polytope constrains every linearised coefficient row to an
 interval around the scaled partial-sum estimate b_alpha; its fractional
 optimum is rounded to a partial matching which is then completed greedily.
 The best completed assignment over all alphas (by true QAP cost) wins.
+Exhaustive mode tries every alpha of size 1..m.  Sampled mode is the
+paper's sampler, as in Arora, Frieze & Kaplan (Math. Program. 2002): one
+seeded source set S of size m, and every injective image of S.
 
 The constraint matrix does not depend on alpha, so it is built once per
 instance (LpModel), as exact integers that both LP backends read; each
@@ -153,16 +156,6 @@ class LinearProgram:
     @property
     def n(self) -> int:
         return self.model.n
-
-    @property
-    def objective(self) -> tuple:
-        """b_alpha(v, v') as Fractions, indexed v*n + v'."""
-        return tuple(Fraction(b, self.b_den) for b in self.b_num.tolist())
-
-    @property
-    def bounds(self) -> tuple:
-        """(lo, hi) of the row a(v, v') as Fractions, indexed v*n + v'."""
-        return tuple((b - self.slack, b + self.slack) for b in self.objective)
 
     def integer_bounds(self):
         """(lo, hi, den): the row bounds b -+ slack as integers over one denominator."""
@@ -440,20 +433,19 @@ def complete_matching(partial: PartialInjection, n: int) -> Assignment:
     return Assignment(tuple(mapping))
 
 
-def _alphas(n: int, size: int, count: int, rng: random.Random):
-    """`count` distinct alphas of one size: all of them in exhaustive order
-    when the size has no more, else seeded draws that skip repeats."""
-    if count == math.comb(n, size) * math.perm(n, size):
-        for sources in itertools.combinations(range(n), size):
-            for targets in itertools.permutations(range(n), size):
-                yield tuple(zip(sources, targets))
-        return
-    seen = set()
-    while len(seen) < count:
-        alpha = tuple(zip(sorted(rng.sample(range(n), size)), rng.sample(range(n), size)))
-        if alpha not in seen:
-            seen.add(alpha)
-            yield alpha
+def _alphas(n: int, m: int, mode: str, seed: int):
+    """Each alpha to try, in order: a source set with every injective image
+    of it, in permutations order.  Exhaustive mode takes every source set of
+    size 1..m, sampled mode one seeded set of size m (m <= n)."""
+    if mode == "exhaustive":
+        source_sets = itertools.chain.from_iterable(
+            itertools.combinations(range(n), s) for s in range(1, m + 1)
+        )
+    else:
+        source_sets = [sorted(random.Random(seed).sample(range(n), m))] if m else []
+    for sources in source_sets:
+        for targets in itertools.permutations(range(n), len(sources)):
+            yield tuple(zip(sources, targets))
 
 
 def _workers() -> int:
@@ -536,22 +528,21 @@ def approximate_qap(
     seed: int,
     mode: str = "exhaustive",
     lp_method: str = "highs",
-    samples_per_size: int = 64,
     budget: int = 200_000,
     keep_trace: bool = False,
 ) -> ApproxReport:
-    """Best completed assignment over all partial injections of size 1..m.
+    """Best completed assignment over partial injections alpha of [n].
 
-    Exhaustive mode iterates every alpha of each size (the n^O(m) loop);
-    sampled mode draws `samples_per_size` distinct seeded alphas per size,
-    or takes every alpha of a size that has no more, and carries no
-    guarantee.  The alpha count is checked against `budget` before the
-    first LP.  HiGHS LPs may be solved on worker threads (see _solved), but
-    every result is rounded, completed and costed here in alpha order, with
-    the seed of its place in that order, and the first minimiser is kept:
-    stopping at cost 0 or on an error leaves `alphas_tried`, the trace and
-    the error as a serial run gives them.  Identical arguments give
-    identical reports.
+    Exhaustive mode tries every alpha of size 1..m (the n^O(m) loop).
+    Sampled mode is the paper's sampler: it draws one source set S of size m
+    from the seed and tries every injective image of S, P(n, m) alphas.
+    Both take m no larger than n.  The alpha count is checked against
+    `budget` before the first LP.  HiGHS LPs may be solved on worker
+    threads (see _solved), but every result is rounded, completed and costed
+    here in alpha order, with the seed of its place in that order, and the
+    first minimiser is kept: stopping at cost 0 or on an error leaves
+    `alphas_tried`, the trace and the error as a serial run gives them.
+    Identical arguments give identical reports.
     """
     eps = as_fraction(eps)
     if eps <= 0:
@@ -561,13 +552,11 @@ def approximate_qap(
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     n = q.n
-    sizes = range(1, min(m, n) + 1)
-    counts = [math.comb(n, s) * math.perm(n, s) for s in sizes]
-    if mode == "sampled":
-        counts = [min(c, samples_per_size) for c in counts]
-    total = sum(counts)
-    rng = random.Random(seed)
-    alphas = (a for s, c in zip(sizes, counts) for a in _alphas(n, s, c, rng))
+    size = min(m, n)
+    if mode == "exhaustive":
+        total = sum(math.comb(n, s) * math.perm(n, s) for s in range(1, size + 1))
+    else:
+        total = math.perm(n, size) if size else 0
     if total > budget:
         raise BudgetExceededError(f"{total} alphas to try, budget is {budget}", total)
     model = lp_model(q)
@@ -577,7 +566,9 @@ def approximate_qap(
     tried = 0
     infeasible = 0
     trace = []
-    with contextlib.closing(_solved(model, alphas, eps, lp_method)) as solved:
+    with contextlib.closing(
+        _solved(model, _alphas(n, size, mode, seed), eps, lp_method)
+    ) as solved:
         for pairs, lp, sol in solved:
             tried += 1
             if isinstance(sol, Infeasible):

@@ -353,9 +353,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except BudgetExceededError as exc:
-        # for WL-driven commands the attempted quantity is the dimension k
-        key = "k" if args.command in ("robust-gi", "wl") else "attempted"
-        _emit({"error": "budget-exceeded", "detail": str(exc), key: exc.attempted})
+        _emit({"error": "budget-exceeded", "detail": str(exc), "attempted": exc.attempted})
         return EXIT_BUDGET
     except (ParseError, ValueError, OSError, VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,7 +39,9 @@ class Graph:
     If `weights` is given it is completed so that every edge has a stored
     (nonzero) weight; edges listed without one default to weight 1.
     If `colours` is given it is completed with colour 0 for missing vertices.
-    An order past VERTEX_CAP raises BudgetExceededError.
+    Neither changes any cost where it would be empty, so an edgeless graph
+    stores weights None and a graph with no vertices colours None, as the
+    file format reads them.  An order past VERTEX_CAP raises BudgetExceededError.
     """
 
     n: int
@@ -76,7 +78,7 @@ class Graph:
                 weights[e] = w
             for e in self.edges:
                 weights.setdefault(e, Fraction(1))
-            object.__setattr__(self, "weights", weights)
+            object.__setattr__(self, "weights", weights or None)
 
         if self.colours is not None:
             colours = {}
@@ -88,7 +90,7 @@ class Graph:
                 colours[v] = int(c)
             for v in range(self.n):
                 colours.setdefault(v, 0)
-            object.__setattr__(self, "colours", colours)
+            object.__setattr__(self, "colours", colours or None)
 
     # weights/colours are plain dicts, so Graph values must not be hashed.
     __hash__ = None

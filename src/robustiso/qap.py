@@ -280,11 +280,6 @@ def mean_threshold_estimate(
     return MeanThresholdEstimate(b_alpha(q, alpha, v, vp), centre - half, centre + half)
 
 
-def distinct_value_count(q: QapInstance) -> int:
-    """Number of distinct coefficient values (implicit zeros included)."""
-    return len(q.value_set())
-
-
 def parse_qap(text: str) -> QapInstance:
     """Parse the line-based QAP format (see serialize_qap)."""
     n, records = read_records(text, "qap", {"q": "q <v> <v'> <w> <w'> <value>"})

@@ -223,7 +223,7 @@ def _joint_refine_kwl(graphs, k, budget):
         raise BudgetExceededError(
             f"{k}-WL reads {work} (tuple, vertex) pairs per round on "
             f"{n} vertices, budget is {budget}",
-            attempted=k,
+            work,
         )
     shape = (len(graphs),) + (n,) * k
 
@@ -309,12 +309,6 @@ def wl_compare(g: Graph, h: Graph, k: int, budget: int = DEFAULT_WL_BUDGET) -> W
     hist_g = Histogram(count_g)
     hist_h = hist_g if witness is None else Histogram(count_h)
     return WlComparison(witness is not None, witness, hist_g, hist_h, k)
-
-
-def wl_distinguishes(g: Graph, h: Graph, k: int, budget: int = DEFAULT_WL_BUDGET) -> bool:
-    """True iff some canonical colour has different multiplicity in the two
-    k-stable colourings (computed jointly)."""
-    return wl_compare(g, h, k, budget).distinguishes
 
 
 def _violations(g: Graph, gamma: StableColouring, limit):

@@ -41,12 +41,12 @@ from robustiso import (
     solve_lp,
     threshold_grid,
     vc_dimension_exact,
-    wl_distinguishes,
 )
 from robustiso.approx import FractionalSolution
 from robustiso.errors import VerificationError
 from robustiso.generators import gen_random_graph
 from robustiso.setsystems import epsilon_approximation_sample
+from robustiso.wl import wl_compare
 
 
 def report(line):
@@ -293,7 +293,9 @@ def test_blowup_distance_scaling_and_wl_transfer():
         blown_dist, _ = edit_distance_bruteforce(bg, bh)
         assert blown_dist >= math.ceil(Fraction(4, 3) * base_dist)
         for k in (1, 2):
-            assert wl_distinguishes(g, h, k) == wl_distinguishes(bg, bh, k)
+            assert (
+                wl_compare(g, h, k).distinguishes == wl_compare(bg, bh, k).distinguishes
+            )
     report("blowups scale edit distance by >= ell^2/3 and preserve WL verdicts (20 pairs, k in {1,2})")
 
 
@@ -304,9 +306,9 @@ def test_gadget_pair_and_its_blowup():
     for graph in (g, h):
         assert all(len(graph.adj[v]) == 3 for v in range(graph.n))
         assert max(len(c) for c in graph.colour_classes().values()) <= 4
-    assert wl_distinguishes(g, h, 1) is False
+    assert wl_compare(g, h, 1).distinguishes is False
     blown = gen_blowup_pair(bundle, 2)
-    assert wl_distinguishes(blown.g, blown.h, 1) is False
+    assert wl_compare(blown.g, blown.h, 1).distinguishes is False
     assert is_isomorphic_bruteforce(blown.g, blown.h) is None
     report("gadget pair: non-isomorphic, 3-regular, classes <= 4, invisible to colour refinement (also after blowup)")
 

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -36,7 +35,6 @@ from robustiso import (
     b_alpha,
     build_alpha_lp,
     complete_matching,
-    distinct_value_count,
     edit_distance_bruteforce,
     ged_to_qap,
     lp_model,
@@ -85,13 +83,14 @@ class TestBuildAlphaLp:
         lp = build_alpha_lp(
             lp_model(QapInstance(2, {})), PartialInjection(frozenset({(0, 0)})), 1
         )
-        assert len(lp.objective) == 4
+        assert len(lp.b_num) == 4
         rows = fraction_rows(lp.model)
+        lows, highs, den = lp.integer_bounds()
         # two inequality rows each at solve time
-        assert len(lp.bounds) == len(rows) == 4
-        for coeffs, (lo, hi) in zip(rows, lp.bounds):
+        assert len(lows) == len(highs) == len(rows) == 4
+        for coeffs, lo, hi in zip(rows, lows, highs):
             assert all(c == 0 for c in coeffs)
-            assert lo == Fraction(-2, 3) and hi == Fraction(2, 3)
+            assert (Fraction(lo, den), Fraction(hi, den)) == (Fraction(-2, 3), Fraction(2, 3))
 
     def test_objective_is_b_alpha(self):
         q = ged_to_qap(K3, PATH3)
@@ -99,7 +98,8 @@ class TestBuildAlphaLp:
         lp = build_alpha_lp(lp_model(q), alpha, 1)
         for v in range(3):
             for vp in range(3):
-                assert lp.objective[v * 3 + vp] == b_alpha(q, alpha, v, vp)
+                b = Fraction(int(lp.b_num[v * 3 + vp]), lp.b_den)
+                assert b == b_alpha(q, alpha, v, vp)
 
     def test_optimal_solution_feasible_for_matching_alpha(self):
         # alpha inside an isomorphism's graph keeps its indicator feasible
@@ -110,7 +110,9 @@ class TestBuildAlphaLp:
         assert qap_cost(q, phi) == 0
         alpha = PartialInjection(frozenset(list(phi.graph())[:2]))
         lp = build_alpha_lp(lp_model(q), alpha, 1)
-        for coeffs, (lo, hi) in zip(fraction_rows(lp.model), lp.bounds):
+        lows, highs, den = lp.integer_bounds()
+        for coeffs, lo, hi in zip(fraction_rows(lp.model), lows, highs):
+            lo, hi = Fraction(lo, den), Fraction(hi, den)
             value = sum(
                 coeffs[w * 4 + wp]
                 for w in range(4)
@@ -146,7 +148,8 @@ class TestSolveLp:
         lp = build_alpha_lp(
             lp_model(QapInstance(3, entries)), PartialInjection(frozenset({(0, 0)})), 1
         )
-        assert lp.bounds[0] == (Fraction(59), Fraction(61))
+        lows, highs, den = lp.integer_bounds()
+        assert Fraction(lows[0], den) == 59 and Fraction(highs[0], den) == 61
         assert isinstance(solve_lp(lp, "exact"), Infeasible)
         assert isinstance(solve_lp(lp, "highs"), Infeasible)
 
@@ -188,11 +191,11 @@ class TestSolveLp:
                     size = rng.randint(1, 2)
                     pairs = zip(rng.sample(range(n), size), rng.sample(range(n), size))
                     lp = build_alpha_lp(model, PartialInjection(frozenset(pairs)), eps)
+                    lows, highs, den = lp.integer_bounds()
                     res = linprog(
-                        [float(b) for b in lp.objective],
+                        [b / lp.b_den for b in lp.b_num.tolist()],
                         A_ub=rows + [[-c for c in row] for row in rows],
-                        b_ub=[float(hi) for _, hi in lp.bounds]
-                        + [-float(lo) for lo, _ in lp.bounds],
+                        b_ub=[hi / den for hi in highs] + [-lo / den for lo in lows],
                         A_eq=model.assignment,
                         b_eq=[1] * (2 * n),
                         method="highs",
@@ -308,16 +311,18 @@ def test_exact_vertex_does_not_depend_on_row_scale():
         )
         model = lp_model(q)
         lp = build_alpha_lp(model, PartialInjection(frozenset(pairs)), eps)
+        lows, highs, den = lp.integer_bounds()
+        objective = [Fraction(b, lp.b_den) for b in lp.b_num.tolist()]
         results = []
         for reduce in (False, True):
             a_ub, b_ub = [], []
-            for row, (lo, hi) in zip(model.block.tolist(), lp.bounds):
+            for row, lo, hi in zip(model.block.tolist(), lows, highs):
                 g = math.gcd(model.denom, *row) if reduce else 1
                 row, r = [c // g for c in row], model.denom // g
                 a_ub += (row, [-c for c in row])
-                b_ub += (hi * r, -lo * r)
+                b_ub += (Fraction(hi * r, den), Fraction(-lo * r, den))
             results.append(simplex.simplex_min(
-                list(lp.objective), a_ub, b_ub, model.assignment.tolist(), [1] * (2 * n)
+                objective, a_ub, b_ub, model.assignment.tolist(), [1] * (2 * n)
             ))
         assert results[0][0] == simplex.OPTIMAL
         assert results[0] == results[1], seed
@@ -377,9 +382,12 @@ def test_exact_solutions_feasible_on_rational_instances():
             assert sum(x[v * n : v * n + n]) == 1
             assert sum(x[v::n]) == 1
         block, denom = q.scaled_block()
-        for row, (lo, hi) in zip(block.tolist(), lp.bounds):
-            assert lo <= sum(Fraction(c, denom) * xi for c, xi in zip(row, x)) <= hi
-        assert sol.objective_value == sum(b * xi for b, xi in zip(lp.objective, x))
+        lows, highs, den = lp.integer_bounds()
+        for row, lo, hi in zip(block.tolist(), lows, highs):
+            value = sum(Fraction(c, denom) * xi for c, xi in zip(row, x))
+            assert Fraction(lo, den) <= value <= Fraction(hi, den)
+        objective = [Fraction(b, lp.b_den) for b in lp.b_num.tolist()]
+        assert sol.objective_value == sum(b * xi for b, xi in zip(objective, x))
     assert counts["optimal"] >= 50 and counts["infeasible"] >= 20
 
 
@@ -823,40 +831,50 @@ class TestApproximateQap:
         assert a == b
 
     def test_sampled_mode_is_labelled_and_deterministic(self):
-        q = ged_to_qap(K3, PATH3)
-        a = approximate_qap(q, 1, 2, seed=5, mode="sampled", samples_per_size=8)
-        b = approximate_qap(q, 1, 2, seed=5, mode="sampled", samples_per_size=8)
-        assert a.mode == "sampled" and a == b
+        q = ged_to_qap(er_graph(5, 0.5, 70), er_graph(5, 0.5, 71))
+        a = approximate_qap(q, 1, 2, seed=5, mode="sampled", keep_trace=True)
+        b = approximate_qap(q, 1, 2, seed=5, mode="sampled", keep_trace=True)
+        assert a.mode == "sampled" and a.m == 2 and a == b
 
     def test_sampled_mode_scales_past_exhaustive_reach(self):
+        # P(7, 2) = 42 alphas where exhaustive mode tries 7 * 7 + 21 * 42 = 931
         g = er_graph(7, 0.5, 72)
         h = er_graph(7, 0.5, 73)
         q = ged_to_qap(g, h)
-        report = approximate_qap(
-            q, 1, 2, seed=9, mode="sampled", samples_per_size=5
-        )
-        assert report.alphas_tried <= 10
+        with pytest.raises(BudgetExceededError):
+            approximate_qap(q, 1, 2, seed=9, budget=100)
+        report = approximate_qap(q, 1, 2, seed=9, mode="sampled", budget=100)
+        assert report.alphas_tried == math.perm(7, 2) == 42
         assert report.best_cost == qap_cost(q, report.best_assignment)
 
-    def test_sampled_mode_takes_every_alpha_of_a_small_size(self):
-        # 9 alphas of size 1 and 18 of size 2: none left out, so sampled
-        # mode is exhaustive mode under another label
-        q = ged_to_qap(K3, PATH3)
-        exhaustive = approximate_qap(q, 1, 2, seed=5, keep_trace=True)
-        sampled = approximate_qap(
-            q, 1, 2, seed=5, mode="sampled", samples_per_size=18, keep_trace=True
-        )
-        assert sampled.mode == "sampled" and exhaustive.alphas_tried == 27
-        assert dataclasses.replace(sampled, mode="exhaustive") == exhaustive
+    def test_sampled_mode_takes_every_image_of_one_source_set(self):
+        # every alpha maps one sorted seeded source set of size min(m, n),
+        # and the images are those of itertools.permutations, in its order;
+        # every assignment costs n, so no alpha stops the run at cost 0
+        for n, m in [(6, 1), (6, 2), (5, 3), (3, 3), (3, 5)]:
+            q = QapInstance(n, {(v, vp, v, vp): 1 for v in range(n) for vp in range(n)})
+            size = min(m, n)
+            sources = set()
+            for seed in range(4):
+                report = approximate_qap(q, 1, m, seed=seed, mode="sampled", keep_trace=True)
+                alphas = [entry["alpha"] for entry in report.trace]
+                assert report.alphas_tried == len(alphas) == math.perm(n, size)
+                source = tuple(v for v, _ in alphas[0])
+                assert {tuple(v for v, _ in alpha) for alpha in alphas} == {source}
+                assert list(source) == sorted(source) and len(source) == size
+                images = [tuple(vp for _, vp in alpha) for alpha in alphas]
+                assert images == list(itertools.permutations(range(n), size))
+                sources.add(source)
+            # the seed draws the set
+            assert len(sources) > 1 or size == n
 
     def test_sampled_mode_never_repeats_an_alpha(self):
-        # 16 draws per size where size 1 has only 9 alphas
         report = approximate_qap(
-            ged_to_qap(K3, PATH3), 1, 2, seed=5, mode="sampled",
-            samples_per_size=16, keep_trace=True,
+            ged_to_qap(er_graph(6, 0.5, 74), er_graph(6, 0.5, 75)), 1, 3, seed=5,
+            mode="sampled", keep_trace=True,
         )
         alphas = [entry["alpha"] for entry in report.trace]
-        assert len(alphas) == report.alphas_tried == 9 + 16
+        assert len(alphas) == report.alphas_tried == math.perm(6, 3)
         assert len(set(alphas)) == len(alphas)
 
     @pytest.mark.parametrize("eps", [0, -1, Fraction(-1, 2)])
@@ -882,6 +900,10 @@ class TestApproximateQap:
         with pytest.raises(BudgetExceededError) as err:
             approximate_qap(ged_to_qap(K3, PATH3), 1, 2, seed=1, budget=26)
         assert err.value.attempted == 27
+        # sampled mode: P(3, 2) = 6 images of one source set of size 2
+        with pytest.raises(BudgetExceededError) as err:
+            approximate_qap(ged_to_qap(K3, PATH3), 1, 2, seed=1, mode="sampled", budget=5)
+        assert err.value.attempted == 6
 
     def test_trace_records_alphas(self):
         report = approximate_qap(
@@ -969,11 +991,10 @@ class TestWorkerPool:
         q = ged_to_qap(er_graph(6, 0.5, 920), er_graph(6, 0.5, 921))
         report = self.reports_by_workers(
             monkeypatch,
-            lambda: approximate_qap(
-                q, 1, 2, seed=6, mode="sampled", samples_per_size=20, keep_trace=True
-            ),
+            lambda: approximate_qap(q, 1, 3, seed=6, mode="sampled", keep_trace=True),
         )
-        assert report.alphas_tried == 40
+        alphas = [entry["alpha"] for entry in report.trace]
+        assert report.alphas_tried == len(set(alphas)) == math.perm(6, 3)
 
     def test_stop_at_cost_zero_with_solves_in_flight(self, monkeypatch):
         g = er_graph(6, 0.5, 900)
@@ -1097,7 +1118,7 @@ class TestSamplingChain:
             _, phi_star = qap_bruteforce(q)
             pairs = list(phi_star.graph())
             d = 1
-            size = m_bound(q.bound_b, eps, d, distinct_value_count(q), n=n)
+            size = m_bound(q.bound_b, eps, d, len(q.value_set()), n=n)
             alpha = None
             while True:
                 for _ in range(20):

@@ -33,15 +33,13 @@ CASES = {
     ),
     # one threshold (0) times C(3, 2) * P(3, 2) = 18 alphas of size 2
     "weak_vc_test": (lambda: weak_vc_test(K3_P3, 1, budget=17), 18),
-    # the WL commands report the dimension k
-    "k_wl_stable": (lambda: k_wl_stable(cycle_graph(6), 3, budget=6**4 - 1), 3),
+    # a round of 3-WL on C6 reads 6^4 = 1296 (tuple, vertex) pairs
+    "k_wl_stable": (lambda: k_wl_stable(cycle_graph(6), 3, budget=6**4 - 1), 1296),
     # 3 * 3 alphas of size 1 plus C(3, 2) * P(3, 2) = 18 of size 2
     "approximate_qap": (lambda: approximate_qap(K3_P3, 1, 2, seed=1, budget=26), 27),
+    # P(3, 2) = 6 images of one source set of size 2
     "approximate_qap sampled": (
-        lambda: approximate_qap(
-            K3_P3, 1, 2, seed=1, mode="sampled", samples_per_size=8, budget=15
-        ),
-        16,
+        lambda: approximate_qap(K3_P3, 1, 2, seed=1, mode="sampled", budget=5), 6
     ),
 }
 

@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -101,6 +102,23 @@ class TestGedCommand:
         assert res.returncode == 0, res.stderr
         assert payload(res)["oracle_cost"] == "0/1"
 
+    def test_sampled_mode_tries_every_image_of_one_source_set(self, files):
+        # C6 vs 2C3 (no assignment of cost 0): P(6, 2) = 30 images of one
+        # source set of size 2, counted before the first LP
+        argv = ["ged", files["c6.graph"], files["2c3.graph"], "--eps", "1",
+                "--seed", "3", "--mode", "sampled", "--m", "2"]
+        runs = [payload(run_cli(argv)) for _ in range(2)]
+        for data in runs:
+            del data["timing_ms"]
+        assert runs[0] == runs[1]
+        data = runs[0]
+        assert data["mode"] == "sampled" and data["m"] == 2
+        assert data["alphas_tried"] == 30
+        assert Fraction(data["gap"]) >= 0
+        res = run_cli(argv, env={"ROBUSTISO_BUDGET": "29"})
+        assert res.returncode == 3
+        assert payload(res)["attempted"] == 30
+
     def test_requires_seed(self, files):
         res = run_cli(["ged", files["k3.graph"], files["p3.graph"], "--eps", "1"])
         assert res.returncode == 2
@@ -159,6 +177,7 @@ class TestWlCommand:
         )
         assert res.returncode == 3
         assert payload(res)["error"] == "budget-exceeded"
+        assert payload(res)["attempted"] == 6**10
 
     def test_cfi_prism_output_pinned(self, tmp_path):
         # sha256 of stdout recorded with the tuple-signature k-WL code; the

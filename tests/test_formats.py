@@ -125,18 +125,15 @@ rationals = st.fractions(max_denominator=12).filter(lambda x: abs(x) <= 50)
 
 @st.composite
 def graphs(draw):
-    """Graphs the format can write: a file states weights only on its edges
-    and colours only on its vertices, so a weighted graph has an edge and a
-    coloured graph a vertex."""
     n = draw(st.integers(0, 7))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     weights = None
-    if edges and draw(st.booleans()):
+    if draw(st.booleans()):
         nonzero = rationals.filter(lambda x: x != 0)
         weights = {e: draw(nonzero) for e in edges}
     colours = None
-    if n and draw(st.booleans()):
+    if draw(st.booleans()):
         colours = {v: draw(st.integers(0, 3)) for v in range(n)}
     return Graph(n, frozenset(edges), weights=weights, colours=colours)
 
@@ -178,6 +175,8 @@ def fuzzed_texts(header, kinds, huge=()):
 
 class TestFormatProperties:
     @given(graphs())
+    @example(Graph(2, weights={}))
+    @example(Graph(0, colours={}))
     @settings(max_examples=150, deadline=None)
     def test_graph_round_trip(self, g):
         assert parse_graph(serialize_graph(g)) == g

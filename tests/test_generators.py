@@ -13,7 +13,6 @@ from robustiso import (
     neighbourhood_system,
     qap_threshold_system,
     vc_dimension_exact,
-    wl_distinguishes,
 )
 from robustiso import generators
 from robustiso.errors import VerificationError
@@ -29,6 +28,7 @@ from robustiso.generators import (
     stock_base,
 )
 from robustiso.graphs import Graph
+from robustiso.wl import wl_compare
 
 
 class TestLogGapInstance:
@@ -106,7 +106,7 @@ class TestCfi:
 
     def test_colour_refinement_cannot_tell(self):
         bundle = gen_cfi_pair("k4")
-        assert wl_distinguishes(bundle.g, bundle.h, 1) is False
+        assert wl_compare(bundle.g, bundle.h, 1).distinguishes is False
 
     def test_neighbourhood_dimension_small(self):
         bundle = gen_cfi_pair("k4")
