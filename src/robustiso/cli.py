@@ -78,12 +78,14 @@ def cmd_vc(args) -> int:
         g = _load_graph(args.graph)
         out["input"] = args.graph
         if args.mixed:
-            out["mvc"] = setsystems.vc_dimension_exact(setsystems.mixed_system(g))
+            out["mvc"] = setsystems.vc_dimension_exact(
+                setsystems.mixed_system(g), **_budget()
+            )
         elif args.weighted:
-            out["wvc"] = setsystems.weighted_graph_vc(g)
+            out["wvc"] = setsystems.weighted_graph_vc(g, **_budget())
         else:
             out["nvc"] = setsystems.vc_dimension_exact(
-                setsystems.neighbourhood_system(g)
+                setsystems.neighbourhood_system(g), **_budget()
             )
     else:
         q = _load_qap(args.qap)
@@ -95,7 +97,7 @@ def cmd_vc(args) -> int:
             t = args.threshold if args.threshold is not None else Fraction(0)
             out["threshold"] = format_rational(t)
             out["qap_vc"] = setsystems.vc_dimension_exact(
-                setsystems.qap_threshold_system(q, t)
+                setsystems.qap_threshold_system(q, t), **_budget()
             )
     _emit(out)
     return EXIT_OK

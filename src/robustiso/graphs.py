@@ -56,15 +56,22 @@ class Graph:
             raise BudgetExceededError(
                 f"order {self.n} passes the vertex cap {VERTEX_CAP}", self.n
             )
-        edges = set()
-        for e in self.edges:
-            u, v = e
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge {e} out of range for n={self.n}")
-            edges.add(_norm_edge(u, v))
-        object.__setattr__(self, "edges", frozenset(edges))
+        n = self.n
+        edges = self.edges
+        # a frozenset of valid (u, v) tuples with u < v is kept, not copied
+        if not isinstance(edges, frozenset) or not all(
+            type(e) is tuple and len(e) == 2 and 0 <= e[0] < e[1] < n for e in edges
+        ):
+            edges = set()
+            for e in self.edges:
+                u, v = e
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"edge {e} out of range for n={n}")
+                edges.add(_norm_edge(u, v))
+            edges = frozenset(edges)
+        object.__setattr__(self, "edges", edges)
 
         if self.weights is not None:
             weights = {}

@@ -1,6 +1,6 @@
 """Set systems, exact VC dimension, epsilon-nets and epsilon-approximations.
 
-Members of a set system are stored as integer bitmasks over the ground set
+Members of a set system are integer bitmasks over the ground set
 {0, ..., ground_size-1}; the family is deduplicated by construction.
 """
 
@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,23 +20,43 @@ from .graphs import Graph, threshold_graph
 from .rationals import as_fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SetSystem:
-    ground_size: int
-    sets: frozenset  # frozenset of int bitmasks
+    """A family of distinct subsets of {0, ..., ground_size-1}.
 
-    def __post_init__(self):
-        if self.ground_size < 0:
+    `sets` gives the members as int bitmasks in increasing order.  They are
+    stored packed, ground_size // 8 + 1 bytes each: callers that keep many
+    systems hold a few bytes per member, where a Python int takes 32.
+    """
+
+    ground_size: int
+    packed: bytes
+
+    def __init__(self, ground_size: int, sets):
+        if ground_size < 0:
             raise ValueError("ground size must be non-negative")
-        full = (1 << self.ground_size) - 1
-        for m in self.sets:
+        masks = sorted(set(map(operator.index, sets)))
+        full = (1 << ground_size) - 1
+        for m in masks:
             if m & ~full:
                 raise ValueError("set member exceeds the ground set")
-        object.__setattr__(self, "sets", frozenset(self.sets))
+        width = ground_size // 8 + 1
+        object.__setattr__(self, "ground_size", ground_size)
+        object.__setattr__(
+            self, "packed", b"".join(m.to_bytes(width, "little") for m in masks)
+        )
+
+    @property
+    def sets(self) -> tuple:
+        width = self.ground_size // 8 + 1
+        p = self.packed
+        return tuple(
+            int.from_bytes(p[i:i + width], "little") for i in range(0, len(p), width)
+        )
 
     @classmethod
     def from_iterables(cls, ground_size: int, families) -> "SetSystem":
-        return cls(ground_size, frozenset(_mask_of(m, ground_size) for m in families))
+        return cls(ground_size, [_mask_of(m, ground_size) for m in families])
 
     def members(self):
         """Members decoded as sorted tuples of elements."""
@@ -45,7 +66,7 @@ class SetSystem:
         )
 
     def __len__(self):
-        return len(self.sets)
+        return len(self.packed) // (self.ground_size // 8 + 1)
 
 
 def _mask_of(subset, ground_size: int) -> int:
@@ -57,18 +78,27 @@ def _mask_of(subset, ground_size: int) -> int:
     return m
 
 
+def _neighbourhood_rows(g: Graph) -> list:
+    """Each vertex's neighbourhood as a bitmask, read from the edge set."""
+    rows = [0] * g.n
+    for u, v in g.edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
 def neighbourhood_system(g: Graph) -> SetSystem:
     """The family of vertex neighbourhoods, deduplicated."""
-    return SetSystem.from_iterables(g.n, (g.adj[v] for v in range(g.n)))
+    return SetSystem(g.n, _neighbourhood_rows(g))
 
 
 def mixed_system(g: Graph) -> SetSystem:
     """All pairwise symmetric differences of neighbourhoods (incl. the empty set)."""
-    rows = [_mask_of(g.adj[v], g.n) for v in range(g.n)]
+    rows = _neighbourhood_rows(g)
     masks = {rows[v] ^ rows[w] for v in range(g.n) for w in range(v, g.n)}
     if g.n == 0:
         masks.add(0)
-    return SetSystem(g.n, frozenset(masks))
+    return SetSystem(g.n, masks)
 
 
 def qap_threshold_system(q, t, phi=None) -> SetSystem:
@@ -85,7 +115,7 @@ def qap_threshold_system(q, t, phi=None) -> SetSystem:
         above = above[:, np.arange(n) * n + images]
     ground = above.shape[1]
     masks = (_mask_of(np.flatnonzero(row).tolist(), ground) for row in above)
-    return SetSystem(ground, frozenset(masks))
+    return SetSystem(ground, masks)
 
 
 def is_shattered(system: SetSystem, subset) -> bool:
@@ -107,79 +137,103 @@ VC_SIZE_CAP = 20
 C_APPROX = 1
 
 
-def vc_dimension_exact(system: SetSystem) -> int:
+def vc_dimension_exact(system: SetSystem, budget: int | None = None) -> int:
     """Largest cardinality of a shattered subset; -1 for the empty family.
 
-    Exhaustive search over shatterable prefixes: shattering is closed under
-    subsets, so depth-first extension by increasing element index visits
-    every shattered set exactly once and prunes failed extensions.  A set X
-    is tracked as the partition of the family by trace on X (bitmasks over
-    family indices); adding x keeps X shattered iff x splits every class.
-    Elements indistinguishable by family membership are collapsed first.
+    Branch and bound over shattered sets, in the style of Bron & Kerbosch
+    (1973) and Tomita, Tanaka & Takahashi (2006).  Elements with equal
+    family membership are collapsed first.  A shattered set X is tracked as
+    the partition of the family by trace on X (bitmasks over family
+    indices); X + x is shattered iff x splits every class, and extending X
+    by later candidates only visits each shattered set once.
+
+    Growing X by k more elements needs 2^k members in every class.  So a
+    node stops once its size plus min(candidates left, floor(log2 of its
+    smallest class)) cannot beat the best size found, and a child is built
+    but not expanded when it cannot.  A child that must grow by `need` to
+    beat the best keeps only those of its parent's later candidates that
+    split each of its classes into parts of at least 2^(need-1) members:
+    any other candidate fails a class of every larger shattered set.
+
+    Each nonempty shattered set built is a search node.  The node past
+    `budget` (default unbounded) raises BudgetExceededError with the node
+    count, and so does a shattered set of VC_SIZE_CAP elements.
     """
     family = list(system.sets)
     if not family:
         return -1
-    nf = len(family)
-    full_sig = (1 << nf) - 1
-
-    # membership signature per element; one representative per signature
-    seen_sigs = set()
-    sigs = []
-    for x in range(system.ground_size):
-        bit = 1 << x
-        sig = 0
-        for i, m in enumerate(family):
-            if m & bit:
-                sig |= 1 << i
-        if sig not in seen_sigs:
-            seen_sigs.add(sig)
-            # a useful element occurs in some member and misses some member
-            if sig != 0 and sig != full_sig:
-                sigs.append(sig)
+    full = (1 << len(family)) - 1
+    # membership signature per element, by one pass over each member's bits
+    sig_of = [0] * system.ground_size
+    for i, m in enumerate(family):
+        bit = 1 << i
+        while m:
+            low = m & -m
+            sig_of[low.bit_length() - 1] |= bit
+            m ^= low
+    # one element per signature that lies in some member and misses another
+    sigs = [s for s in dict.fromkeys(sig_of) if s and s != full]
 
     best = 0
+    nodes = 0
 
-    def extend(groups, size: int, start: int):
-        nonlocal best
-        if size > best:
-            best = size
-        if size >= VC_SIZE_CAP:
-            raise BudgetExceededError(
-                f"shattered set reached the size cap {VC_SIZE_CAP}; VC unresolved",
-                size,
-            )
-        if 1 << (size + 1) > nf:
-            return
-        for idx in range(start, len(sigs)):
-            sig = sigs[idx]
+    def extend(classes, size, cands, room):
+        nonlocal best, nodes
+        for i, sig in enumerate(cands):
+            left = len(cands) - i - 1
+            if size + min(left + 1, room) <= best:
+                return
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceededError(
+                    f"VC search passed its budget of {budget} nodes", nodes
+                )
+            best = max(best, size + 1)
+            if best >= VC_SIZE_CAP:
+                raise BudgetExceededError(
+                    f"shattered set reached the size cap {VC_SIZE_CAP}; VC unresolved",
+                    best,
+                )
+            # the child X + sig beats best only by growing `need` more
+            need = best - size
+            if left < need:
+                continue
+            lim = 1 << need
+            smallest = len(family)
             split = []
-            for grp in groups:
-                inside = grp & sig
-                if inside == 0 or inside == grp:
-                    split = None
+            for c in classes:
+                inside = c & sig
+                outside = c ^ inside
+                smallest = min(smallest, inside.bit_count(), outside.bit_count())
+                if smallest < lim:
                     break
-                split.append(inside)
-                split.append(grp & ~sig)
-            if split is not None:
-                extend(split, size + 1, idx + 1)
+                split += (inside, outside)
+            else:
+                half = lim >> 1
+                rest = [
+                    s for s in cands[i + 1:]
+                    if all((c & s).bit_count() >= half <= (c & ~s).bit_count()
+                           for c in split)
+                ]
+                extend(split, size + 1, rest, smallest.bit_length() - 1)
 
-    extend([full_sig], 0, 0)
+    extend([full], 0, sigs, len(family).bit_length() - 1)
     return best
 
 
-def weighted_graph_vc(g: Graph) -> int:
+def weighted_graph_vc(g: Graph, budget: int | None = None) -> int:
     """Max VC dimension of the threshold neighbourhood systems of (G, w).
 
     Thresholds: the distinct effective edge weights plus one sentinel below
-    the minimum (at most |E|+1 distinct threshold graphs arise).
+    the minimum (at most |E|+1 distinct threshold graphs arise).  `budget`
+    bounds the nodes of each threshold's VC search.
     """
     weights = sorted(set(g.edge_weights.values()))
     thresholds = [(weights[0] - 1) if weights else Fraction(0)] + weights
     best = 0
     for t in thresholds:
         sub = threshold_graph(g, t)
-        best = max(best, vc_dimension_exact(neighbourhood_system(sub)))
+        best = max(best, vc_dimension_exact(neighbourhood_system(sub), budget))
     return best
 
 

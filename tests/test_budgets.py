@@ -3,7 +3,7 @@ carries the figure it compared with its limit."""
 
 import pytest
 
-from conftest import complete_graph, cycle_graph, path_graph
+from conftest import complete_graph, cycle_graph, er_graph, path_graph
 from robustiso import (
     Graph,
     QapInstance,
@@ -14,11 +14,14 @@ from robustiso import (
     neighbourhood_system,
     qap_bruteforce,
     sauer_shelah_check,
+    vc_dimension_exact,
     weak_vc_test,
 )
 from robustiso.errors import BudgetExceededError
 
 K3_P3 = ged_to_qap(complete_graph(3), path_graph(3))
+# VC dimension 2; the search builds 17 nonempty shattered sets
+GNP10 = neighbourhood_system(er_graph(10, 0.5, 1))
 
 CASES = {
     # n = 4 against a cap of 3
@@ -41,6 +44,7 @@ CASES = {
     "approximate_qap sampled": (
         lambda: approximate_qap(K3_P3, 1, 2, seed=1, mode="sampled", budget=5), 6
     ),
+    "vc_dimension_exact": (lambda: vc_dimension_exact(GNP10, budget=16), 17),
 }
 
 
@@ -50,3 +54,7 @@ def test_budget_error_carries_what_was_counted(name):
     with pytest.raises(BudgetExceededError) as err:
         run()
     assert err.value.attempted == attempted
+
+
+def test_vc_search_runs_within_its_node_count():
+    assert vc_dimension_exact(GNP10, budget=17) == 2

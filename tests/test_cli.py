@@ -10,8 +10,10 @@ from fractions import Fraction
 import pytest
 
 import robustiso
-from robustiso import parse_graph
-from robustiso.generators import gen_cfi_pair, save_bundle, gen_blowup_pair
+from robustiso import parse_graph, serialize_graph
+from robustiso.generators import (
+    gen_blowup_pair, gen_cfi_pair, gen_random_graph, save_bundle,
+)
 
 
 def run_cli(args, env=None):
@@ -69,6 +71,27 @@ class TestVcCommand:
     def test_mixed_flag(self, files):
         res = run_cli(["vc", "--graph", files["k3.graph"], "--mixed"])
         assert "mvc" in payload(res)
+
+    def test_node_budget_ends_a_long_search(self, tmp_path):
+        # the unbounded search on this graph builds 146,771 nodes
+        path = tmp_path / "gnp160.graph"
+        path.write_text(serialize_graph(gen_random_graph(160, seed=1)))
+        start = time.monotonic()
+        res = run_cli(["vc", "--graph", str(path)], env={"ROBUSTISO_BUDGET": "1000"})
+        assert res.returncode == 3
+        assert payload(res)["attempted"] == 1001
+        assert time.monotonic() - start < 20
+
+    @pytest.mark.parametrize("args", [
+        ["--graph", "k3.graph"], ["--graph", "k3.graph", "--mixed"],
+        ["--graph", "k3.graph", "--weighted"], ["--qap", "small.qap"],
+    ])
+    def test_every_search_takes_the_node_budget(self, files, args):
+        argv = ["vc"] + [files.get(a, a) for a in args]
+        assert run_cli(argv).returncode == 0
+        res = run_cli(argv, env={"ROBUSTISO_BUDGET": "0"})
+        assert res.returncode == 3
+        assert payload(res)["attempted"] == 1
 
     def test_weak_vc_of_generated_instance(self, files, tmp_path):
         out = tmp_path / "l36.qap"

@@ -65,6 +65,28 @@ class TestGraphConstruction:
         g = Graph(3, {(2, 0), (1, 0)})
         assert g.edges == frozenset({(0, 2), (0, 1)})
 
+    def test_normal_frozenset_is_kept_not_copied(self):
+        g = er_graph(12, 0.5, 31)
+        assert Graph(g.n, g.edges).edges is g.edges
+        assert Graph(g.n, g.edges, colours={0: 1}).edges is g.edges
+
+    @pytest.mark.parametrize("edges", [
+        {(0, 1), (0, 2), (1, 3)}, [(0, 1), (0, 2), (1, 3)],
+        {(1, 0), (0, 2), (3, 1)}, frozenset({(1, 0), (2, 0), (1, 3)}),
+    ])
+    def test_other_inputs_become_a_normal_frozenset(self, edges):
+        g = Graph(4, edges)
+        assert type(g.edges) is frozenset and g.edges is not edges
+        assert g.edges == frozenset({(0, 1), (0, 2), (1, 3)})
+
+    @pytest.mark.parametrize("edges", [
+        frozenset({(0, 1), (2, 2)}), frozenset({(0, 1), (1, 3)}),
+        frozenset({(0, 1), (-1, 2)}),
+    ])
+    def test_kept_frozenset_is_still_validated(self, edges):
+        with pytest.raises(ValueError, match="self-loop|out of range"):
+            Graph(3, edges)
+
     def test_weights_completed_with_unit(self):
         g = Graph(3, {(0, 1), (1, 2)}, weights={(0, 1): Fraction(3, 2)})
         assert g.weights[(1, 2)] == 1

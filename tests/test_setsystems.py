@@ -43,6 +43,72 @@ def powerset_system(k):
     )
 
 
+def reference_vc_dimension(system):
+    """The unpruned search the branch and bound replaced: every shattered set
+    of at most log2 |H| elements, extended by increasing element index.
+    Returns the dimension and the number of shattered sets it visited, the
+    empty set included."""
+    family = list(system.sets)
+    if not family:
+        return -1, 0
+    nf = len(family)
+    full_sig = (1 << nf) - 1
+    seen_sigs = set()
+    sigs = []
+    for x in range(system.ground_size):
+        bit = 1 << x
+        sig = 0
+        for i, m in enumerate(family):
+            if m & bit:
+                sig |= 1 << i
+        if sig not in seen_sigs:
+            seen_sigs.add(sig)
+            if sig != 0 and sig != full_sig:
+                sigs.append(sig)
+    best = 0
+    visited = 0
+
+    def extend(groups, size, start):
+        nonlocal best, visited
+        visited += 1
+        best = max(best, size)
+        if size >= setsystems.VC_SIZE_CAP:
+            raise BudgetExceededError("size cap", size)
+        if 1 << (size + 1) > nf:
+            return
+        for idx in range(start, len(sigs)):
+            sig = sigs[idx]
+            split = []
+            for grp in groups:
+                inside = grp & sig
+                if inside == 0 or inside == grp:
+                    split = None
+                    break
+                split.append(inside)
+                split.append(grp & ~sig)
+            if split is not None:
+                extend(split, size + 1, idx + 1)
+
+    extend([full_sig], 0, 0)
+    return best, visited
+
+
+def planted_family(rng, ground, k, size):
+    """Random members over `ground` elements; most of the 2^k traces on k
+    planted elements occur, so the dimension is often near k."""
+    planted = rng.sample(range(ground), k)
+    family = set()
+    for pattern in range(1 << k):
+        if rng.random() < 0.9:
+            m = rng.getrandbits(ground)
+            for j, x in enumerate(planted):
+                m = m | 1 << x if pattern >> j & 1 else m & ~(1 << x)
+            family.add(m)
+    while len(family) < size:
+        family.add(rng.getrandbits(ground))
+    return SetSystem(ground, frozenset(family))
+
+
 class TestSystemConstruction:
     def test_deduplicates(self):
         s = SetSystem.from_iterables(3, [[0, 1], [1, 0], [2]])
@@ -55,6 +121,28 @@ class TestSystemConstruction:
     def test_members_decode(self):
         s = SetSystem.from_iterables(4, [[3, 1], []])
         assert s.members() == [(), (1, 3)]
+
+    @pytest.mark.parametrize("ground", [0, 1, 7, 8, 9, 63, 64, 65, 200])
+    def test_members_survive_packing(self, ground):
+        rng = random.Random(ground)
+        masks = {rng.getrandbits(ground) for _ in range(30)} | {0, (1 << ground) - 1}
+        s = SetSystem(ground, masks)
+        assert s.sets == tuple(sorted(masks)) and len(s) == len(masks)
+        assert s == SetSystem(ground, list(masks))
+        assert hash(s) == hash(SetSystem(ground, frozenset(masks)))
+
+    def test_numpy_integer_masks_are_read_as_ints(self):
+        import numpy as np
+
+        s = SetSystem(4, np.array([3, 5, 3], dtype=np.int64))
+        assert s.sets == (3, 5) and type(s.sets[0]) is int
+        with pytest.raises(TypeError):
+            SetSystem(4, [1.0])
+
+    @pytest.mark.parametrize("mask", [-1, 8, 1 << 70])
+    def test_rejects_masks_outside_the_ground_set(self, mask):
+        with pytest.raises(ValueError, match="exceeds"):
+            SetSystem(3, [1, mask])
 
 
 class TestNeighbourhoodSystem:
@@ -71,7 +159,19 @@ class TestNeighbourhoodSystem:
         assert s.members() == [(0, 2), (1,)]
 
 
+    def test_rows_come_from_the_edges_not_the_adjacency_cache(self):
+        g = er_graph(12, 0.5, 40)
+        rows = {sum(1 << w for w in g.neighbourhood(v)) for v in range(g.n)}
+        h = Graph(g.n, g.edges)
+        assert set(neighbourhood_system(h).sets) == rows
+        assert set(mixed_system(h).sets) == {a ^ b for a in rows for b in rows}
+        assert "adj" not in h.__dict__
+
+
 class TestMixedSystem:
+    def test_no_vertices(self):
+        assert mixed_system(Graph(0)).members() == [()]
+
     def test_edgeless(self):
         assert mixed_system(Graph(4, set())).members() == [()]
 
@@ -153,6 +253,71 @@ class TestVcDimension:
             full = vc_dimension_exact(SetSystem(ground, frozenset(family)))
             sub = rng.sample(family, rng.randint(0, len(family)))
             assert vc_dimension_exact(SetSystem(ground, frozenset(sub))) <= full
+
+
+class TestVcAgainstReference:
+    """The branch and bound against the unpruned search on systems where
+    its bounds cut: every value agrees, and it builds fewer nodes than the
+    reference visits shattered sets."""
+
+    def check(self, systems, dimensions):
+        seen = set()
+        for system in systems:
+            want, visited = reference_vc_dimension(system)
+            assert vc_dimension_exact(system) == want
+            # every node is a nonempty shattered set, each built once
+            assert vc_dimension_exact(system, budget=max(visited - 1, 0)) == want
+            seen.add(want)
+        assert dimensions <= seen
+
+    def test_random_families_past_64_members(self):
+        rng = random.Random(41)
+        systems = []
+        for _ in range(240):
+            ground = rng.randint(1, 14)
+            k = rng.randint(0, min(ground, 6))
+            size = rng.randint(1 << k, 120) if k < 6 else 120
+            systems.append(planted_family(rng, ground, k, min(size, 1 << ground)))
+        assert sum(len(s) > 64 for s in systems) >= 60
+        self.check(systems, set(range(7)))
+
+    def test_neighbourhood_and_mixed_systems(self):
+        graphs = [
+            er_graph(n, p, 4200 + 10 * n + int(10 * p) + trial)
+            for n in range(1, 22) for p in (0.2, 0.5, 0.8) for trial in range(2)
+        ]
+        self.check([neighbourhood_system(g) for g in graphs], {0, 1, 2, 3})
+        self.check([mixed_system(g) for g in graphs], set(range(7)))
+
+    def test_qap_threshold_systems(self):
+        systems = []
+        for n in (5, 6, 7):
+            for trial in range(3):
+                g = er_graph(n, 0.5, 4300 + 10 * n + trial)
+                h = er_graph(n, 0.5, 4400 + 10 * n + trial)
+                q = ged_to_qap(g, h)
+                systems.append(qap_threshold_system(q, 0))
+                systems.append(qap_threshold_system(q, 0, Assignment.identity(n)))
+            q = random_qap(n, 4500 + n, fill=0.3)
+            systems.extend(qap_threshold_system(q, t) for t in sorted(q.value_set()))
+        self.check(systems, {2, 3, 4})
+
+    def test_power_sets_and_the_size_cap(self, monkeypatch):
+        for k in range(9):
+            assert vc_dimension_exact(powerset_system(k)) == k
+        monkeypatch.setattr(setsystems, "VC_SIZE_CAP", 4)
+        rng = random.Random(42)
+        for k in (3, 4, 5):
+            systems = [powerset_system(k), planted_family(rng, 9, k, 1 << k)]
+            for system in systems:
+                try:
+                    want = reference_vc_dimension(system)[0]
+                except BudgetExceededError:
+                    with pytest.raises(BudgetExceededError, match="size cap 4") as err:
+                        vc_dimension_exact(system)
+                    assert err.value.attempted == 4
+                else:
+                    assert vc_dimension_exact(system) == want
 
 
 class TestWeightedGraphVc:
