@@ -22,22 +22,18 @@ from .setsystems import (
     mixed_system,
     neighbourhood_system,
     qap_threshold_system,
-    sauer_shelah_check,
     vc_dimension_exact,
     weak_vc_test,
     weighted_graph_vc,
 )
 from .qap import (
     QapInstance,
-    ThresholdGrid,
     b_alpha,
     ged_to_qap,
-    mean_threshold_estimate,
     parse_qap,
     qap_bruteforce,
     qap_cost,
     serialize_qap,
-    threshold_grid,
     weighted_ged_to_qap,
 )
 from .approx import (

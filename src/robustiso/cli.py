@@ -3,11 +3,13 @@
 Exit codes: 0 success (or Isomorphic), 1 Far, 2 usage/input error or a
 failed self-check of a computed object, 3 work budget or size cap
 exceeded.  `ged`/`qap` need eps > 0.  Rationals are emitted as "p/q"
-strings.  ROBUSTISO_BUDGET overrides all three work budgets, each in its
+strings.  ROBUSTISO_BUDGET overrides all four work budgets, each in its
 own unit: alphas for `ged`/`qap` (default 200,000), (tuple, vertex) pairs
-of one k-WL round (default 10^6) and (threshold, alpha) pairs of the
-weak-VC test (default 10^7).  Every budget is checked before the work it
-bounds starts, so `ged`/`qap` exit 3 before their first LP.
+of one k-WL round (default 10^6), (threshold, alpha) pairs of the weak-VC
+test (default 10^7) and the nodes of each exact VC search of `vc` and
+`gen random --target-vc` (default unbounded).  The first three are checked
+before the work they bound starts, so `ged`/`qap` exit 3 before their
+first LP; a VC search stops at the node past its budget.
 """
 
 from __future__ import annotations
@@ -215,7 +217,8 @@ def cmd_gen(args) -> int:
             text = serialize_qap(generators.gen_vc_gap_qap(args.n))
         else:
             g = generators.gen_random_graph(
-                args.n, edge_prob=float(args.p), target_vc=args.target_vc, seed=args.seed
+                args.n, edge_prob=float(args.p), target_vc=args.target_vc, seed=args.seed,
+                **_budget(),
             )
             text = serialize_graph(g)
             out["seed"] = args.seed

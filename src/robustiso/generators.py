@@ -196,12 +196,15 @@ def gen_random_graph(
     target_vc: int | None = None,
     seed: int = 0,
     retries: int = 200,
+    budget: int | None = None,
 ) -> Graph:
     """Seeded Erdos-Renyi sample, optionally rejected until the neighbourhood
     system has exactly the requested VC dimension.
 
     The n neighbourhoods shatter at most floor(log2 n) vertices, so a
-    target outside [0, floor(log2 n)] is refused before the first sample."""
+    target outside [0, floor(log2 n)] is refused before the first sample.
+    An order past VERTEX_CAP is refused there too.  `budget` bounds the
+    nodes of each sample's VC search."""
     if n < 1:
         raise ValueError("n must be >= 1")
     p = 0.5 if edge_prob is None else float(edge_prob)
@@ -212,6 +215,7 @@ def gen_random_graph(
             f"no graph on {n} vertices has neighbourhood VC {target_vc}: "
             f"its {n} neighbourhoods shatter at most {n.bit_length() - 1} vertices"
         )
+    Graph(n)  # the vertex cap, checked before the C(n, 2) draws
     rng = random.Random(seed)
 
     def sample() -> Graph:
@@ -226,7 +230,7 @@ def gen_random_graph(
         return sample()
     for _ in range(retries):
         g = sample()
-        if vc_dimension_exact(neighbourhood_system(g)) == target_vc:
+        if vc_dimension_exact(neighbourhood_system(g), budget) == target_vc:
             return g
     raise VerificationError(
         f"no graph of neighbourhood VC {target_vc} found in {retries} samples"

@@ -1,4 +1,4 @@
-"""QAP instances, costs, the edit-distance reductions and the threshold grid.
+"""QAP instances, costs and the edit-distance reductions.
 
 All coefficients are exact rationals.  An instance stores them once, as
 integers over one common denominator at the sorted flat positions of the
@@ -11,7 +11,6 @@ and the brute-force optimum minimises over the bijection enumeration there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -207,77 +206,14 @@ def qap_bruteforce(q: QapInstance, cap: int = 9):
     return Fraction(total, denom), Assignment(mapping)
 
 
-def _alpha_positions(q: QapInstance, alpha: PartialInjection, v: int, vp: int):
-    """Flat positions of c(v, v', w, w') for the pairs (w, w') of a nonempty alpha."""
+def b_alpha(q: QapInstance, alpha: PartialInjection, v: int, vp: int) -> Fraction:
+    """Scaled partial cost estimate (n/|alpha|) * sum of c(v,v',w,w') over alpha."""
     if len(alpha) == 0:
         raise ValueError("alpha must be nonempty")
     pairs = np.array(alpha.sorted_pairs(), dtype=np.int64)
-    return (v * q.n + vp) * q.n * q.n + pairs[:, 0] * q.n + pairs[:, 1]
-
-
-def b_alpha(q: QapInstance, alpha: PartialInjection, v: int, vp: int) -> Fraction:
-    """Scaled partial cost estimate (n/|alpha|) * sum of c(v,v',w,w') over alpha."""
-    total = q.scaled_at(_alpha_positions(q, alpha, v, vp)).sum()
+    positions = (v * q.n + vp) * q.n * q.n + pairs[:, 0] * q.n + pairs[:, 1]
+    total = q.scaled_at(positions).sum()
     return Fraction(q.n, len(alpha)) * Fraction(int(total), q.denom)
-
-
-@dataclass(frozen=True)
-class ThresholdGrid:
-    """Left boundaries of k = ceil(24B/eps) equal intervals covering [-B, B)."""
-
-    b: Fraction
-    k: int
-    thresholds: tuple
-
-    @property
-    def step(self) -> Fraction:
-        return Fraction(2) * self.b / self.k
-
-
-def threshold_grid(b, eps) -> ThresholdGrid:
-    b = as_fraction(b)
-    eps = as_fraction(eps)
-    if b <= 0 or eps <= 0:
-        raise ValueError("B and eps must be positive")
-    ratio = 24 * b / eps
-    k = -(-ratio.numerator // ratio.denominator)
-    step = Fraction(2) * b / k
-    thresholds = tuple(-b + i * step for i in range(k))
-    return ThresholdGrid(b, k, thresholds)
-
-
-@dataclass(frozen=True)
-class MeanThresholdEstimate:
-    """Interval check of the mean-threshold approximation of b_alpha."""
-
-    b_value: Fraction
-    lower: Fraction
-    upper: Fraction
-
-    @property
-    def contains(self) -> bool:
-        return self.lower <= self.b_value <= self.upper
-
-
-def mean_threshold_estimate(
-    q: QapInstance, alpha: PartialInjection, grid: ThresholdGrid, v: int, vp: int
-) -> MeanThresholdEstimate:
-    """Exact evaluation of the averaged threshold-count interval for b_alpha.
-
-    The containment flag must be true whenever the grid bound dominates the
-    instance bound; exposed as a testable oracle.
-    """
-    scaled = q.scaled_at(_alpha_positions(q, alpha, v, vp))
-    if grid.b < q.bound_b:
-        raise ValueError("grid bound is below the instance coefficient bound")
-    n = q.n
-    scale = Fraction(n, len(alpha))
-    total = 0
-    for t in grid.thresholds:
-        total += int(np.count_nonzero(scaled > math.floor(t * q.denom)))
-    centre = grid.step * scale * total - grid.b * n
-    half = grid.step * n
-    return MeanThresholdEstimate(b_alpha(q, alpha, v, vp), centre - half, centre + half)
 
 
 def parse_qap(text: str) -> QapInstance:

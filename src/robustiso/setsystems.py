@@ -366,27 +366,3 @@ def epsilon_approximation_sample(
         f"no verified eps-approximation after {retries + 1} draws "
         "(consider more retries or a larger eps)"
     )
-
-
-def sauer_shelah_check(system: SetSystem, s: int, budget: int = 2_000_000) -> bool:
-    """Check the trace-count bound (e*s/d)^d over every s-subset of the ground set.
-
-    Must return True for every valid input; a False return flags a bug in the
-    VC machinery.  Exposed for the test harness.
-    """
-    d = vc_dimension_exact(system)
-    if d < 1:
-        raise ValueError("requires a system of VC dimension >= 1")
-    if s < d:
-        raise ValueError("requires s >= VC dimension")
-    subsets = math.comb(system.ground_size, s)
-    if subsets > budget:
-        raise BudgetExceededError("too many s-subsets to enumerate", subsets)
-    bound = (math.e * s / d) ** d
-    family = list(system.sets)
-    for combo in itertools.combinations(range(system.ground_size), s):
-        x = _mask_of(combo, system.ground_size)
-        traces = {m & x for m in family}
-        if len(traces) > bound:
-            return False
-    return True

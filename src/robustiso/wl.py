@@ -19,18 +19,16 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 from collections.abc import ItemsView, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
 from .graphs import Graph, mixed_neighbourhood
 from .rationals import as_fraction
-from .setsystems import SetSystem, epsilon_net_greedy, mixed_system, vc_dimension_exact
+from .setsystems import epsilon_net_greedy, mixed_system
 
 # Largest n^(k+1), the (tuple, vertex) pairs one k-WL round reads per graph.
 DEFAULT_WL_BUDGET = 1_000_000
@@ -334,31 +332,15 @@ class HomogenisingSet:
     eps: Fraction
     method: str
     class_counts: tuple = ()  # gamma classes per greedy iteration
-    system: SetSystem | None = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def size_target(self) -> float | None:
-        """(d/eps) log(1/eps), d the exact VC dimension of the net's mixed
-        system, computed on first read; the constant is not asserted."""
-        if self.system is None:
-            return None
-        d = max(vc_dimension_exact(self.system), 0)
-        return d / float(self.eps) * max(1.0, math.log(1 / float(self.eps)))
 
 
 def homogenising_set_net(g: Graph, eps) -> HomogenisingSet:
-    """An eps-net for the mixed-neighbourhood system, hence eps-homogenising.
-
-    The greedy net size can be read against the dimension-based
-    `size_target`, which costs an exact VC computation and so is computed
-    only when read; its hidden constant is informational only.
-    """
+    """An eps-net for the mixed-neighbourhood system, hence eps-homogenising."""
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    system = mixed_system(g)
-    net = epsilon_net_greedy(system, min(eps, Fraction(1)))
-    result = HomogenisingSet(tuple(net), eps, "net", system=system)
+    net = epsilon_net_greedy(mixed_system(g), min(eps, Fraction(1)))
+    result = HomogenisingSet(tuple(net), eps, "net")
     if not is_homogenising(g, result.vertices, eps):
         raise VerificationError("net-based set failed the homogenising check")
     return result
@@ -431,7 +413,7 @@ def robust_gi(
     eps_hom = eps / 3
     if strategy == "net":
         hom = homogenising_set_net(g, eps_hom)
-    elif strategy in ("coloured", "coloured-greedy"):
+    elif strategy == "coloured":
         hom = homogenising_set_coloured(g, eps_hom)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")

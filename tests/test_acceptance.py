@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from conftest import chunk_colouring, er_graph, random_qap, relabelled_copy
+from paper_lemmas import mean_threshold_estimate, threshold_grid
 from robustiso import (
     Assignment,
     PartialInjection,
@@ -32,15 +33,15 @@ from robustiso import (
     is_homogenising,
     is_isomorphic_bruteforce,
     lp_model,
-    mean_threshold_estimate,
+    m_bound,
     neighbourhood_system,
     qap_bruteforce,
     qap_cost,
     qap_threshold_system,
     robust_gi,
     solve_lp,
-    threshold_grid,
     vc_dimension_exact,
+    weighted_ged_to_qap,
 )
 from robustiso.approx import FractionalSolution
 from robustiso.errors import VerificationError
@@ -190,6 +191,34 @@ def test_end_to_end_additive_approximation():
         assert result.cost <= oracle + n * n
         assert result.cost >= oracle
     report("exhaustive m=2 pipeline lands within eps*n^2 of the oracle (100 pairs, eps=1)")
+
+
+def test_end_to_end_additive_approximation_below_the_edge_count():
+    # eps * n^2 < C(n, 2), so an answer far from the optimum can break the
+    # bound.  Relabelled copies have optimum 0, and the identity map breaks it
+    # on some of them; on independent G(n, 1/2) pairs this small it rarely
+    # does.  m is the paper's sample size for the threshold systems.
+    rng = random.Random(20260111)
+    eps = Fraction(1, 6)
+    identity_breaks = 0
+    for trial in range(10):
+        n = 5 + trial % 2
+        assert eps * n * n < math.comb(n, 2)
+        g = er_graph(n, 0.5, 110_000 + trial)
+        h = relabelled_copy(g, 120_000 + trial)
+        q = weighted_ged_to_qap(g, h)
+        values = q.value_set()
+        d = max(vc_dimension_exact(qap_threshold_system(q, t)) for t in values)
+        m = m_bound(q.bound_b, 2 * eps, d, len(values), n=n)
+        result = approximate_ged(g, h, eps, m, seed=rng.randrange(10**9), mode="sampled")
+        oracle, _ = edit_distance_bruteforce(g, h)
+        assert oracle <= result.cost <= oracle + eps * n * n
+        identity_breaks += edit_cost(g, h, Assignment.identity(n)) > oracle + eps * n * n
+    assert identity_breaks > 0
+    report(
+        "sampled m=m_bound pipeline lands within eps*n^2 of the oracle "
+        f"(10 relabelled pairs, eps=1/6; the identity map breaks it on {identity_breaks})"
+    )
 
 
 def test_uniform_sampling_approximates_neighbourhoods():

@@ -23,6 +23,7 @@ from conftest import (
     random_weighted_graph,
     relabelled_copy,
 )
+from paper_lemmas import threshold_grid
 from robustiso import (
     Assignment,
     FractionalSolution,
@@ -43,7 +44,6 @@ from robustiso import (
     qap_cost,
     round_apec,
     solve_lp,
-    threshold_grid,
     weighted_ged_to_qap,
 )
 from robustiso import approx, simplex

@@ -4,6 +4,7 @@ carries the figure it compared with its limit."""
 import pytest
 
 from conftest import complete_graph, cycle_graph, er_graph, path_graph
+from paper_lemmas import sauer_shelah_check
 from robustiso import (
     Graph,
     QapInstance,
@@ -13,7 +14,6 @@ from robustiso import (
     k_wl_stable,
     neighbourhood_system,
     qap_bruteforce,
-    sauer_shelah_check,
     vc_dimension_exact,
     weak_vc_test,
 )

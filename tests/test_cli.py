@@ -266,6 +266,30 @@ class TestGenCommand:
         res = run_cli(["gen", "random", "--n", "5", "--out", str(tmp_path / "x")])
         assert res.returncode == 2
 
+    def test_target_vc_search_takes_the_node_budget(self, tmp_path):
+        res = run_cli(
+            ["gen", "random", "--n", "30", "--target-vc", "4", "--seed", "2",
+             "--out", str(tmp_path / "r.graph")],
+            env={"ROBUSTISO_BUDGET": "0"},
+        )
+        assert res.returncode == 3, res.stderr
+        assert payload(res)["attempted"] == 1
+        assert not any(tmp_path.iterdir())
+
+    def test_order_past_the_vertex_cap_exits_three_before_sampling(self, tmp_path):
+        # C(n, 2) draws at n = 2 * 10^6 would run for hours
+        res = subprocess.run(
+            [sys.executable, "-m", "robustiso.cli", "gen", "random", "--n", "2000000",
+             "--seed", "1", "--out", str(tmp_path / "r.graph")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert res.returncode == 3, res.stderr
+        data = payload(res)
+        assert "vertex cap" in data["detail"] and data["attempted"] == 2000000
+        assert not any(tmp_path.iterdir())
+
 
 class TestOracleCommand:
     def test_ged(self, files):

@@ -196,7 +196,7 @@ class TestRandomGraphs:
 
     @pytest.mark.parametrize("n, target", [(1, 0), (4, 2), (7, 2), (8, 3), (30, 4)])
     def test_largest_possible_target_is_searched(self, monkeypatch, n, target):
-        monkeypatch.setattr(generators, "vc_dimension_exact", lambda system: target)
+        monkeypatch.setattr(generators, "vc_dimension_exact", lambda system, budget: target)
         assert gen_random_graph(n, target_vc=target, seed=1).n == n
 
 

@@ -14,6 +14,7 @@ from conftest import (
     random_weighted_graph,
     relabelled_copy,
 )
+from paper_lemmas import mean_threshold_estimate, threshold_grid
 from robustiso import (
     Assignment,
     PartialInjection,
@@ -22,12 +23,10 @@ from robustiso import (
     edit_cost,
     edit_distance_bruteforce,
     ged_to_qap,
-    mean_threshold_estimate,
     parse_qap,
     qap_bruteforce,
     qap_cost,
     serialize_qap,
-    threshold_grid,
     weighted_ged_to_qap,
 )
 from robustiso import qap

@@ -13,6 +13,7 @@ from conftest import (
     random_qap,
     random_weighted_graph,
 )
+from paper_lemmas import sauer_shelah_check
 from robustiso import (
     Assignment,
     Graph,
@@ -25,7 +26,6 @@ from robustiso import (
     mixed_system,
     neighbourhood_system,
     qap_threshold_system,
-    sauer_shelah_check,
     vc_dimension_exact,
     weak_vc_test,
     weighted_ged_to_qap,

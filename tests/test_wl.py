@@ -11,6 +11,7 @@ from conftest import (
     path_graph,
     relabelled_copy,
 )
+from paper_lemmas import size_target
 from robustiso import (
     Graph,
     blowup,
@@ -24,7 +25,7 @@ from robustiso import (
     mixed_neighbourhood,
     robust_gi,
 )
-from robustiso import wl
+from robustiso import setsystems, wl
 from robustiso.errors import BudgetExceededError
 from robustiso.wl import wl_compare
 
@@ -260,15 +261,17 @@ class TestNetConstruction:
         assert is_homogenising(C6, hom.vertices, Fraction(1, 2))
 
     def test_reports_dimension_based_target(self):
-        hom = homogenising_set_net(complete_graph(4), Fraction(2, 5))
-        assert hom.size_target is not None and hom.size_target > 0
+        k4 = complete_graph(4)
+        hom = homogenising_set_net(k4, Fraction(2, 5))
+        assert size_target(k4, hom.eps) > 0
 
     def test_answers_without_the_exact_vc_dimension(self, monkeypatch):
-        # the VC dimension only feeds the informational size_target
-        def refuse(system):
+        # the net is built without a VC dimension: wl has no VC search
+        def refuse(system, budget=None):
             raise AssertionError("exact VC dimension computed")
 
-        monkeypatch.setattr(wl, "vc_dimension_exact", refuse)
+        assert not hasattr(wl, "vc_dimension_exact")
+        monkeypatch.setattr(setsystems, "vc_dimension_exact", refuse)
         g = er_graph(10, 0.5, 2024)
         hom = homogenising_set_net(g, Fraction(1, 4))
         assert is_homogenising(g, hom.vertices, Fraction(1, 4))
@@ -386,6 +389,11 @@ class TestRobustGi:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             robust_gi(C6, C6, Fraction(1, 2), strategy="magic")
+
+    def test_certificate_strategy_name_is_not_an_input(self):
+        g, h = coloured_pair(6, 3, 103, isomorphic=True)
+        with pytest.raises(ValueError, match="unknown strategy"):
+            robust_gi(g, h, Fraction(1, 2), strategy="coloured-greedy")
 
     def test_order_mismatch(self):
         with pytest.raises(ValueError):
