@@ -158,7 +158,12 @@ class LinearProgram:
         return self.model.n
 
     def integer_bounds(self):
-        """(lo, hi, den): the row bounds b -+ slack as integers over one denominator."""
+        """(lo, hi, den): the row bounds b -+ slack as integers over one denominator,
+        computed once per LP for _refutes and solve_lp alike."""
+        return self._integer_bounds
+
+    @cached_property
+    def _integer_bounds(self):
         sn, sd = self.slack.numerator, self.slack.denominator
         shift = sn * self.b_den
         centre = [b * sd for b in self.b_num.tolist()]
@@ -495,7 +500,8 @@ def _solved(model: LpModel, alphas, eps, lp_method: str):
         for pairs in alphas
     )
     workers = _workers()
-    if lp_method != "highs" or workers < 2:
+    # order 0 has no alpha, so no LP and nothing to warm up
+    if lp_method != "highs" or workers < 2 or model.n == 0:
         for pairs, lp in lps:
             yield pairs, lp, shared(pairs, lp, lambda lp: solve_lp(lp, method=lp_method))
         return
@@ -557,8 +563,7 @@ def approximate_qap(
         total = sum(math.comb(n, s) * math.perm(n, s) for s in range(1, size + 1))
     else:
         total = math.perm(n, size) if size else 0
-    if total > budget:
-        raise BudgetExceededError(f"{total} alphas to try, budget is {budget}", total)
+    BudgetExceededError.check(total, budget, "alphas to try")
     model = lp_model(q)
     nonnegative = model.block.min(initial=0) >= 0
 

@@ -2,13 +2,14 @@
 
 Exit codes: 0 success (or Isomorphic), 1 Far, 2 usage/input error or a
 failed self-check of a computed object, 3 work budget or size cap
-exceeded.  `ged`/`qap` need eps > 0.  Rationals are emitted as "p/q"
-strings.  ROBUSTISO_BUDGET overrides all four work budgets, each in its
-own unit: alphas for `ged`/`qap` (default 200,000), (tuple, vertex) pairs
-of one k-WL round (default 10^6), (threshold, alpha) pairs of the weak-VC
-test (default 10^7) and the nodes of each exact VC search of `vc` and
-`gen random --target-vc` (default unbounded).  The first three are checked
-before the work they bound starts, so `ged`/`qap` exit 3 before their
+exceeded: every budget and cap is one rule, BudgetExceededError.check,
+and reports the count it refused as "attempted".  `ged`/`qap` need eps > 0.
+Rationals are "p/q" strings.  ROBUSTISO_BUDGET sets all four work budgets,
+each in its own unit: alphas for `ged`/`qap` (default 200,000), (tuple,
+vertex) pairs of one k-WL round (default 10^6), (threshold, alpha) pairs
+of the weak-VC test (default 10^7) and the nodes of each exact VC search
+of `vc` and `gen random --target-vc` (default unbounded).  The first three
+are counted before the work starts, so `ged`/`qap` exit 3 before their
 first LP; a VC search stops at the node past its budget.
 """
 

@@ -19,12 +19,13 @@ class BudgetExceededError(RuntimeError):
         super().__init__(message)
         self.attempted = attempted
 
+    @classmethod
+    def check(cls, count: int, limit: int | None, what: str) -> None:
+        """The one refusal rule: raise when `count` units of `what` pass
+        `limit`, with `attempted` = count; a limit of None bounds nothing."""
+        if limit is not None and count > limit:
+            raise cls(f"{count} {what}, over the limit of {limit}", count)
+
 
 class VerificationError(RuntimeError):
     """A post-hoc verification of a computed object failed."""
-
-
-class UnreachableTargetError(ValueError, VerificationError):
-    """A requested property that no input of the given size can have: an
-    argument error, and a VerificationError too, since a search for such an
-    input could only fail."""

@@ -14,7 +14,7 @@ import os
 import random
 from dataclasses import dataclass
 
-from .errors import UnreachableTargetError, VerificationError
+from .errors import VerificationError
 from .graphs import Graph, blowup, parse_graph, serialize_graph
 from .qap import QapInstance
 from .setsystems import neighbourhood_system, vc_dimension_exact
@@ -211,7 +211,7 @@ def gen_random_graph(
     if not 0 <= p <= 1:
         raise ValueError("edge probability must lie in [0, 1]")
     if target_vc is not None and not 0 <= target_vc <= n.bit_length() - 1:
-        raise UnreachableTargetError(
+        raise ValueError(
             f"no graph on {n} vertices has neighbourhood VC {target_vc}: "
             f"its {n} neighbourhoods shatter at most {n.bit_length() - 1} vertices"
         )

@@ -52,10 +52,7 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
-        if self.n > VERTEX_CAP:
-            raise BudgetExceededError(
-                f"order {self.n} passes the vertex cap {VERTEX_CAP}", self.n
-            )
+        BudgetExceededError.check(self.n, VERTEX_CAP, "vertices in one graph (the vertex cap)")
         n = self.n
         edges = self.edges
         # a frozenset of valid (u, v) tuples with u < v is kept, not copied
@@ -283,10 +280,7 @@ def colour_preserving_bijections(g: Graph, h: Graph):
     pools = [np.array(classes[c], dtype=np.int64) for c in colours]
     radices = [len(classes[c]) - colours[:v].count(c) for v, c in enumerate(colours)]
     count = math.prod(radices)
-    if count >= 2**63:
-        raise BudgetExceededError(
-            f"{count} colour-preserving bijections to enumerate", count
-        )
+    BudgetExceededError.check(count, 2**63 - 1, "colour-preserving bijections to enumerate")
     places = [math.prod(radices[v + 1:]) for v in range(g.n)]
     for start in range(0, count, BIJECTION_CHUNK):
         ranks = np.arange(start, min(start + BIJECTION_CHUNK, count), dtype=np.int64)
@@ -323,8 +317,7 @@ def edit_distance_bruteforce(g: Graph, h: Graph, cap: int = 10):
     lexicographically smallest mapping array.
     """
     _check_same_order(g, h)
-    if g.n > cap:
-        raise BudgetExceededError(f"brute force capped at n={cap}, got n={g.n}", g.n)
+    BudgetExceededError.check(g.n, cap, "vertices to brute-force")
     a, b, denom = weight_matrices(g, h)
     total, mapping = cheapest_bijection(g, h, lambda p: _edit_totals(a, b, p))
     return Fraction(total, 2 * denom), Assignment(mapping)

@@ -29,10 +29,7 @@ CELL_CAP = 2**24
 
 def _check_cells(n: int) -> None:
     """Raise BudgetExceededError when a dense n^4 array passes CELL_CAP."""
-    if n**4 > CELL_CAP:
-        raise BudgetExceededError(
-            f"order {n} needs {n**4} dense coefficient cells, cap is {CELL_CAP}", n**4
-        )
+    BudgetExceededError.check(n**4, CELL_CAP, f"dense coefficient cells at order {n}")
 
 
 class QapInstance:
@@ -193,8 +190,7 @@ def weighted_ged_to_qap(g: Graph, h: Graph) -> QapInstance:
 
 def qap_bruteforce(q: QapInstance, cap: int = 9):
     """Exact minimum over all n! assignments; lexicographic tie-break."""
-    if q.n > cap:
-        raise BudgetExceededError(f"QAP brute force capped at n={cap}, got n={q.n}", q.n)
+    BudgetExceededError.check(q.n, cap, "QAP positions to brute-force")
     block, denom = q.scaled_block()
     n = q.n
 

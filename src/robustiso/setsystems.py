@@ -130,9 +130,6 @@ def is_shattered(system: SetSystem, subset) -> bool:
     return len(traces) == want
 
 
-# A shattered set this large ends the exact VC search with BudgetExceededError.
-VC_SIZE_CAP = 20
-
 # The constant c in the eps-approximation sample size c * eps^-2 * (d + ln(1/gamma)).
 C_APPROX = 1
 
@@ -157,7 +154,7 @@ def vc_dimension_exact(system: SetSystem, budget: int | None = None) -> int:
 
     Each nonempty shattered set built is a search node.  The node past
     `budget` (default unbounded) raises BudgetExceededError with the node
-    count, and so does a shattered set of VC_SIZE_CAP elements.
+    count.
     """
     family = list(system.sets)
     if not family:
@@ -184,16 +181,8 @@ def vc_dimension_exact(system: SetSystem, budget: int | None = None) -> int:
             if size + min(left + 1, room) <= best:
                 return
             nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceededError(
-                    f"VC search passed its budget of {budget} nodes", nodes
-                )
+            BudgetExceededError.check(nodes, budget, "VC search nodes")
             best = max(best, size + 1)
-            if best >= VC_SIZE_CAP:
-                raise BudgetExceededError(
-                    f"shattered set reached the size cap {VC_SIZE_CAP}; VC unresolved",
-                    best,
-                )
             # the child X + sig beats best only by growing `need` more
             need = best - size
             if left < need:
@@ -254,12 +243,8 @@ def weak_vc_test(q, d: int, budget: int = 10_000_000) -> bool:
     size = d + 1
     if size > n:
         return True
-    num_alphas = math.comb(n, size) * math.perm(n, size)
-    work = len(thresholds) * num_alphas
-    if work > budget:
-        raise BudgetExceededError(
-            f"weak VC test needs {work} (threshold, alpha) combinations", work
-        )
+    work = len(thresholds) * math.comb(n, size) * math.perm(n, size)
+    BudgetExceededError.check(work, budget, "(threshold, alpha) pairs of the weak VC test")
 
     # every target tuple at once: column j of `traces` holds, per pair (v,v'),
     # the bitmask of the alpha = zip(sources, targets[j]) cells above t

@@ -216,13 +216,7 @@ def _joint_refine_kwl(graphs, k, budget):
     """Joint k-WL over all k-tuples of graphs of one order; returns (one
     colour array per graph, indexed by base-n tuple index; rounds)."""
     n = graphs[0].n
-    work = n ** (k + 1)
-    if work > budget:
-        raise BudgetExceededError(
-            f"{k}-WL reads {work} (tuple, vertex) pairs per round on "
-            f"{n} vertices, budget is {budget}",
-            work,
-        )
+    BudgetExceededError.check(n ** (k + 1), budget, f"(tuple, vertex) pairs per {k}-WL round")
     shape = (len(graphs),) + (n,) * k
 
     def signatures(cols, base):

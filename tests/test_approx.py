@@ -153,6 +153,15 @@ class TestSolveLp:
         assert isinstance(solve_lp(lp, "exact"), Infeasible)
         assert isinstance(solve_lp(lp, "highs"), Infeasible)
 
+    def test_bounds_are_computed_once_per_lp(self):
+        # _refutes and solve_lp both read them: one set of lists per LP
+        lp = build_alpha_lp(
+            lp_model(ged_to_qap(K3, PATH3)), PartialInjection(frozenset({(0, 1)})), 1
+        )
+        first = lp.integer_bounds()
+        assert isinstance(solve_lp(lp, "exact"), FractionalSolution)
+        assert lp.integer_bounds() is first
+
     def test_backends_agree(self):
         rng = random.Random(63)
         for trial in range(15):
@@ -947,6 +956,20 @@ class TestApproximateGed:
 class TestWorkerPool:
     """HiGHS LPs are solved on worker threads; reports and errors must be
     those of the serial run, and no worker may outlive the call."""
+
+    def test_order_zero(self, monkeypatch):
+        # no alpha and no block row: the pool's warm-up must not reduce over
+        # an empty block, so two workers report what one does
+        results = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(approx, "_workers", lambda: workers)
+            results[workers] = (
+                approximate_ged(Graph(0), Graph(0), 1, 1, seed=1),
+                approximate_qap(QapInstance(0, {}), 1, 1, seed=1),
+            )
+        ged, qap = results[2]
+        assert ged.cost == 0 and qap.best_cost == 0
+        assert results[2] == results[1]
 
     @staticmethod
     def reports_by_workers(monkeypatch, run):

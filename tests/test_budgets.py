@@ -1,10 +1,15 @@
 """Every bounded routine refuses oversized work with one error type, which
-carries the figure it compared with its limit."""
+carries the figure it compared with its limit, through one rule."""
+
+import ast
+import math
+import pathlib
 
 import pytest
 
 from conftest import complete_graph, cycle_graph, er_graph, path_graph
 from paper_lemmas import sauer_shelah_check
+import robustiso
 from robustiso import (
     Graph,
     QapInstance,
@@ -29,6 +34,10 @@ CASES = {
         lambda: edit_distance_bruteforce(Graph(4), Graph(4), cap=3), 4
     ),
     "qap_bruteforce": (lambda: qap_bruteforce(QapInstance(4, {}), cap=3), 4),
+    # 21! colour-preserving bijections do not fit the int64 ranks
+    "colour_preserving_bijections": (
+        lambda: edit_distance_bruteforce(Graph(21), Graph(21), cap=21), math.factorial(21)
+    ),
     # C(6, 3) = 20 subsets of the C6 ground set
     "sauer_shelah_check": (
         lambda: sauer_shelah_check(neighbourhood_system(cycle_graph(6)), 3, budget=19),
@@ -58,3 +67,25 @@ def test_budget_error_carries_what_was_counted(name):
 
 def test_vc_search_runs_within_its_node_count():
     assert vc_dimension_exact(GNP10, budget=17) == 2
+
+
+def test_one_rule_constructs_every_budget_error():
+    # BudgetExceededError.check raises through `cls`, so no module of the
+    # package names the class as a constructor or raises it bare
+    found = []
+    for path in sorted(pathlib.Path(robustiso.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            target = (
+                node.func if isinstance(node, ast.Call)
+                else node.exc if isinstance(node, ast.Raise)
+                else None
+            )
+            name = getattr(target, "id", getattr(target, "attr", None))
+            if name == "BudgetExceededError":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+    with pytest.raises(BudgetExceededError, match="^3 nodes, over the limit of 2$") as err:
+        BudgetExceededError.check(3, 2, "nodes")
+    assert err.value.attempted == 3
+    BudgetExceededError.check(2, 2, "nodes")
+    BudgetExceededError.check(10**30, None, "nodes")

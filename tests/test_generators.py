@@ -173,7 +173,7 @@ class TestRandomGraphs:
         assert vc_dimension_exact(neighbourhood_system(g)) == 2
 
     def test_unreachable_target_errors(self):
-        with pytest.raises(VerificationError):
+        with pytest.raises(ValueError):
             gen_random_graph(4, edge_prob=0.5, target_vc=5, seed=3, retries=5)
 
     @pytest.mark.parametrize(

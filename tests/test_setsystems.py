@@ -31,7 +31,6 @@ from robustiso import (
     weighted_ged_to_qap,
     weighted_graph_vc,
 )
-from robustiso import setsystems
 from robustiso.errors import BudgetExceededError
 from robustiso.generators import gen_vc_gap_qap
 from robustiso.setsystems import verify_epsilon_approximation
@@ -72,8 +71,6 @@ def reference_vc_dimension(system):
         nonlocal best, visited
         visited += 1
         best = max(best, size)
-        if size >= setsystems.VC_SIZE_CAP:
-            raise BudgetExceededError("size cap", size)
         if 1 << (size + 1) > nf:
             return
         for idx in range(start, len(sigs)):
@@ -218,12 +215,6 @@ class TestVcDimension:
     def test_empty_family(self):
         assert vc_dimension_exact(SetSystem(4, frozenset())) == -1
 
-    def test_size_cap_ends_the_search(self, monkeypatch):
-        monkeypatch.setattr(setsystems, "VC_SIZE_CAP", 3)
-        assert vc_dimension_exact(powerset_system(2)) == 2
-        with pytest.raises(BudgetExceededError, match="size cap 3"):
-            vc_dimension_exact(powerset_system(3))
-
     def test_matches_naive_enumeration(self):
         rng = random.Random(11)
         for _ in range(60):
@@ -302,22 +293,13 @@ class TestVcAgainstReference:
             systems.extend(qap_threshold_system(q, t) for t in sorted(q.value_set()))
         self.check(systems, {2, 3, 4})
 
-    def test_power_sets_and_the_size_cap(self, monkeypatch):
+    def test_power_sets_and_planted_families(self):
         for k in range(9):
             assert vc_dimension_exact(powerset_system(k)) == k
-        monkeypatch.setattr(setsystems, "VC_SIZE_CAP", 4)
         rng = random.Random(42)
         for k in (3, 4, 5):
-            systems = [powerset_system(k), planted_family(rng, 9, k, 1 << k)]
-            for system in systems:
-                try:
-                    want = reference_vc_dimension(system)[0]
-                except BudgetExceededError:
-                    with pytest.raises(BudgetExceededError, match="size cap 4") as err:
-                        vc_dimension_exact(system)
-                    assert err.value.attempted == 4
-                else:
-                    assert vc_dimension_exact(system) == want
+            system = planted_family(rng, 9, k, 1 << k)
+            assert vc_dimension_exact(system) == reference_vc_dimension(system)[0]
 
 
 class TestWeightedGraphVc:
