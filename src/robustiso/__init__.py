@@ -38,8 +38,6 @@ from .qap import (
 )
 from .approx import (
     ApproxReport,
-    FractionalSolution,
-    Infeasible,
     LinearProgram,
     LpModel,
     approximate_ged,

@@ -12,7 +12,10 @@ seeded source set S of size m, and every injective image of S.
 The constraint matrix does not depend on alpha, so it is built once per
 instance (LpModel), as exact integers that both LP backends read; each
 alpha adds only its objective and row bounds (LinearProgram).  Each LP is
-solved cold.  HiGHS solutions are converted to rationals unverified.
+solved cold.  An LP's answer is its flat vector of n^2 values, or None when
+the LP is infeasible: exact Fractions from the simplex, and HiGHS's floats
+as it returns them, unverified.  The rounding compares either kind exactly
+with its mass floor.
 
 Two shortcuts skip solves without changing any output.  Twin vertices give
 equal block columns, so alphas that differ only in twins have equal LPs; a
@@ -157,28 +160,14 @@ class LinearProgram:
     def n(self) -> int:
         return self.model.n
 
+    @cached_property
     def integer_bounds(self):
         """(lo, hi, den): the row bounds b -+ slack as integers over one denominator,
         computed once per LP for _refutes and solve_lp alike."""
-        return self._integer_bounds
-
-    @cached_property
-    def _integer_bounds(self):
         sn, sd = self.slack.numerator, self.slack.denominator
         shift = sn * self.b_den
         centre = [b * sd for b in self.b_num.tolist()]
         return [c - shift for c in centre], [c + shift for c in centre], sd * self.b_den
-
-
-@dataclass(frozen=True)
-class FractionalSolution:
-    values: dict  # (v, v') -> Fraction
-    objective_value: Fraction
-
-
-@dataclass(frozen=True)
-class Infeasible:
-    """Normal (non-error) outcome of solve_lp on an infeasible program."""
 
 
 @dataclass(frozen=True)
@@ -194,23 +183,28 @@ class ApproxReport:
     trace: tuple = ()
 
 
-def m_bound(b, eps, d: int, k_values: int, c_m=1, n: int | None = None) -> int:
-    """Sample-size bound ceil(c_m * B^2 eps^-2 (d + ln K)), clamped to [1, n]."""
+# The constant c in the sample size c * B^2 eps^-2 (d + ln K), as
+# setsystems.C_APPROX is for eps-approximations.
+C_M = 1
+
+
+def m_bound(b, eps, d: int, k_values: int, n: int | None = None) -> int:
+    """Sample-size bound ceil(C_M * B^2 eps^-2 (d + ln K)), clamped to [1, n]."""
     b = as_fraction(b)
     eps = as_fraction(eps)
-    c_m = as_fraction(c_m)
-    if b <= 0 or eps <= 0 or d < 0 or k_values < 1 or c_m <= 0:
-        raise ValueError("m_bound requires positive B, eps, c_m and K >= 1, d >= 0")
-    raw = float(c_m) * float(b) ** 2 * (d + math.log(k_values)) / float(eps) ** 2
+    if b <= 0 or eps <= 0 or d < 0 or k_values < 1:
+        raise ValueError("m_bound requires positive B, eps and K >= 1, d >= 0")
+    raw = C_M * float(b) ** 2 * (d + math.log(k_values)) / float(eps) ** 2
     m = max(1, math.ceil(raw))
     if n is not None:
         m = min(m, n)
     return m
 
 
-def build_alpha_lp(model: LpModel, alpha: PartialInjection, eps) -> LinearProgram:
+def build_alpha_lp(model: LpModel, alpha, eps) -> LinearProgram:
     """LP: minimise sum b_alpha(v,v') x(v,v') with a(v,v') . x in [b +- eps*n/3].
 
+    alpha is the pairs (w, w') of a partial injection, each in [0, n)^2.
     b_alpha(v, v') = (n/|alpha|) * sum of c(v, v', w, w') over alpha, for all
     pairs at once: a sum of the block's alpha columns.
     """
@@ -218,6 +212,8 @@ def build_alpha_lp(model: LpModel, alpha: PartialInjection, eps) -> LinearProgra
         raise ValueError("alpha must be nonempty")
     eps = as_fraction(eps)
     n = model.n
+    if not all(0 <= w < n and 0 <= wp < n for w, wp in alpha):
+        raise ValueError("alpha exceeds the ground set")
     columns = [w * n + wp for w, wp in alpha]
     b_num = n * model.block[:, columns].sum(axis=1)
     return LinearProgram(model, b_num, len(alpha) * model.denom, eps * n / 3)
@@ -237,8 +233,8 @@ def _highs_solve(cost, row_lower, row_upper, csc):
 
     A is given as (start, index, value) in CSC form.  Runs scipy's bundled
     HiGHS through its private `_core` module, on a fresh solver object, so
-    no basis carries over from an earlier call.  Returns (x, value), or None
-    when the program is infeasible.
+    no basis carries over from an earlier call.  Returns x as HiGHS gives
+    it, floats, or None when the program is infeasible.
     """
     _highs = __getattr__("_highs")
     start, index, value = csc
@@ -274,7 +270,7 @@ def _highs_solve(cost, row_lower, row_upper, csc):
         solver.run()
     status = solver.getModelStatus()
     if status == _highs.HighsModelStatus.kOptimal:
-        return solver.getSolution().col_value, solver.getInfo().objective_function_value
+        return tuple(solver.getSolution().col_value)
     # x >= 0 with unit row sums is bounded, so "unbounded or infeasible" is infeasible
     if status in (
         _highs.HighsModelStatus.kInfeasible,
@@ -293,7 +289,7 @@ def _refutes(lp: LinearProgram) -> bool:
     of the assignment polytope; compared in integers, a miss proves the LP
     infeasible without solving it.
     """
-    lows, highs, den = lp.integer_bounds()
+    lows, highs, den = lp.integer_bounds
     denom = lp.model.denom
     return any(
         hi * denom < lower * den or lo * denom > upper * den
@@ -302,7 +298,7 @@ def _refutes(lp: LinearProgram) -> bool:
 
 
 def solve_lp(lp: LinearProgram, method: str = "exact"):
-    """Solve to optimality, returning FractionalSolution or Infeasible.
+    """An optimal x as a flat tuple, x(v, v') = x[v*n + v'], or None if infeasible.
 
     Both backends read the instance's shared LpModel, and every LP is solved
     cold: no basis carries over between alphas, so a solution depends on its
@@ -315,57 +311,48 @@ def solve_lp(lp: LinearProgram, method: str = "exact"):
     Python ints after; it holds the GIL for most of a solve, so
     approximate_qap calls it inline.  "highs" passes the ranged rows and the
     assignment equalities straight to scipy's bundled HiGHS, one thread per
-    solve; its float solution is converted to rationals as is, unverified.
+    solve; its solution stays floats, unverified, and round_apec compares
+    them exactly with its floor.
     HiGHS releases the GIL while it solves, so approximate_qap calls this on
     worker threads when more than one core is usable.
 
     Before either backend runs, an LP that _refutes proves infeasible from
-    the rows' ranges over the polytope gives Infeasible without a solve.
+    the rows' ranges over the polytope gives None without a solve.
     """
     if method not in ("exact", "highs"):
         raise ValueError(f"unknown LP method {method!r}")
     if _refutes(lp):
-        return Infeasible()
+        return None
     n = lp.n
     model = lp.model
     denom = model.denom
-    lows, highs, den = lp.integer_bounds()
+    lows, highs, den = lp.integer_bounds
     if method == "exact":
         a_ub, a_eq = model.exact_rows
         b_ub = []
         # a(v, v') . x <= hi  <=>  block row . x <= hi * denom
         for lo, hi in zip(lows, highs):
             b_ub += (Fraction(hi * denom, den), Fraction(-lo * denom, den))
-        status, x, value = simplex.simplex_min(
+        status, x, _ = simplex.simplex_min(
             lp.b_num.tolist(), a_ub, b_ub, a_eq, [1] * (2 * n)
         )
-        if status == simplex.INFEASIBLE:
-            return Infeasible()
-        values = {
-            (v, vp): x[v * n + vp] for v in range(n) for vp in range(n)
-        }
-        return FractionalSolution(values, value / lp.b_den)
+        return None if status == simplex.INFEASIBLE else tuple(x)
     # exact Python integers until one correctly rounded division each
     ones = [1.0] * (2 * n)
-    solved = _highs_solve(
+    return _highs_solve(
         [b / lp.b_den for b in lp.b_num.tolist()],
         [lo / den for lo in lows] + ones,
         [hi / den for hi in highs] + ones,
         model.csc,
     )
-    if solved is None:
-        return Infeasible()
-    x, value = solved
-    values = {
-        (v, vp): Fraction(max(x[v * n + vp], 0.0)) for v in range(n) for vp in range(n)
-    }
-    return FractionalSolution(values, Fraction(value))
 
 
-def round_apec(
-    frac: FractionalSolution, lp: LinearProgram, seed: int, retries: int = 32
-) -> PartialInjection:
+def round_apec(x, lp: LinearProgram, seed: int, retries: int = 32) -> PartialInjection:
     """Seeded randomised rounding of a fractional assignment to a partial matching.
+
+    x is solve_lp's vector, x(v, v') = x[v*n + v'], of Fractions or floats:
+    Python compares a float with a Fraction exactly, so both give the same
+    matching for the same values.
 
     Each retry draws targets source by source with probability proportional
     to the remaining fractional mass, dropping draws below the mass floor
@@ -387,8 +374,8 @@ def round_apec(
     # targets; and the accumulated weights of all of them
     support = []
     for v in range(n):
-        row = [(vp, frac.values.get((v, vp), Fraction(0))) for vp in range(n)]
-        options = [(vp, float(x), x >= floor) for vp, x in row if x > 0]
+        row = enumerate(x[v * n : v * n + n])
+        options = [(vp, float(mass), mass >= floor) for vp, mass in row if mass > 0]
         cumulative = list(itertools.accumulate(w for _, w, _ in options))
         support.append((options, {vp for vp, _, _ in options}, cumulative))
     # b_alpha over one positive common denominator: integer sums order alike
@@ -427,7 +414,7 @@ def complete_matching(partial: PartialInjection, n: int) -> Assignment:
     mapping = [-1] * n
     used = set()
     for v, vp in partial:
-        if v >= n or vp >= n:
+        if not (0 <= v < n and 0 <= vp < n):
             raise ValueError("partial injection exceeds the ground set")
         mapping[v] = vp
         used.add(vp)
@@ -495,10 +482,7 @@ def _solved(model: LpModel, alphas, eps, lp_method: str):
             memo[key] = result
         return result
 
-    lps = (
-        (pairs, build_alpha_lp(model, PartialInjection(frozenset(pairs)), eps))
-        for pairs in alphas
-    )
+    lps = ((pairs, build_alpha_lp(model, pairs, eps)) for pairs in alphas)
     workers = _workers()
     # order 0 has no alpha, so no LP and nothing to warm up
     if lp_method != "highs" or workers < 2 or model.n == 0:
@@ -574,14 +558,14 @@ def approximate_qap(
     with contextlib.closing(
         _solved(model, _alphas(n, size, mode, seed), eps, lp_method)
     ) as solved:
-        for pairs, lp, sol in solved:
+        for pairs, lp, x in solved:
             tried += 1
-            if isinstance(sol, Infeasible):
+            if x is None:
                 infeasible += 1
                 if keep_trace:
                     trace.append({"alpha": pairs, "status": "infeasible"})
                 continue
-            partial = round_apec(sol, lp, seed=seed * 1_000_003 + tried)
+            partial = round_apec(x, lp, seed=seed * 1_000_003 + tried)
             assignment = complete_matching(partial, n)
             cost = qap_cost(q, assignment)
             if keep_trace:
@@ -595,7 +579,7 @@ def approximate_qap(
                     break
 
     if best is None:
-        assignment = complete_matching(PartialInjection(frozenset()), n)
+        assignment = Assignment.identity(n)
         best = (qap_cost(q, assignment), assignment)
     return ApproxReport(
         best_assignment=best[1],

@@ -1,4 +1,4 @@
-"""Shared seeded instance builders for the test suite."""
+"""Shared seeded instance builders and helpers for the test suite."""
 
 import itertools
 import random
@@ -79,3 +79,8 @@ def cycle_graph(n):
 
 def path_graph(n):
     return Graph(n, {(i, i + 1) for i in range(n - 1)})
+
+
+def lp_value(lp, x):
+    """The objective b_alpha . x of lp at solve_lp's vector x."""
+    return sum(b * xi for b, xi in zip(lp.b_num.tolist(), x)) / lp.b_den

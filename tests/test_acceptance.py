@@ -14,7 +14,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from conftest import chunk_colouring, er_graph, random_qap, relabelled_copy
+from conftest import chunk_colouring, er_graph, lp_value, random_qap, relabelled_copy
 from paper_lemmas import mean_threshold_estimate, threshold_grid
 from robustiso import (
     Assignment,
@@ -43,7 +43,6 @@ from robustiso import (
     vc_dimension_exact,
     weighted_ged_to_qap,
 )
-from robustiso.approx import FractionalSolution
 from robustiso.errors import VerificationError
 from robustiso.generators import gen_random_graph
 from robustiso.setsystems import epsilon_approximation_sample
@@ -172,9 +171,10 @@ def test_lp_value_bounded_by_optimum_plus_third_slack():
                 )
                 if not qualifies:
                     continue
-                sol = solve_lp(build_alpha_lp(lp_model(q), alpha, eps), "exact")
-                assert isinstance(sol, FractionalSolution)
-                assert sol.objective_value <= cost_star + eps * n * n / 3
+                lp = build_alpha_lp(lp_model(q), alpha, eps)
+                x = solve_lp(lp, "exact")
+                assert x is not None
+                assert lp_value(lp, x) <= cost_star + eps * n * n / 3
                 solved += 1
     assert solved > 50
     report(f"lp optimum stays within cost* + eps*n^2/3 ({solved} exact solves, zero tolerance)")

@@ -18,6 +18,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     er_graph,
+    lp_value,
     path_graph,
     random_qap,
     random_weighted_graph,
@@ -26,9 +27,7 @@ from conftest import (
 from paper_lemmas import threshold_grid
 from robustiso import (
     Assignment,
-    FractionalSolution,
     Graph,
-    Infeasible,
     PartialInjection,
     QapInstance,
     approximate_ged,
@@ -64,10 +63,6 @@ class TestMBound:
     def test_clamped_to_n(self):
         assert m_bound(4, Fraction(1, 10), 5, 16, n=6) == 6
 
-    def test_rejects_bad_constant(self):
-        with pytest.raises(ValueError):
-            m_bound(1, 1, 1, 2, c_m=0)
-
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             m_bound(0, 1, 1, 2)
@@ -85,7 +80,7 @@ class TestBuildAlphaLp:
         )
         assert len(lp.b_num) == 4
         rows = fraction_rows(lp.model)
-        lows, highs, den = lp.integer_bounds()
+        lows, highs, den = lp.integer_bounds
         # two inequality rows each at solve time
         assert len(lows) == len(highs) == len(rows) == 4
         for coeffs, lo, hi in zip(rows, lows, highs):
@@ -110,7 +105,7 @@ class TestBuildAlphaLp:
         assert qap_cost(q, phi) == 0
         alpha = PartialInjection(frozenset(list(phi.graph())[:2]))
         lp = build_alpha_lp(lp_model(q), alpha, 1)
-        lows, highs, den = lp.integer_bounds()
+        lows, highs, den = lp.integer_bounds
         for coeffs, lo, hi in zip(fraction_rows(lp.model), lows, highs):
             lo, hi = Fraction(lo, den), Fraction(hi, den)
             value = sum(
@@ -127,18 +122,23 @@ class TestBuildAlphaLp:
                 lp_model(QapInstance(2, {})), PartialInjection(frozenset()), 1
             )
 
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+    def test_pairs_outside_the_ground_set_rejected(self, pair):
+        # a negative index would pick a column from the other end of the block
+        with pytest.raises(ValueError, match="ground set"):
+            build_alpha_lp(lp_model(ged_to_qap(K3, PATH3)), [pair], 1)
+
 
 class TestSolveLp:
     def test_zero_objective_gives_doubly_stochastic(self):
         lp = build_alpha_lp(
             lp_model(QapInstance(3, {})), PartialInjection(frozenset({(0, 0)})), 1
         )
-        sol = solve_lp(lp, "exact")
-        assert isinstance(sol, FractionalSolution)
-        assert sol.objective_value == 0
+        x = solve_lp(lp, "exact")
+        assert len(x) == 9 and lp_value(lp, x) == 0
         for v in range(3):
-            assert sum(sol.values[(v, vp)] for vp in range(3)) == 1
-            assert sum(sol.values[(vp, v)] for vp in range(3)) == 1
+            assert sum(x[v * 3 : v * 3 + 3]) == 1
+            assert sum(x[v::3]) == 1
 
     def test_contradictory_rows_infeasible(self):
         # on the assignment polytope row (0, 0) is 3 + 19 x(0, 0) <= 22, but
@@ -148,19 +148,19 @@ class TestSolveLp:
         lp = build_alpha_lp(
             lp_model(QapInstance(3, entries)), PartialInjection(frozenset({(0, 0)})), 1
         )
-        lows, highs, den = lp.integer_bounds()
+        lows, highs, den = lp.integer_bounds
         assert Fraction(lows[0], den) == 59 and Fraction(highs[0], den) == 61
-        assert isinstance(solve_lp(lp, "exact"), Infeasible)
-        assert isinstance(solve_lp(lp, "highs"), Infeasible)
+        assert solve_lp(lp, "exact") is None
+        assert solve_lp(lp, "highs") is None
 
     def test_bounds_are_computed_once_per_lp(self):
         # _refutes and solve_lp both read them: one set of lists per LP
         lp = build_alpha_lp(
             lp_model(ged_to_qap(K3, PATH3)), PartialInjection(frozenset({(0, 1)})), 1
         )
-        first = lp.integer_bounds()
-        assert isinstance(solve_lp(lp, "exact"), FractionalSolution)
-        assert lp.integer_bounds() is first
+        first = lp.integer_bounds
+        assert solve_lp(lp, "exact") is not None
+        assert lp.integer_bounds is first
 
     def test_backends_agree(self):
         rng = random.Random(63)
@@ -174,50 +174,51 @@ class TestSolveLp:
             lp = build_alpha_lp(lp_model(q), alpha, Fraction(rng.randint(1, 4), 2))
             exact = solve_lp(lp, "exact")
             fast = solve_lp(lp, "highs")
-            assert isinstance(exact, Infeasible) == isinstance(fast, Infeasible)
-            if isinstance(exact, FractionalSolution):
-                assert abs(float(exact.objective_value) - float(fast.objective_value)) < 1e-6
+            assert (exact is None) == (fast is None)
+            if exact is not None:
+                assert abs(float(lp_value(lp, exact)) - lp_value(lp, fast)) < 1e-6
 
     def test_highs_agrees_with_linprog(self):
         # reference: linprog on the same LP, each ranged row split into two
         counts = {"optimal": 0, "infeasible": 0}
-        for trial in range(12):
-            n = 4 + trial % 4
-            if trial % 2:
-                q = weighted_ged_to_qap(
-                    random_weighted_graph(n, 3300 + trial),
-                    random_weighted_graph(n, 3400 + trial),
-                )
-            else:
-                q = ged_to_qap(
-                    er_graph(n, 0.5, 3300 + trial), er_graph(n, 0.5, 3400 + trial)
-                )
-            model = lp_model(q)
+        for model, lps in seeded_highs_lps():
+            n = model.n
             rows = [[float(c) for c in row] for row in fraction_rows(model)]
-            rng = random.Random(3500 + trial)
-            for eps in (Fraction(1, 4), Fraction(1), Fraction(2)):
-                for _ in range(3):
-                    size = rng.randint(1, 2)
-                    pairs = zip(rng.sample(range(n), size), rng.sample(range(n), size))
-                    lp = build_alpha_lp(model, PartialInjection(frozenset(pairs)), eps)
-                    lows, highs, den = lp.integer_bounds()
-                    res = linprog(
-                        [b / lp.b_den for b in lp.b_num.tolist()],
-                        A_ub=rows + [[-c for c in row] for row in rows],
-                        b_ub=[hi / den for hi in highs] + [-lo / den for lo in lows],
-                        A_eq=model.assignment,
-                        b_eq=[1] * (2 * n),
-                        method="highs",
-                    )
-                    assert res.status in (0, 2)
-                    fast = solve_lp(lp, "highs")
-                    assert isinstance(fast, Infeasible) == (res.status == 2)
-                    if res.status == 0:
-                        counts["optimal"] += 1
-                        assert abs(float(fast.objective_value) - res.fun) < 1e-9
-                    else:
-                        counts["infeasible"] += 1
+            for lp in lps:
+                lows, highs, den = lp.integer_bounds
+                res = linprog(
+                    [b / lp.b_den for b in lp.b_num.tolist()],
+                    A_ub=rows + [[-c for c in row] for row in rows],
+                    b_ub=[hi / den for hi in highs] + [-lo / den for lo in lows],
+                    A_eq=model.assignment,
+                    b_eq=[1] * (2 * n),
+                    method="highs",
+                )
+                assert res.status in (0, 2)
+                fast = solve_lp(lp, "highs")
+                assert (fast is None) == (res.status == 2)
+                if res.status == 0:
+                    counts["optimal"] += 1
+                    assert abs(lp_value(lp, fast) - res.fun) < 1e-9
+                else:
+                    counts["infeasible"] += 1
         assert counts["optimal"] >= 10 and counts["infeasible"] >= 10
+
+    def test_highs_floats_round_as_their_fractions(self):
+        # HiGHS's values reach the rounding as floats, unconverted; each
+        # vector rounds to the matching its exact Fraction values give
+        rounded = 0
+        for model, lps in seeded_highs_lps():
+            for lp in lps:
+                x = solve_lp(lp, "highs")
+                if x is None:
+                    continue
+                assert len(x) == model.n**2 and all(type(xi) is float for xi in x)
+                exact = tuple(map(Fraction, x))
+                for seed in range(4):
+                    assert round_apec(x, lp, seed) == round_apec(exact, lp, seed)
+                    rounded += 1
+        assert rounded >= 40
 
     @pytest.mark.parametrize(
         "status", ["kInfeasible", "kUnboundedOrInfeasible", "kTimeLimit", "kSolveError"]
@@ -234,7 +235,7 @@ class TestSolveLp:
             lp_model(QapInstance(3, {})), PartialInjection(frozenset({(0, 0)})), 1
         )
         if status in ("kInfeasible", "kUnboundedOrInfeasible"):
-            assert isinstance(solve_lp(lp, "highs"), Infeasible)
+            assert solve_lp(lp, "highs") is None
         else:
             with pytest.raises(RuntimeError, match="HiGHS stopped"):
                 solve_lp(lp, "highs")
@@ -247,9 +248,9 @@ class TestSolveLp:
         cost_star, phi_star = qap_bruteforce(q)
         alpha = phi_star.graph()
         lp = build_alpha_lp(lp_model(q), alpha, eps)
-        sol = solve_lp(lp, "exact")
-        assert isinstance(sol, FractionalSolution)
-        assert sol.objective_value <= cost_star + eps * 9 / 3
+        x = solve_lp(lp, "exact")
+        assert x is not None
+        assert lp_value(lp, x) <= cost_star + eps * 9 / 3
 
     def test_unknown_method(self):
         lp = build_alpha_lp(
@@ -257,6 +258,29 @@ class TestSolveLp:
         )
         with pytest.raises(ValueError):
             solve_lp(lp, "nope")
+
+
+def seeded_highs_lps():
+    """(model, LPs) per seeded instance: G(n, 1/2) and weighted GED pairs at
+    n = 4..7, with three alphas of size 1 or 2 at each eps in 1/4, 1, 2."""
+    for trial in range(12):
+        n = 4 + trial % 4
+        if trial % 2:
+            q = weighted_ged_to_qap(
+                random_weighted_graph(n, 3300 + trial),
+                random_weighted_graph(n, 3400 + trial),
+            )
+        else:
+            q = ged_to_qap(er_graph(n, 0.5, 3300 + trial), er_graph(n, 0.5, 3400 + trial))
+        model = lp_model(q)
+        rng = random.Random(3500 + trial)
+        lps = []
+        for eps in (Fraction(1, 4), Fraction(1), Fraction(2)):
+            for _ in range(3):
+                size = rng.randint(1, 2)
+                pairs = zip(rng.sample(range(n), size), rng.sample(range(n), size))
+                lps.append(build_alpha_lp(model, PartialInjection(frozenset(pairs)), eps))
+        yield model, lps
 
 
 def exact_pin_instances():
@@ -320,7 +344,7 @@ def test_exact_vertex_does_not_depend_on_row_scale():
         )
         model = lp_model(q)
         lp = build_alpha_lp(model, PartialInjection(frozenset(pairs)), eps)
-        lows, highs, den = lp.integer_bounds()
+        lows, highs, den = lp.integer_bounds
         objective = [Fraction(b, lp.b_den) for b in lp.b_num.tolist()]
         results = []
         for reduce in (False, True):
@@ -340,13 +364,11 @@ def test_exact_vertex_does_not_depend_on_row_scale():
 def exact_pin_lines():
     """One line per solved LP: 'infeasible', or the objective value and x."""
     lines = []
-    for q, _, sol in exact_pin_solves():
-        if isinstance(sol, Infeasible):
+    for _, lp, x in exact_pin_solves():
+        if x is None:
             lines.append("infeasible")
         else:
-            n = q.n
-            values = [sol.values[(v, vp)] for v in range(n) for vp in range(n)]
-            lines.append(" ".join(str(x) for x in [sol.objective_value] + values))
+            lines.append(" ".join(str(xi) for xi in [lp_value(lp, x), *x]))
     return lines
 
 
@@ -375,28 +397,25 @@ def test_exact_solutions_feasible_on_rational_instances():
     # every optimal exact solution meets its rows and the assignment sums,
     # checked in Fractions, and HiGHS agrees on every verdict
     counts = {"optimal": 0, "infeasible": 0}
-    for q, lp, sol in exact_pin_solves():
+    for q, lp, x in exact_pin_solves():
         if q.denom == 1:
             continue
         fast = solve_lp(lp, "highs")
-        assert isinstance(fast, Infeasible) == isinstance(sol, Infeasible)
-        if isinstance(sol, Infeasible):
+        assert (fast is None) == (x is None)
+        if x is None:
             counts["infeasible"] += 1
             continue
         counts["optimal"] += 1
         n = q.n
-        x = [sol.values[(v, vp)] for v in range(n) for vp in range(n)]
-        assert all(isinstance(xi, Fraction) and xi >= 0 for xi in x)
+        assert len(x) == n * n and all(isinstance(xi, Fraction) and xi >= 0 for xi in x)
         for v in range(n):
             assert sum(x[v * n : v * n + n]) == 1
             assert sum(x[v::n]) == 1
         block, denom = q.scaled_block()
-        lows, highs, den = lp.integer_bounds()
+        lows, highs, den = lp.integer_bounds
         for row, lo, hi in zip(block.tolist(), lows, highs):
             value = sum(Fraction(c, denom) * xi for c, xi in zip(row, x))
             assert Fraction(lo, den) <= value <= Fraction(hi, den)
-        objective = [Fraction(b, lp.b_den) for b in lp.b_num.tolist()]
-        assert sol.objective_value == sum(b * xi for b, xi in zip(objective, x))
     assert counts["optimal"] >= 50 and counts["infeasible"] >= 20
 
 
@@ -441,12 +460,12 @@ def test_lp_backends_agree_on_every_small_alpha(kind, n):
         for alpha in small_alphas(q.n):
             lp = build_alpha_lp(model, alpha, eps)
             exact, fast = solve_lp(lp, "exact"), solve_lp(lp, "highs")
-            verdicts[type(exact).__name__] += 1
-            assert type(exact) is type(fast), (eps, alpha)
-            if isinstance(exact, FractionalSolution):
-                gap = float(exact.objective_value) - float(fast.objective_value)
+            verdicts["infeasible" if exact is None else "optimal"] += 1
+            assert (exact is None) == (fast is None), (eps, alpha)
+            if exact is not None:
+                gap = float(lp_value(lp, exact)) - lp_value(lp, fast)
                 assert abs(gap) < 1e-6, (eps, alpha)
-    assert verdicts["Infeasible"] > 0 and verdicts["FractionalSolution"] > 0, verdicts
+    assert verdicts["infeasible"] > 0 and verdicts["optimal"] > 0, verdicts
 
 
 def permutation_activities(model):
@@ -496,8 +515,8 @@ def test_refused_lps_are_infeasible_for_both_solvers(monkeypatch):
                 refused += filter(real, lps)
     monkeypatch.setattr(approx, "_refutes", lambda lp: False)
     for lp in refused:
-        assert isinstance(solve_lp(lp, "exact"), Infeasible), lp.b_num
-        assert isinstance(solve_lp(lp, "highs"), Infeasible), lp.b_num
+        assert solve_lp(lp, "exact") is None, lp.b_num
+        assert solve_lp(lp, "highs") is None, lp.b_num
     assert len(refused) >= 400
 
 
@@ -520,7 +539,7 @@ def test_twin_alphas_share_one_solve(monkeypatch, n):
 
     def separately(model, alphas, eps, lp_method):
         for pairs in alphas:
-            lp = build_alpha_lp(model, PartialInjection(frozenset(pairs)), eps)
+            lp = build_alpha_lp(model, pairs, eps)
             yield pairs, lp, real_solve(lp, lp_method)
 
     for method in ("exact", "highs"):
@@ -533,10 +552,7 @@ def test_twin_alphas_share_one_solve(monkeypatch, n):
                 monkeypatch.setattr(approx, "solve_lp", real_solve)
                 lps = {
                     (tuple(lp.b_num.tolist()), lp.b_den)
-                    for lp in (
-                        build_alpha_lp(model, PartialInjection(frozenset(e["alpha"])), eps)
-                        for e in report.trace
-                    )
+                    for lp in (build_alpha_lp(model, e["alpha"], eps) for e in report.trace)
                 }
                 assert report.alphas_tried == alphas and len(lps) < alphas
                 assert sorted(solved) == sorted(lps)
@@ -580,6 +596,11 @@ def test_csc_pinned():
     assert digest == "c56a4bcb63c9199f4c318ddde4fea746d7d165364f007556c887a33fba707c61"
 
 
+def vector(n, entries):
+    """solve_lp's flat vector with the given (v, v') entries, 0 elsewhere."""
+    return tuple(entries.get((v, vp), Fraction(0)) for v in range(n) for vp in range(n))
+
+
 class TestRounding:
     def lp3(self):
         return build_alpha_lp(
@@ -587,13 +608,8 @@ class TestRounding:
         )
 
     def test_integral_solution_returned_unchanged(self):
-        values = {
-            (v, vp): Fraction(1 if v == vp else 0)
-            for v in range(3)
-            for vp in range(3)
-        }
-        frac = FractionalSolution(values, Fraction(0))
-        partial = round_apec(frac, self.lp3(), seed=1)
+        x = vector(3, {(v, v): Fraction(1) for v in range(3)})
+        partial = round_apec(x, self.lp3(), seed=1)
         assert partial.sorted_pairs() == ((0, 0), (1, 1), (2, 2))
 
     def test_integral_solution_is_drawn_once(self, monkeypatch):
@@ -606,23 +622,21 @@ class TestRounding:
             random.Random, "random", lambda rng: draws.append(1) or real(rng)
         )
         integral = {(v, (v + 1) % 3): Fraction(1) for v in range(3)}
-        partial = round_apec(FractionalSolution(integral, Fraction(0)), self.lp3(), seed=1)
+        partial = round_apec(vector(3, integral), self.lp3(), seed=1)
         assert partial.sorted_pairs() == ((0, 1), (1, 2), (2, 0)) and len(draws) == 3
         draws.clear()
         split = {**integral, (0, 1): Fraction(1, 2), (0, 2): Fraction(1, 2)}
-        round_apec(FractionalSolution(split, Fraction(0)), self.lp3(), seed=1)
+        round_apec(vector(3, split), self.lp3(), seed=1)
         assert len(draws) >= 2 * 32
 
     def test_zero_float_total_raises_as_random_choices_does(self):
         # positive masses that round to 0.0 as floats leave nothing to draw by
-        tiny = {(v, vp): Fraction(1, 10**400) for v in range(3) for vp in range(3)}
+        tiny = (Fraction(1, 10**400),) * 9
         with pytest.raises(ValueError, match="greater than zero"):
-            round_apec(FractionalSolution(tiny, Fraction(0)), self.lp3(), seed=1)
+            round_apec(tiny, self.lp3(), seed=1)
 
     def test_uniform_matrix_rounds_to_perfect_matching(self):
-        values = {(v, vp): Fraction(1, 3) for v in range(3) for vp in range(3)}
-        frac = FractionalSolution(values, Fraction(0))
-        partial = round_apec(frac, self.lp3(), seed=5)
+        partial = round_apec((Fraction(1, 3),) * 9, self.lp3(), seed=5)
         assert len(partial) == 3
 
     def test_support_containment(self):
@@ -637,25 +651,18 @@ class TestRounding:
             rng.shuffle(p1)
             rng.shuffle(p2)
             lam = Fraction(rng.randint(1, 3), 4)
-            values = {}
+            x = [Fraction(0)] * 16
             for v in range(4):
-                for vp in range(4):
-                    x = Fraction(0)
-                    if p1[v] == vp:
-                        x += lam
-                    if p2[v] == vp:
-                        x += 1 - lam
-                    values[(v, vp)] = x
-            frac = FractionalSolution(values, Fraction(0))
-            partial = round_apec(frac, lp4, seed=trial)
-            for pair in partial:
-                assert frac.values[pair] > 0
+                x[v * 4 + p1[v]] += lam
+                x[v * 4 + p2[v]] += 1 - lam
+            partial = round_apec(x, lp4, seed=trial)
+            for v, vp in partial:
+                assert x[v * 4 + vp] > 0
 
     def test_deterministic(self):
-        values = {(v, vp): Fraction(1, 3) for v in range(3) for vp in range(3)}
-        frac = FractionalSolution(values, Fraction(0))
-        a = round_apec(frac, self.lp3(), seed=9)
-        b = round_apec(frac, self.lp3(), seed=9)
+        x = (Fraction(1, 3),) * 9
+        a = round_apec(x, self.lp3(), seed=9)
+        b = round_apec(x, self.lp3(), seed=9)
         assert a == b
 
     def test_draws_below_mass_floor_are_dropped(self):
@@ -663,42 +670,48 @@ class TestRounding:
         lp2 = build_alpha_lp(
             lp_model(QapInstance(2, {})), PartialInjection(frozenset({(0, 0)})), 1
         )
-        values = {
-            (0, 0): Fraction(1, 8),
-            (0, 1): Fraction(0),
-            (1, 0): Fraction(0),
-            (1, 1): Fraction(1),
-        }
-        frac = FractionalSolution(values, Fraction(0))
-        partial = round_apec(frac, lp2, seed=3, retries=8)
+        x = (Fraction(1, 8), Fraction(0), Fraction(0), Fraction(1))
+        partial = round_apec(x, lp2, seed=3, retries=8)
         assert partial.sorted_pairs() == ((1, 1),)
+
+    def test_float_below_the_floor_is_dropped(self):
+        # the float nearest 1/6 = 1/(2n) lies below it: compared exactly it
+        # misses the floor, where a float comparison would keep it
+        below = float(Fraction(1, 6))
+        assert below < Fraction(1, 6) and below >= 1 / 6
+        exact = {(0, 0): Fraction(1, 6), (1, 1): 1.0, (2, 2): 1.0}
+        partial = round_apec(vector(3, exact), self.lp3(), seed=1)
+        assert partial.sorted_pairs() == ((0, 0), (1, 1), (2, 2))
+        partial = round_apec(vector(3, {**exact, (0, 0): below}), self.lp3(), seed=1)
+        assert partial.sorted_pairs() == ((1, 1), (2, 2))
 
 
 def test_rounding_stays_inside_the_support():
     # exact fractional solutions, several seeds each: the returned pairs form
     # an injection, and each has mass at least the floor 1/(2n), exactly
     below_floor = 0
-    for q, lp, sol in exact_pin_solves():
-        if isinstance(sol, Infeasible):
+    for q, lp, x in exact_pin_solves():
+        if x is None:
             continue
-        floor = Fraction(1, 2 * q.n)
-        below_floor += any(0 < x < floor for x in sol.values.values())
+        n = q.n
+        floor = Fraction(1, 2 * n)
+        below_floor += any(0 < xi < floor for xi in x)
         for seed in range(8):
-            pairs = round_apec(sol, lp, seed=seed).sorted_pairs()
+            pairs = round_apec(x, lp, seed=seed).sorted_pairs()
             assert len({v for v, _ in pairs}) == len({vp for _, vp in pairs}) == len(pairs)
-            assert all(sol.values[pair] >= floor for pair in pairs), (sol, seed)
+            assert all(x[v * n + vp] >= floor for v, vp in pairs), (x, seed)
     # solutions with positive mass under the floor, where the floor decides
     assert below_floor >= 5
 
 
-def choices_rounding(frac, lp, seed, retries=32):
+def choices_rounding(x, lp, seed, retries=32):
     """round_apec as written with one random.choices call per draw."""
     n = lp.n
     floor = Fraction(1, 2 * n)
     rng = random.Random(seed)
     support = [
-        [(vp, float(x), x >= floor) for vp in range(n)
-         if (x := frac.values.get((v, vp), Fraction(0))) > 0]
+        [(vp, float(mass), mass >= floor) for vp in range(n)
+         if (mass := x[v * n + vp]) > 0]
         for v in range(n)
     ]
     if all(len(options) <= 1 for options in support):
@@ -724,14 +737,14 @@ def test_rounding_draws_as_random_choices_does():
     # every exact pin solution and every pinned case, several seeds each:
     # the same partial matching as one random.choices call per draw
     cases = [
-        (sol, lp, seed, 32)
-        for _, lp, sol in exact_pin_solves() if not isinstance(sol, Infeasible)
+        (x, lp, seed, 32)
+        for _, lp, x in exact_pin_solves() if x is not None
         for seed in range(4)
     ]
     cases += [rounding_case(i) for i in range(len(PINNED_ROUNDINGS))]
-    for frac, lp, seed, retries in cases:
-        ours = round_apec(frac, lp, seed=seed, retries=retries)
-        assert ours == choices_rounding(frac, lp, seed, retries), (frac, seed)
+    for x, lp, seed, retries in cases:
+        ours = round_apec(x, lp, seed=seed, retries=retries)
+        assert ours == choices_rounding(x, lp, seed, retries), (x, seed)
     assert len(cases) > 400
 
 
@@ -744,22 +757,21 @@ def rounding_case(i):
     if i % 3 == 0:
         weights += [1, 2 * n]  # a component of mass below 1/(2n)
     total = sum(weights)
-    values = {(v, vp): Fraction(0) for v in range(n) for vp in range(n)}
+    x = [Fraction(0)] * (n * n)
     for w in weights:
         perm = list(range(n))
         rng.shuffle(perm)
         for v in range(n):
-            values[(v, perm[v])] += Fraction(w, total)
+            x[v * n + perm[v]] += Fraction(w, total)
     if i % 5 == 1:  # as the float backend returns them
-        values = {key: Fraction(float(x)) for key, x in values.items()}
+        x = [float(xi) for xi in x]
     q = ged_to_qap(er_graph(n, 0.5, 7_100 + i), er_graph(n, 0.5, 7_200 + i))
     size = rng.randint(1, 2)
     alpha = PartialInjection(
         frozenset(zip(rng.sample(range(n), size), rng.sample(range(n), size)))
     )
     lp = build_alpha_lp(lp_model(q), alpha, 1)
-    frac = FractionalSolution(values, Fraction(0))
-    return frac, lp, rng.randrange(10**6), (1, 4, 8, 32)[i % 4]
+    return tuple(x), lp, rng.randrange(10**6), (1, 4, 8, 32)[i % 4]
 
 
 # fixed round_apec outputs on these inputs: any change to its seeded random
@@ -794,8 +806,8 @@ PINNED_ROUNDINGS = [
 
 @pytest.mark.parametrize("i", range(len(PINNED_ROUNDINGS)))
 def test_rounding_outputs_pinned(i):
-    frac, lp, seed, retries = rounding_case(i)
-    partial = round_apec(frac, lp, seed=seed, retries=retries)
+    x, lp, seed, retries = rounding_case(i)
+    partial = round_apec(x, lp, seed=seed, retries=retries)
     assert partial.sorted_pairs() == PINNED_ROUNDINGS[i]
 
 
@@ -810,6 +822,12 @@ class TestCompleteMatching:
     def test_greedy_fill(self):
         partial = PartialInjection(frozenset({(0, 2)}))
         assert complete_matching(partial, 3).mapping == (2, 0, 1)
+
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+    def test_pairs_outside_the_ground_set_rejected(self, pair):
+        # a negative source would index the mapping from its end: (-1, 0) maps 2
+        with pytest.raises(ValueError, match="ground set"):
+            complete_matching(PartialInjection(frozenset({pair})), 3)
 
 
 class TestApproximateQap:
@@ -1192,6 +1210,7 @@ class TestLpValueBound:
                     )
                     if not qualifies:
                         continue
-                    sol = solve_lp(build_alpha_lp(lp_model(q), alpha, eps), "exact")
-                    assert isinstance(sol, FractionalSolution)
-                    assert sol.objective_value <= cost_star + eps * n * n / 3
+                    lp = build_alpha_lp(lp_model(q), alpha, eps)
+                    x = solve_lp(lp, "exact")
+                    assert x is not None
+                    assert lp_value(lp, x) <= cost_star + eps * n * n / 3
