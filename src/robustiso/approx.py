@@ -11,11 +11,13 @@ seeded source set S of size m, and every injective image of S.
 
 The constraint matrix does not depend on alpha, so it is built once per
 instance (LpModel), as exact integers that both LP backends read; each
-alpha adds only its objective and row bounds (LinearProgram).  Each LP is
-solved cold.  An LP's answer is its flat vector of n^2 values, or None when
-the LP is infeasible: exact Fractions from the simplex, and HiGHS's floats
-as it returns them, unverified.  The rounding compares either kind exactly
-with its mass floor.
+alpha adds only its objective and row bounds (LinearProgram).  HiGHS reads
+it without the last target row, which the other assignment rows imply, and
+so runs without presolve (and retries with the primal simplex if its dual
+simplex stops short of a verdict).  Each LP is solved cold.  An LP's answer
+is its flat vector of n^2 values, or None when the LP is infeasible: exact
+Fractions from the simplex, and HiGHS's floats as it returns them,
+unverified.  The rounding compares either kind exactly with its mass floor.
 
 Two shortcuts skip solves without changing any output.  Twin vertices give
 equal block columns, so alphas that differ only in twins have equal LPs; a
@@ -67,9 +69,10 @@ class LpModel:
     Variables are x(v, v') indexed v*n + v'.  Row v*n + v' of `block` is the
     coefficient vector a(v, v') (entry w*n + w' is c(v, v', w, w')), times the
     common denominator `denom`, so the block is exact.  The exact simplex
-    reads the block's rows as they are (`exact_rows`), HiGHS its float
-    `csc`; no Fraction copy exists.  Per alpha only the objective and the
-    row bounds change.
+    reads the block's rows as they are with all 2n assignment rows
+    (`exact_rows`), HiGHS its float `csc`, which leaves out the implied last
+    target row; no Fraction copy exists.  Per alpha only the objective and
+    the row bounds change.
     """
 
     n: int
@@ -85,14 +88,19 @@ class LpModel:
 
     @cached_property
     def csc(self):
-        """(start, index, value) of [block / denom; assignment] in float CSC form.
+        """(start, index, value) of HiGHS's matrix in float CSC form.
 
+        The rows are block / denom and the first 2n - 1 assignment rows.  The
+        last target row, sum over v of x(v, n-1) = 1, is left out: the n source
+        sums and the other n - 1 target sums imply it, so the matrix has full
+        row rank and HiGHS needs no presolve to find the dependent row.
         Each value is one correctly rounded integer division, as float(Fraction).
         Plain lists: HiGHS copies them in several times faster than arrays.
         """
         denom = self.denom
+        kept = self.assignment[: max(2 * self.n - 1, 0)]
         # the stacked matrix by columns, in object dtype so any denom stays exact
-        columns = np.vstack([self.block, self.assignment.astype(object) * denom]).T
+        columns = np.vstack([self.block, kept.astype(object) * denom]).T
         col, row = np.nonzero(columns)
         start = np.searchsorted(col, np.arange(len(columns) + 1))
         return start.tolist(), row.tolist(), [c / denom for c in columns[col, row].tolist()]
@@ -231,10 +239,12 @@ def __getattr__(name):
 def _highs_solve(cost, row_lower, row_upper, csc):
     """Minimise cost . x subject to row_lower <= A x <= row_upper and x >= 0.
 
-    A is given as (start, index, value) in CSC form.  Runs scipy's bundled
-    HiGHS through its private `_core` module, on a fresh solver object, so
-    no basis carries over from an earlier call.  Returns x as HiGHS gives
-    it, floats, or None when the program is infeasible.
+    A is given as (start, index, value) in CSC form, with full row rank
+    (LpModel.csc).  Runs scipy's bundled HiGHS through its private `_core`
+    module, on a fresh solver object, so no basis carries over from an
+    earlier call: the dual simplex without presolve, and if that stops short
+    of a verdict, the primal simplex once more from scratch.  Returns x as
+    HiGHS gives it, floats, or None when the program is infeasible.
     """
     _highs = __getattr__("_highs")
     start, index, value = csc
@@ -257,26 +267,32 @@ def _highs_solve(cost, row_lower, row_upper, csc):
     # one thread per solve: approximate_qap runs solves side by side, and
     # with HiGHS's default two such solves ran no faster than one
     solver.setOptionValue("threads", 1)
-    # the dual simplex, as linprog's HiGHS method uses
-    dual = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    solver.setOptionValue("simplex_strategy", int(dual))
+    # presolve took half of each run, and on these LPs its one reduction
+    # was the implied assignment row that LpModel.csc leaves out
+    solver.setOptionValue("presolve", "off")
     solver.passModel(lp)
-    if solver.run() == _highs.HighsStatus.kError and (
-        solver.getModelStatus() == _highs.HighsModelStatus.kNotset
-    ):
-        # HiGHS refuses a thread count other than that of this thread's
-        # scheduler, which an earlier solve on this thread may have started
-        solver.setOptionValue("threads", 0)
-        solver.run()
-    status = solver.getModelStatus()
-    if status == _highs.HighsModelStatus.kOptimal:
-        return tuple(solver.getSolution().col_value)
-    # x >= 0 with unit row sums is bounded, so "unbounded or infeasible" is infeasible
-    if status in (
-        _highs.HighsModelStatus.kInfeasible,
-        _highs.HighsModelStatus.kUnboundedOrInfeasible,
-    ):
-        return None
+    strategies = _highs.simplex_constants.SimplexStrategy
+    for strategy in (strategies.kSimplexStrategyDual, strategies.kSimplexStrategyPrimal):
+        solver.setOptionValue("simplex_strategy", int(strategy))
+        if solver.run() == _highs.HighsStatus.kError and (
+            solver.getModelStatus() == _highs.HighsModelStatus.kNotset
+        ):
+            # HiGHS refuses a thread count other than that of this thread's
+            # scheduler, which an earlier solve on this thread may have started
+            solver.setOptionValue("threads", 0)
+            solver.run()
+        status = solver.getModelStatus()
+        if status == _highs.HighsModelStatus.kOptimal:
+            return tuple(solver.getSolution().col_value)
+        # x >= 0 with unit row sums is bounded, so "unbounded or infeasible" is infeasible
+        if status in (
+            _highs.HighsModelStatus.kInfeasible,
+            _highs.HighsModelStatus.kUnboundedOrInfeasible,
+        ):
+            return None
+        # without presolve the dual simplex can stop with status Unknown on an
+        # infeasible LP; the primal simplex starts again from no basis
+        solver.clearSolver()
     name = solver.modelStatusToString(status)
     raise RuntimeError(f"HiGHS stopped with status {name}")
 
@@ -310,9 +326,10 @@ def solve_lp(lp: LinearProgram, method: str = "exact"):
     row itself.  Its tableau is int64 numpy while that cannot overflow and
     Python ints after; it holds the GIL for most of a solve, so
     approximate_qap calls it inline.  "highs" passes the ranged rows and the
-    assignment equalities straight to scipy's bundled HiGHS, one thread per
-    solve; its solution stays floats, unverified, and round_apec compares
-    them exactly with its floor.
+    first 2n - 1 assignment equalities (LpModel.csc; they imply the last)
+    straight to scipy's bundled HiGHS, one thread per solve, without
+    presolve, with a primal simplex retry (_highs_solve); its solution stays
+    floats, unverified, and round_apec compares them exactly with its floor.
     HiGHS releases the GIL while it solves, so approximate_qap calls this on
     worker threads when more than one core is usable.
 
@@ -337,8 +354,9 @@ def solve_lp(lp: LinearProgram, method: str = "exact"):
             lp.b_num.tolist(), a_ub, b_ub, a_eq, [1] * (2 * n)
         )
         return None if status == simplex.INFEASIBLE else tuple(x)
-    # exact Python integers until one correctly rounded division each
-    ones = [1.0] * (2 * n)
+    # exact Python integers until one correctly rounded division each; the
+    # unit bounds of the 2n - 1 assignment rows that LpModel.csc keeps
+    ones = [1.0] * (2 * n - 1)
     return _highs_solve(
         [b / lp.b_den for b in lp.b_num.tolist()],
         [lo / den for lo in lows] + ones,

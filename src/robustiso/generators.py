@@ -14,7 +14,7 @@ import os
 import random
 from dataclasses import dataclass
 
-from .errors import VerificationError
+from .errors import BudgetExceededError, VerificationError
 from .graphs import Graph, blowup, parse_graph, serialize_graph
 from .qap import QapInstance
 from .setsystems import neighbourhood_system, vc_dimension_exact
@@ -30,6 +30,11 @@ STOCK_BASES = {
                       + [(8 + i, 8 + (i + 3) % 8) for i in range(8)]
                       + [(i, 8 + i) for i in range(8)]),
 }
+
+# The most edge draws one random graph may take: C(n, 2) <= DRAW_CAP for
+# n <= 5,793, about 7 s at the 420 ns a draw measured at n = 2,000 on a
+# 2-core x86 VM.
+DRAW_CAP = 2**24
 
 
 @dataclass(frozen=True)
@@ -203,8 +208,9 @@ def gen_random_graph(
 
     The n neighbourhoods shatter at most floor(log2 n) vertices, so a
     target outside [0, floor(log2 n)] is refused before the first sample.
-    An order past VERTEX_CAP is refused there too.  `budget` bounds the
-    nodes of each sample's VC search."""
+    An order past VERTEX_CAP, or one whose C(n, 2) edge draws pass
+    DRAW_CAP, is refused there too.  `budget` bounds the nodes of each
+    sample's VC search."""
     if n < 1:
         raise ValueError("n must be >= 1")
     p = 0.5 if edge_prob is None else float(edge_prob)
@@ -216,6 +222,7 @@ def gen_random_graph(
             f"its {n} neighbourhoods shatter at most {n.bit_length() - 1} vertices"
         )
     Graph(n)  # the vertex cap, checked before the C(n, 2) draws
+    BudgetExceededError.check(math.comb(n, 2), DRAW_CAP, "edge draws for one graph")
     rng = random.Random(seed)
 
     def sample() -> Graph:

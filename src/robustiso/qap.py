@@ -203,13 +203,21 @@ def qap_bruteforce(q: QapInstance, cap: int = 9):
 
 
 def b_alpha(q: QapInstance, alpha: PartialInjection, v: int, vp: int) -> Fraction:
-    """Scaled partial cost estimate (n/|alpha|) * sum of c(v,v',w,w') over alpha."""
+    """Scaled partial cost estimate (n/|alpha|) * sum of c(v,v',w,w') over alpha.
+
+    (v, v') and every pair of alpha must lie in [0, n)^2.
+    """
     if len(alpha) == 0:
         raise ValueError("alpha must be nonempty")
+    n = q.n
+    if not all(0 <= w < n and 0 <= wp < n for w, wp in alpha):
+        raise ValueError("alpha exceeds the ground set")
+    if not (0 <= v < n and 0 <= vp < n):
+        raise ValueError("(v, v') exceeds the ground set")
     pairs = np.array(alpha.sorted_pairs(), dtype=np.int64)
-    positions = (v * q.n + vp) * q.n * q.n + pairs[:, 0] * q.n + pairs[:, 1]
+    positions = (v * n + vp) * n * n + pairs[:, 0] * n + pairs[:, 1]
     total = q.scaled_at(positions).sum()
-    return Fraction(q.n, len(alpha)) * Fraction(int(total), q.denom)
+    return Fraction(n, len(alpha)) * Fraction(int(total), q.denom)
 
 
 def parse_qap(text: str) -> QapInstance:

@@ -47,6 +47,7 @@ from robustiso import (
 )
 from robustiso import approx, simplex
 from robustiso.errors import BudgetExceededError
+from robustiso.generators import gen_random_graph
 
 
 K3 = complete_graph(3)
@@ -240,6 +241,96 @@ class TestSolveLp:
             with pytest.raises(RuntimeError, match="HiGHS stopped"):
                 solve_lp(lp, "highs")
 
+    def test_dual_simplex_stop_is_retried_with_the_primal(self, monkeypatch):
+        # without presolve HiGHS's dual simplex stopped with status Unknown on
+        # these two infeasible LPs; the primal simplex, run once more from
+        # scratch, finds them infeasible
+        cleared = []
+        real = approx._highs._Highs
+
+        class Counted(real):
+            def clearSolver(self):
+                cleared.append(self.getModelStatus())
+                return super().clearSolver()
+
+        monkeypatch.setattr(approx._highs, "_Highs", Counted)
+        for lp in unknown_status_lps():
+            assert not approx._refutes(lp)
+            assert solve_lp(lp, "highs") is None
+            assert solve_lp(lp, "exact") is None
+        assert cleared == [approx._highs.HighsModelStatus.kUnknown] * 2
+
+    def test_both_simplex_stops_raise_with_the_status(self, monkeypatch):
+        strategies = []
+        simplex = approx._highs.simplex_constants.SimplexStrategy
+
+        class Stopped(approx._highs._Highs):
+            def run(self):
+                strategies.append(self.getOptionValue("simplex_strategy")[1])
+                return super().run()
+
+            def getModelStatus(self):
+                return approx._highs.HighsModelStatus.kUnknown
+
+        monkeypatch.setattr(approx._highs, "_Highs", Stopped)
+        lp = build_alpha_lp(
+            lp_model(QapInstance(3, {})), PartialInjection(frozenset({(0, 0)})), 1
+        )
+        with pytest.raises(RuntimeError, match="^HiGHS stopped with status Unknown$"):
+            solve_lp(lp, "highs")
+        assert strategies == [
+            int(simplex.kSimplexStrategyDual), int(simplex.kSimplexStrategyPrimal)
+        ]
+
+    def test_highs_reads_a_full_rank_matrix(self, monkeypatch):
+        # HiGHS gets the block rows and 2n - 1 assignment rows; its vectors
+        # still meet all 2n unit sums, the left-out last target sum included
+        rows = []
+        real = approx._highs_solve
+
+        def solve(cost, row_lower, row_upper, csc):
+            rows.append(len(row_lower))
+            assert len(row_upper) == len(row_lower)
+            assert max(csc[1]) == len(row_lower) - 1
+            return real(cost, row_lower, row_upper, csc)
+
+        monkeypatch.setattr(approx, "_highs_solve", solve)
+        feasible = collections.Counter()
+        for n in range(1, 9):
+            for kind, q in (
+                ("unweighted", ged_to_qap(er_graph(n, 0.5, 3600 + n), er_graph(n, 0.5, 3700 + n))),
+                ("weighted", weighted_ged_to_qap(
+                    random_weighted_graph(n, 3600 + n), random_weighted_graph(n, 3700 + n)
+                )),
+                ("qap", random_qap(n, 3600 + n, fill=0.3)),
+            ):
+                model = lp_model(q)
+                rng = random.Random(3800 + n)
+                for eps in (1, 2, 4):
+                    for _ in range(2):
+                        alpha = PartialInjection(frozenset({(rng.randrange(n), rng.randrange(n))}))
+                        lp = build_alpha_lp(model, alpha, eps)
+                        del rows[:]
+                        x = solve_lp(lp, "highs")
+                        assert rows in ([], [n * n + 2 * n - 1])
+                        if x is None:
+                            continue
+                        feasible[kind] += 1
+                        for v in range(n):
+                            assert abs(sum(x[v * n : v * n + n]) - 1) < 1e-9
+                            assert abs(sum(x[v::n]) - 1) < 1e-9
+        assert min(feasible.values()) >= 10 and len(feasible) == 3
+
+    def test_order_zero_builds_no_lp(self, monkeypatch):
+        # n = 0 keeps no assignment row: 2n - 1 is never taken as row -1
+        assert lp_model(QapInstance(0, {})).csc == ([0], [], [])
+
+        def no_lp(*args):
+            raise AssertionError("an LP was built")
+
+        monkeypatch.setattr(approx, "build_alpha_lp", no_lp)
+        assert approximate_qap(QapInstance(0, {}), 1, 1, seed=1).alphas_tried == 0
+
     def test_value_bounded_by_optimal_cost_plus_slack(self):
         # solved value never exceeds the true optimum by more than eps*n^2/3
         # when alpha estimates the optimal row sums well enough
@@ -281,6 +372,21 @@ def seeded_highs_lps():
                 pairs = zip(rng.sample(range(n), size), rng.sample(range(n), size))
                 lps.append(build_alpha_lp(model, PartialInjection(frozenset(pairs)), eps))
         yield model, lps
+
+
+def unknown_status_lps():
+    """Two weighted G(7, 1/2) LPs of the ged-highs benchmark's mix, rebuilt as
+    it builds them from the key workload/seed/round/kind, at their alphas."""
+    for key, alpha in (("ged-highs/14/12/ged-w7", ((6, 5),)),
+                       ("ged-highs/21/14/ged-w7", ((6, 1),))):
+        rng = random.Random(key)
+        g = gen_random_graph(7, seed=rng.getrandbits(32))
+        h = gen_random_graph(7, seed=rng.getrandbits(32))
+        g, h = (
+            Graph(7, x.edges, weights={e: Fraction(rng.randint(1, 6), 2) for e in sorted(x.edges)})
+            for x in (g, h)
+        )
+        yield build_alpha_lp(lp_model(weighted_ged_to_qap(g, h)), alpha, 2)
 
 
 def exact_pin_instances():
@@ -587,13 +693,15 @@ def csc_pin_instances():
 
 def test_csc_pinned():
     # sha256 of HiGHS's float matrix, recorded with scipy.sparse's csc_array
+    # over dense rows of float(c(v, v', w, w')) and the first 2n - 1 unit-sum
+    # rows; with all 2n rows the digest was c56a4bcb...707c61
     parts = []
     for q in csc_pin_instances():
         start, index, value = lp_model(q).csc
         parts.append(repr((start, index, [x.hex() for x in value])))
     assert lp_model(csc_pin_instances()[-3]).block.dtype == object
     digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
-    assert digest == "c56a4bcb63c9199f4c318ddde4fea746d7d165364f007556c887a33fba707c61"
+    assert digest == "4245eefcefeab156317583707425044e8b148f62d194f9fe11ca86dfac98a2cd"
 
 
 def vector(n, entries):

@@ -290,6 +290,20 @@ class TestGenCommand:
         assert "vertex cap" in data["detail"] and data["attempted"] == 2000000
         assert not any(tmp_path.iterdir())
 
+    def test_order_past_the_draw_cap_exits_three_before_sampling(self, tmp_path):
+        # under the vertex cap, but C(n, 2) draws once ran until killed
+        res = subprocess.run(
+            [sys.executable, "-m", "robustiso.cli", "gen", "random", "--n", "100000",
+             "--seed", "1", "--out", str(tmp_path / "r.graph")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert res.returncode == 3, res.stderr
+        data = payload(res)
+        assert "edge draws" in data["detail"] and data["attempted"] == 4_999_950_000
+        assert not any(tmp_path.iterdir())
+
 
 class TestOracleCommand:
     def test_ged(self, files):

@@ -15,7 +15,7 @@ from robustiso import (
     vc_dimension_exact,
 )
 from robustiso import generators
-from robustiso.errors import VerificationError
+from robustiso.errors import BudgetExceededError, VerificationError
 from robustiso.generators import (
     InstanceBundle,
     cfi_graph,
@@ -198,6 +198,24 @@ class TestRandomGraphs:
     def test_largest_possible_target_is_searched(self, monkeypatch, n, target):
         monkeypatch.setattr(generators, "vc_dimension_exact", lambda system, budget: target)
         assert gen_random_graph(n, target_vc=target, seed=1).n == n
+
+    @pytest.mark.parametrize("n, refused", [(5_793, False), (5_794, True), (10**5, True)])
+    def test_draw_cap_is_checked_before_the_first_draw(self, monkeypatch, n, refused):
+        # C(5793, 2) = 16,776,528 <= 2^24 < C(5794, 2) = 16,782,321
+        class Drawn(Exception):
+            pass
+
+        def no_draws(seed):
+            raise Drawn
+
+        monkeypatch.setattr(generators.random, "Random", no_draws)
+        if refused:
+            with pytest.raises(BudgetExceededError, match="edge draws") as err:
+                gen_random_graph(n, seed=1)
+            assert err.value.attempted == n * (n - 1) // 2 > generators.DRAW_CAP
+        else:
+            with pytest.raises(Drawn):
+                gen_random_graph(n, seed=1)
 
 
 class TestBundleIo:

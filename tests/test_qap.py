@@ -281,6 +281,20 @@ class TestBAlpha:
         with pytest.raises(ValueError):
             b_alpha(QapInstance(2, {}), PartialInjection(frozenset()), 0, 0)
 
+    @pytest.mark.parametrize("pair", [(0, 3), (3, 0), (0, -1), (-1, 0)])
+    def test_alpha_outside_the_ground_set_rejected(self, pair):
+        # unchecked, (0, 3) read the coefficient of (1, 0): b = 3, not 0
+        q = ged_to_qap(Graph(3, {(0, 1)}), Graph(3, {(1, 2)}))
+        assert b_alpha(q, PartialInjection(frozenset({(1, 0)})), 0, 1) == 3
+        with pytest.raises(ValueError, match="alpha exceeds the ground set"):
+            b_alpha(q, PartialInjection(frozenset({pair})), 0, 1)
+
+    @pytest.mark.parametrize("v, vp", [(0, 3), (3, 0), (0, -1), (-1, 0)])
+    def test_pair_outside_the_ground_set_rejected(self, v, vp):
+        q = ged_to_qap(Graph(3, {(0, 1)}), Graph(3, {(1, 2)}))
+        with pytest.raises(ValueError, match=r"\(v, v'\) exceeds the ground set"):
+            b_alpha(q, PartialInjection(frozenset({(0, 0)})), v, vp)
+
     def test_linear_in_coefficients(self):
         rng = random.Random(33)
         for trial in range(10):
