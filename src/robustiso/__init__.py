@@ -4,13 +4,13 @@ dimension, plus Weisfeiler-Leman-based robust graph isomorphism."""
 from .graphs import (
     Assignment,
     Graph,
-    PartialInjection,
     blowup,
     edit_cost,
     edit_distance_bruteforce,
     is_isomorphic_bruteforce,
     mixed_neighbourhood,
     parse_graph,
+    partial_injection,
     serialize_graph,
     threshold_graph,
 )

@@ -56,7 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceededError
-from .graphs import Assignment, Graph, PartialInjection, edit_cost
+from .graphs import Assignment, Graph, edit_cost, partial_injection
 from .qap import QapInstance, qap_cost, weighted_ged_to_qap
 from .rationals import as_fraction
 from . import simplex
@@ -203,16 +203,16 @@ def m_bound(b, eps, d: int, k_values: int, n: int | None = None) -> int:
     if b <= 0 or eps <= 0 or d < 0 or k_values < 1:
         raise ValueError("m_bound requires positive B, eps and K >= 1, d >= 0")
     raw = C_M * float(b) ** 2 * (d + math.log(k_values)) / float(eps) ** 2
-    m = max(1, math.ceil(raw))
+    m = math.ceil(raw)
     if n is not None:
         m = min(m, n)
-    return m
+    return max(1, m)
 
 
 def build_alpha_lp(model: LpModel, alpha, eps) -> LinearProgram:
     """LP: minimise sum b_alpha(v,v') x(v,v') with a(v,v') . x in [b +- eps*n/3].
 
-    alpha is the pairs (w, w') of a partial injection, each in [0, n)^2.
+    alpha is the pairs (w, w') of a partial injection of [n] (partial_injection).
     b_alpha(v, v') = (n/|alpha|) * sum of c(v, v', w, w') over alpha, for all
     pairs at once: a sum of the block's alpha columns.
     """
@@ -220,8 +220,7 @@ def build_alpha_lp(model: LpModel, alpha, eps) -> LinearProgram:
         raise ValueError("alpha must be nonempty")
     eps = as_fraction(eps)
     n = model.n
-    if not all(0 <= w < n and 0 <= wp < n for w, wp in alpha):
-        raise ValueError("alpha exceeds the ground set")
+    alpha = partial_injection(alpha, n)
     columns = [w * n + wp for w, wp in alpha]
     b_num = n * model.block[:, columns].sum(axis=1)
     return LinearProgram(model, b_num, len(alpha) * model.denom, eps * n / 3)
@@ -365,8 +364,9 @@ def solve_lp(lp: LinearProgram, method: str = "exact"):
     )
 
 
-def round_apec(x, lp: LinearProgram, seed: int, retries: int = 32) -> PartialInjection:
-    """Seeded randomised rounding of a fractional assignment to a partial matching.
+def round_apec(x, lp: LinearProgram, seed: int, retries: int = 32) -> tuple:
+    """Seeded randomised rounding of a fractional assignment to a partial matching,
+    as its (source, target) pairs in source order.
 
     x is solve_lp's vector, x(v, v') = x[v*n + v'], of Fractions or floats:
     Python compares a float with a Fraction exactly, so both give the same
@@ -424,16 +424,15 @@ def round_apec(x, lp: LinearProgram, seed: int, retries: int = 32) -> PartialInj
         key = (-len(pairs), obj, tuple(pairs))
         if best is None or key < best:
             best = key
-    return PartialInjection(frozenset(best[2]))
+    return best[2]
 
 
-def complete_matching(partial: PartialInjection, n: int) -> Assignment:
-    """Extend to a perfect matching: unmatched sources take the smallest free target."""
+def complete_matching(partial, n: int) -> Assignment:
+    """Extend the pairs of a partial injection of [n] (partial_injection) to a
+    perfect matching: unmatched sources take the smallest free target."""
     mapping = [-1] * n
     used = set()
-    for v, vp in partial:
-        if not (0 <= v < n and 0 <= vp < n):
-            raise ValueError("partial injection exceeds the ground set")
+    for v, vp in partial_injection(partial, n):
         mapping[v] = vp
         used.add(vp)
     free = iter(sorted(set(range(n)) - used))

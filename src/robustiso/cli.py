@@ -231,13 +231,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.kind != "qap" and args.b is None:
-        raise ValueError(f"oracle {args.kind} needs two graph files")
-    if args.kind == "qap" and args.b is not None:
-        raise ValueError("oracle qap takes one QAP file")
     if args.kind == "iso":
-        if args.cap is not None:
-            raise ValueError("oracle iso takes no --cap")
         g = _load_graph(args.a)
         h = _load_graph(args.b)
         iso = is_isomorphic_bruteforce(g, h)
@@ -249,13 +243,12 @@ def cmd_oracle(args) -> int:
             }
         )
         return EXIT_OK
-    cap = 10 if args.cap is None else args.cap
     if args.kind == "ged":
         cost, assignment = edit_distance_bruteforce(
-            _load_graph(args.a), _load_graph(args.b), cap=cap
+            _load_graph(args.a), _load_graph(args.b), cap=args.cap
         )
     else:
-        cost, assignment = qap_bruteforce(_load_qap(args.a), cap=cap)
+        cost, assignment = qap_bruteforce(_load_qap(args.a), cap=args.cap)
     _emit(
         {
             "kind": args.kind,
@@ -344,12 +337,18 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--target-vc", type=int, default=None)
 
     p = sub.add_parser("oracle", help="exact brute-force oracles")
-    p.add_argument("kind", choices=["ged", "qap", "iso"])
-    p.add_argument("a")
-    p.add_argument("b", nargs="?", default=None)
-    p.add_argument("--cap", type=int, default=None,
-                   help="largest n to enumerate (ged and qap only; default 10)")
     p.set_defaults(fn=cmd_oracle)
+    cap_flag = argparse.ArgumentParser(add_help=False)
+    cap_flag.add_argument("--cap", type=int, default=10, help="largest n to enumerate")
+    kinds = p.add_subparsers(dest="kind", required=True)
+    f = kinds.add_parser("ged", parents=[cap_flag])
+    f.add_argument("a")
+    f.add_argument("b")
+    f = kinds.add_parser("qap", parents=[cap_flag])
+    f.add_argument("a")
+    f = kinds.add_parser("iso")
+    f.add_argument("a")
+    f.add_argument("b")
     return parser
 
 

@@ -185,6 +185,7 @@ def gen_vc_gap_qap(n: int) -> QapInstance:
     """
     if n < 4:
         raise ValueError("requires n >= 4")
+    QapInstance(n)  # the order check, before the 2^k subsets
     k = n.bit_length() - 1  # floor(log2 n)
     entries = {}
     for bits in range(1 << k):

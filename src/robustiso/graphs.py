@@ -162,38 +162,19 @@ class Assignment:
     def __getitem__(self, v: int) -> int:
         return self.mapping[v]
 
-    def inverse(self) -> "Assignment":
-        inv = [0] * len(self.mapping)
-        for v, w in enumerate(self.mapping):
-            inv[w] = v
-        return Assignment(tuple(inv))
 
-    def graph(self) -> "PartialInjection":
-        return PartialInjection(frozenset(enumerate(self.mapping)))
+def partial_injection(pairs, n: int) -> tuple:
+    """pairs as a partial injection of [n]: a tuple of (source, target) pairs
+    sorted by source.
 
-
-@dataclass(frozen=True)
-class PartialInjection:
-    """A set of (source, target) pairs with distinct sources and targets."""
-
-    pairs: frozenset
-
-    def __post_init__(self):
-        pairs = frozenset((int(a), int(b)) for a, b in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
-        sources = [a for a, _ in pairs]
-        targets = [b for _, b in pairs]
-        if len(set(sources)) != len(sources) or len(set(targets)) != len(targets):
-            raise ValueError("pairs do not form a partial injection")
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(sorted(self.pairs))
-
-    def sorted_pairs(self) -> tuple:
-        return tuple(sorted(self.pairs))
+    Raises ValueError for a pair outside [0, n)^2 or a repeated source or target.
+    """
+    pairs = tuple(sorted(pairs))
+    if not all(0 <= v < n and 0 <= vp < n for v, vp in pairs):
+        raise ValueError("alpha exceeds the ground set")
+    if len({v for v, _ in pairs}) < len(pairs) or len({vp for _, vp in pairs}) < len(pairs):
+        raise ValueError("alpha repeats a source or a target")
+    return pairs
 
 
 def _check_same_order(g: Graph, h: Graph):
@@ -416,6 +397,7 @@ def blowup(g: Graph, ell: int) -> Graph:
     """
     if ell < 1:
         raise ValueError("blowup factor must be >= 1")
+    Graph(g.n * ell)  # the vertex cap, checked before the ell^2 weights per edge
     weights = {}
     for (u, v), w in g.edge_weights.items():
         for i in range(ell):

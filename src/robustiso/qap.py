@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceededError, ParseError
-from .graphs import Assignment, Graph, PartialInjection, cheapest_bijection, weight_matrices
+from .graphs import Assignment, Graph, cheapest_bijection, partial_injection, weight_matrices
 from .graphs import parse_int, parse_value, read_records
 from .rationals import as_fraction, format_rational
 
@@ -202,19 +202,19 @@ def qap_bruteforce(q: QapInstance, cap: int = 9):
     return Fraction(total, denom), Assignment(mapping)
 
 
-def b_alpha(q: QapInstance, alpha: PartialInjection, v: int, vp: int) -> Fraction:
+def b_alpha(q: QapInstance, alpha, v: int, vp: int) -> Fraction:
     """Scaled partial cost estimate (n/|alpha|) * sum of c(v,v',w,w') over alpha.
 
-    (v, v') and every pair of alpha must lie in [0, n)^2.
+    alpha is the pairs of a partial injection of [n] (partial_injection), and
+    (v, v') must lie in [0, n)^2.
     """
     if len(alpha) == 0:
         raise ValueError("alpha must be nonempty")
     n = q.n
-    if not all(0 <= w < n and 0 <= wp < n for w, wp in alpha):
-        raise ValueError("alpha exceeds the ground set")
+    alpha = partial_injection(alpha, n)
     if not (0 <= v < n and 0 <= vp < n):
         raise ValueError("(v, v') exceeds the ground set")
-    pairs = np.array(alpha.sorted_pairs(), dtype=np.int64)
+    pairs = np.array(alpha, dtype=np.int64)
     positions = (v * n + vp) * n * n + pairs[:, 0] * n + pairs[:, 1]
     total = q.scaled_at(positions).sum()
     return Fraction(n, len(alpha)) * Fraction(int(total), q.denom)

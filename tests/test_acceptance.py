@@ -18,7 +18,6 @@ from conftest import chunk_colouring, er_graph, lp_value, random_qap, relabelled
 from paper_lemmas import mean_threshold_estimate, threshold_grid
 from robustiso import (
     Assignment,
-    PartialInjection,
     approximate_ged,
     b_alpha,
     blowup,
@@ -135,7 +134,7 @@ def test_threshold_mean_interval_containment():
         perm = list(range(n))
         rng.shuffle(perm)
         sources = rng.sample(range(n), size)
-        alpha = PartialInjection(frozenset((w, perm[w]) for w in sources))
+        alpha = tuple((w, perm[w]) for w in sources)
         est = mean_threshold_estimate(
             q, alpha, grid, rng.randrange(n), rng.randrange(n)
         )
@@ -158,11 +157,10 @@ def test_lp_value_bounded_by_optimum_plus_third_slack():
         else:
             q = random_qap(n, rng.randrange(10**9), bmax=1, denom=4, fill=0.5)
         cost_star, phi_star = qap_bruteforce(q)
-        full = phi_star.graph()
+        full = tuple(enumerate(phi_star.mapping))
         pairs = list(full)
         for size in (1, 2):
-            for combo in itertools.combinations(pairs, size):
-                alpha = PartialInjection(frozenset(combo))
+            for alpha in itertools.combinations(pairs, size):
                 qualifies = all(
                     abs(b_alpha(q, full, v, vp) - b_alpha(q, alpha, v, vp))
                     <= eps * n / 3

@@ -28,7 +28,6 @@ from paper_lemmas import threshold_grid
 from robustiso import (
     Assignment,
     Graph,
-    PartialInjection,
     QapInstance,
     approximate_ged,
     approximate_qap,
@@ -64,6 +63,10 @@ class TestMBound:
     def test_clamped_to_n(self):
         assert m_bound(4, Fraction(1, 10), 5, 16, n=6) == 6
 
+    def test_clamped_to_one_at_order_zero(self):
+        # approximate_qap refuses m < 1, so order 0 still gets m = 1
+        assert m_bound(1, 1, 0, 1, n=0) == 1
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             m_bound(0, 1, 1, 2)
@@ -76,9 +79,7 @@ def fraction_rows(model):
 
 class TestBuildAlphaLp:
     def test_zero_instance_rows(self):
-        lp = build_alpha_lp(
-            lp_model(QapInstance(2, {})), PartialInjection(frozenset({(0, 0)})), 1
-        )
+        lp = build_alpha_lp(lp_model(QapInstance(2, {})), ((0, 0),), 1)
         assert len(lp.b_num) == 4
         rows = fraction_rows(lp.model)
         lows, highs, den = lp.integer_bounds
@@ -90,7 +91,7 @@ class TestBuildAlphaLp:
 
     def test_objective_is_b_alpha(self):
         q = ged_to_qap(K3, PATH3)
-        alpha = PartialInjection(frozenset({(0, 1), (2, 0)}))
+        alpha = ((0, 1), (2, 0))
         lp = build_alpha_lp(lp_model(q), alpha, 1)
         for v in range(3):
             for vp in range(3):
@@ -104,7 +105,7 @@ class TestBuildAlphaLp:
         q = ged_to_qap(g, h)
         _, phi = qap_bruteforce(q)
         assert qap_cost(q, phi) == 0
-        alpha = PartialInjection(frozenset(list(phi.graph())[:2]))
+        alpha = tuple(enumerate(phi.mapping))[:2]
         lp = build_alpha_lp(lp_model(q), alpha, 1)
         lows, highs, den = lp.integer_bounds
         for coeffs, lo, hi in zip(fraction_rows(lp.model), lows, highs):
@@ -119,9 +120,7 @@ class TestBuildAlphaLp:
 
     def test_empty_alpha_rejected(self):
         with pytest.raises(ValueError):
-            build_alpha_lp(
-                lp_model(QapInstance(2, {})), PartialInjection(frozenset()), 1
-            )
+            build_alpha_lp(lp_model(QapInstance(2, {})), (), 1)
 
     @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (3, 0), (0, 3)])
     def test_pairs_outside_the_ground_set_rejected(self, pair):
@@ -132,9 +131,7 @@ class TestBuildAlphaLp:
 
 class TestSolveLp:
     def test_zero_objective_gives_doubly_stochastic(self):
-        lp = build_alpha_lp(
-            lp_model(QapInstance(3, {})), PartialInjection(frozenset({(0, 0)})), 1
-        )
+        lp = build_alpha_lp(lp_model(QapInstance(3, {})), ((0, 0),), 1)
         x = solve_lp(lp, "exact")
         assert len(x) == 9 and lp_value(lp, x) == 0
         for v in range(3):
@@ -146,9 +143,7 @@ class TestSolveLp:
         # alpha puts it in [59, 61]
         entries = {(0, 0, w, wp): 1 for w in range(3) for wp in range(3)}
         entries[(0, 0, 0, 0)] = 20
-        lp = build_alpha_lp(
-            lp_model(QapInstance(3, entries)), PartialInjection(frozenset({(0, 0)})), 1
-        )
+        lp = build_alpha_lp(lp_model(QapInstance(3, entries)), ((0, 0),), 1)
         lows, highs, den = lp.integer_bounds
         assert Fraction(lows[0], den) == 59 and Fraction(highs[0], den) == 61
         assert solve_lp(lp, "exact") is None
@@ -156,9 +151,7 @@ class TestSolveLp:
 
     def test_bounds_are_computed_once_per_lp(self):
         # _refutes and solve_lp both read them: one set of lists per LP
-        lp = build_alpha_lp(
-            lp_model(ged_to_qap(K3, PATH3)), PartialInjection(frozenset({(0, 1)})), 1
-        )
+        lp = build_alpha_lp(lp_model(ged_to_qap(K3, PATH3)), ((0, 1),), 1)
         first = lp.integer_bounds
         assert solve_lp(lp, "exact") is not None
         assert lp.integer_bounds is first
@@ -169,9 +162,7 @@ class TestSolveLp:
             n = rng.randint(2, 4)
             q = random_qap(n, 3000 + trial)
             size = rng.randint(1, n)
-            alpha = PartialInjection(
-                frozenset(zip(rng.sample(range(n), size), rng.sample(range(n), size)))
-            )
+            alpha = tuple(zip(rng.sample(range(n), size), rng.sample(range(n), size)))
             lp = build_alpha_lp(lp_model(q), alpha, Fraction(rng.randint(1, 4), 2))
             exact = solve_lp(lp, "exact")
             fast = solve_lp(lp, "highs")
@@ -232,9 +223,7 @@ class TestSolveLp:
                 return code
 
         monkeypatch.setattr(approx._highs, "_Highs", StoppedSolver)
-        lp = build_alpha_lp(
-            lp_model(QapInstance(3, {})), PartialInjection(frozenset({(0, 0)})), 1
-        )
+        lp = build_alpha_lp(lp_model(QapInstance(3, {})), ((0, 0),), 1)
         if status in ("kInfeasible", "kUnboundedOrInfeasible"):
             assert solve_lp(lp, "highs") is None
         else:
@@ -273,9 +262,7 @@ class TestSolveLp:
                 return approx._highs.HighsModelStatus.kUnknown
 
         monkeypatch.setattr(approx._highs, "_Highs", Stopped)
-        lp = build_alpha_lp(
-            lp_model(QapInstance(3, {})), PartialInjection(frozenset({(0, 0)})), 1
-        )
+        lp = build_alpha_lp(lp_model(QapInstance(3, {})), ((0, 0),), 1)
         with pytest.raises(RuntimeError, match="^HiGHS stopped with status Unknown$"):
             solve_lp(lp, "highs")
         assert strategies == [
@@ -308,7 +295,7 @@ class TestSolveLp:
                 rng = random.Random(3800 + n)
                 for eps in (1, 2, 4):
                     for _ in range(2):
-                        alpha = PartialInjection(frozenset({(rng.randrange(n), rng.randrange(n))}))
+                        alpha = ((rng.randrange(n), rng.randrange(n)),)
                         lp = build_alpha_lp(model, alpha, eps)
                         del rows[:]
                         x = solve_lp(lp, "highs")
@@ -337,16 +324,14 @@ class TestSolveLp:
         eps = Fraction(2)
         q = ged_to_qap(K3, PATH3)
         cost_star, phi_star = qap_bruteforce(q)
-        alpha = phi_star.graph()
+        alpha = tuple(enumerate(phi_star.mapping))
         lp = build_alpha_lp(lp_model(q), alpha, eps)
         x = solve_lp(lp, "exact")
         assert x is not None
         assert lp_value(lp, x) <= cost_star + eps * 9 / 3
 
     def test_unknown_method(self):
-        lp = build_alpha_lp(
-            lp_model(QapInstance(2, {})), PartialInjection(frozenset({(0, 0)})), 1
-        )
+        lp = build_alpha_lp(lp_model(QapInstance(2, {})), ((0, 0),), 1)
         with pytest.raises(ValueError):
             solve_lp(lp, "nope")
 
@@ -370,7 +355,7 @@ def seeded_highs_lps():
             for _ in range(3):
                 size = rng.randint(1, 2)
                 pairs = zip(rng.sample(range(n), size), rng.sample(range(n), size))
-                lps.append(build_alpha_lp(model, PartialInjection(frozenset(pairs)), eps))
+                lps.append(build_alpha_lp(model, tuple(pairs), eps))
         yield model, lps
 
 
@@ -418,7 +403,7 @@ def exact_pin_solves():
             for _ in range(5):
                 size = rng.randint(1, 2)
                 pairs = zip(rng.sample(range(n), size), rng.sample(range(n), size))
-                lp = build_alpha_lp(model, PartialInjection(frozenset(pairs)), eps)
+                lp = build_alpha_lp(model, tuple(pairs), eps)
                 solves.append((q, lp, solve_lp(lp, "exact")))
     # weighted LPs whose exact vertex moves when a row's scale changes (a
     # search found 5 among 2160): Bland's phase-1 objective sums scaled rows
@@ -427,7 +412,7 @@ def exact_pin_solves():
             random_weighted_graph(n, 500 + seed, denom=denom),
             random_weighted_graph(n, 700 + seed, denom=denom),
         )
-        lp = build_alpha_lp(lp_model(q), PartialInjection(frozenset(pairs)), eps)
+        lp = build_alpha_lp(lp_model(q), tuple(pairs), eps)
         solves.append((q, lp, solve_lp(lp, "exact")))
     return solves
 
@@ -449,7 +434,7 @@ def test_exact_vertex_does_not_depend_on_row_scale():
             random_weighted_graph(n, 700 + seed, denom=denom),
         )
         model = lp_model(q)
-        lp = build_alpha_lp(model, PartialInjection(frozenset(pairs)), eps)
+        lp = build_alpha_lp(model, tuple(pairs), eps)
         lows, highs, den = lp.integer_bounds
         objective = [Fraction(b, lp.b_den) for b in lp.b_num.tolist()]
         results = []
@@ -539,7 +524,7 @@ def small_alphas(n):
     for size in (1, 2):
         for sources in itertools.combinations(range(n), size):
             for targets in itertools.permutations(range(n), size):
-                yield PartialInjection(frozenset(zip(sources, targets)))
+                yield tuple(zip(sources, targets))
 
 
 def agreement_instance(kind, n):
@@ -711,14 +696,12 @@ def vector(n, entries):
 
 class TestRounding:
     def lp3(self):
-        return build_alpha_lp(
-            lp_model(QapInstance(3, {})), PartialInjection(frozenset({(0, 0)})), 1
-        )
+        return build_alpha_lp(lp_model(QapInstance(3, {})), ((0, 0),), 1)
 
     def test_integral_solution_returned_unchanged(self):
         x = vector(3, {(v, v): Fraction(1) for v in range(3)})
         partial = round_apec(x, self.lp3(), seed=1)
-        assert partial.sorted_pairs() == ((0, 0), (1, 1), (2, 2))
+        assert partial == ((0, 0), (1, 1), (2, 2))
 
     def test_integral_solution_is_drawn_once(self, monkeypatch):
         # with one target per source every retry draws alike: one retry of
@@ -731,7 +714,7 @@ class TestRounding:
         )
         integral = {(v, (v + 1) % 3): Fraction(1) for v in range(3)}
         partial = round_apec(vector(3, integral), self.lp3(), seed=1)
-        assert partial.sorted_pairs() == ((0, 1), (1, 2), (2, 0)) and len(draws) == 3
+        assert partial == ((0, 1), (1, 2), (2, 0)) and len(draws) == 3
         draws.clear()
         split = {**integral, (0, 1): Fraction(1, 2), (0, 2): Fraction(1, 2)}
         round_apec(vector(3, split), self.lp3(), seed=1)
@@ -749,9 +732,7 @@ class TestRounding:
 
     def test_support_containment(self):
         rng = random.Random(64)
-        lp4 = build_alpha_lp(
-            lp_model(QapInstance(4, {})), PartialInjection(frozenset({(0, 0)})), 1
-        )
+        lp4 = build_alpha_lp(lp_model(QapInstance(4, {})), ((0, 0),), 1)
         for trial in range(10):
             # mix of two random permutations
             p1 = list(range(4))
@@ -775,12 +756,10 @@ class TestRounding:
 
     def test_draws_below_mass_floor_are_dropped(self):
         # the only mass in row 0 sits below 1/(2n): source 0 stays unmatched
-        lp2 = build_alpha_lp(
-            lp_model(QapInstance(2, {})), PartialInjection(frozenset({(0, 0)})), 1
-        )
+        lp2 = build_alpha_lp(lp_model(QapInstance(2, {})), ((0, 0),), 1)
         x = (Fraction(1, 8), Fraction(0), Fraction(0), Fraction(1))
         partial = round_apec(x, lp2, seed=3, retries=8)
-        assert partial.sorted_pairs() == ((1, 1),)
+        assert partial == ((1, 1),)
 
     def test_float_below_the_floor_is_dropped(self):
         # the float nearest 1/6 = 1/(2n) lies below it: compared exactly it
@@ -789,9 +768,9 @@ class TestRounding:
         assert below < Fraction(1, 6) and below >= 1 / 6
         exact = {(0, 0): Fraction(1, 6), (1, 1): 1.0, (2, 2): 1.0}
         partial = round_apec(vector(3, exact), self.lp3(), seed=1)
-        assert partial.sorted_pairs() == ((0, 0), (1, 1), (2, 2))
+        assert partial == ((0, 0), (1, 1), (2, 2))
         partial = round_apec(vector(3, {**exact, (0, 0): below}), self.lp3(), seed=1)
-        assert partial.sorted_pairs() == ((1, 1), (2, 2))
+        assert partial == ((1, 1), (2, 2))
 
 
 def test_rounding_stays_inside_the_support():
@@ -805,7 +784,7 @@ def test_rounding_stays_inside_the_support():
         floor = Fraction(1, 2 * n)
         below_floor += any(0 < xi < floor for xi in x)
         for seed in range(8):
-            pairs = round_apec(x, lp, seed=seed).sorted_pairs()
+            pairs = round_apec(x, lp, seed=seed)
             assert len({v for v, _ in pairs}) == len({vp for _, vp in pairs}) == len(pairs)
             assert all(x[v * n + vp] >= floor for v, vp in pairs), (x, seed)
     # solutions with positive mass under the floor, where the floor decides
@@ -838,7 +817,7 @@ def choices_rounding(x, lp, seed, retries=32):
                 obj += int(lp.b_num[v * n + vp])
         key = (-len(pairs), obj, tuple(pairs))
         best = key if best is None or key < best else best
-    return PartialInjection(frozenset(best[2]))
+    return best[2]
 
 
 def test_rounding_draws_as_random_choices_does():
@@ -875,9 +854,7 @@ def rounding_case(i):
         x = [float(xi) for xi in x]
     q = ged_to_qap(er_graph(n, 0.5, 7_100 + i), er_graph(n, 0.5, 7_200 + i))
     size = rng.randint(1, 2)
-    alpha = PartialInjection(
-        frozenset(zip(rng.sample(range(n), size), rng.sample(range(n), size)))
-    )
+    alpha = tuple(zip(rng.sample(range(n), size), rng.sample(range(n), size)))
     lp = build_alpha_lp(lp_model(q), alpha, 1)
     return tuple(x), lp, rng.randrange(10**6), (1, 4, 8, 32)[i % 4]
 
@@ -916,26 +893,50 @@ PINNED_ROUNDINGS = [
 def test_rounding_outputs_pinned(i):
     x, lp, seed, retries = rounding_case(i)
     partial = round_apec(x, lp, seed=seed, retries=retries)
-    assert partial.sorted_pairs() == PINNED_ROUNDINGS[i]
+    assert partial == PINNED_ROUNDINGS[i]
 
 
 class TestCompleteMatching:
     def test_perfect_input_unchanged(self):
-        partial = Assignment((2, 0, 1)).graph()
+        partial = ((0, 2), (1, 0), (2, 1))
         assert complete_matching(partial, 3).mapping == (2, 0, 1)
 
     def test_empty_gives_identity(self):
-        assert complete_matching(PartialInjection(frozenset()), 3).mapping == (0, 1, 2)
+        assert complete_matching((), 3).mapping == (0, 1, 2)
 
     def test_greedy_fill(self):
-        partial = PartialInjection(frozenset({(0, 2)}))
+        partial = ((0, 2),)
         assert complete_matching(partial, 3).mapping == (2, 0, 1)
 
     @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (3, 0), (0, 3)])
     def test_pairs_outside_the_ground_set_rejected(self, pair):
         # a negative source would index the mapping from its end: (-1, 0) maps 2
         with pytest.raises(ValueError, match="ground set"):
-            complete_matching(PartialInjection(frozenset({pair})), 3)
+            complete_matching((pair,), 3)
+
+
+@pytest.mark.parametrize(
+    "alpha, message",
+    [
+        (((0, 3),), "alpha exceeds the ground set"),
+        (((-1, 0),), "alpha exceeds the ground set"),
+        (((0, 1), (0, 2)), "alpha repeats a source or a target"),
+        (((0, 1), (2, 1)), "alpha repeats a source or a target"),
+    ],
+    ids=["target-past-n", "negative-source", "repeated-source", "repeated-target"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda alpha: build_alpha_lp(lp_model(ged_to_qap(K3, PATH3)), alpha, 1),
+        lambda alpha: b_alpha(ged_to_qap(K3, PATH3), alpha, 0, 1),
+        lambda alpha: complete_matching(alpha, 3),
+    ],
+    ids=["build_alpha_lp", "b_alpha", "complete_matching"],
+)
+def test_malformed_alpha_rejected_alike(call, alpha, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(alpha)
 
 
 class TestApproximateQap:
@@ -1203,7 +1204,7 @@ class TestWorkerPool:
         # solve started with more threads; the inline solves must then run
         # on that scheduler and give the same report
         script = (
-            "from robustiso import Graph, PartialInjection, approx\n"
+            "from robustiso import Graph, approx\n"
             "from robustiso import approximate_qap, build_alpha_lp, ged_to_qap, lp_model\n"
             "c6 = Graph(6, {(i, (i + 1) % 6) for i in range(6)})\n"
             "tc3 = Graph(6, {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)})\n"
@@ -1214,7 +1215,7 @@ class TestWorkerPool:
             "        self.setOptionValue('threads', 2)\n"
             "        return super().passModel(lp)\n"
             "approx._highs._Highs = Wide\n"
-            "lp = build_alpha_lp(lp_model(q), PartialInjection(frozenset({(0, 0)})), 2)\n"
+            "lp = build_alpha_lp(lp_model(q), ((0, 0),), 2)\n"
             "approx.solve_lp(lp, 'highs')\n"
             "approx._highs._Highs = real\n"
             "approx._workers = lambda: 1\n"
@@ -1265,15 +1266,13 @@ class TestSamplingChain:
             eps = Fraction(1)
             grid = threshold_grid(q.bound_b, eps)
             _, phi_star = qap_bruteforce(q)
-            pairs = list(phi_star.graph())
+            pairs = list(enumerate(phi_star.mapping))
             d = 1
             size = m_bound(q.bound_b, eps, d, len(q.value_set()), n=n)
             alpha = None
             while True:
                 for _ in range(20):
-                    candidate = PartialInjection(
-                        frozenset(rng.sample(pairs, size))
-                    )
+                    candidate = tuple(rng.sample(pairs, size))
                     if per_threshold_approximation_holds(
                         q, phi_star, candidate, grid, eps
                     ):
@@ -1286,7 +1285,7 @@ class TestSamplingChain:
             if len(alpha) < n:
                 found_below_full += 1
             # chained conclusion: b over alpha approximates b over phi*
-            b_full = phi_star.graph()
+            b_full = tuple(enumerate(phi_star.mapping))
             for v in range(n):
                 for vp in range(n):
                     lhs = b_alpha(q, b_full, v, vp)
@@ -1303,13 +1302,12 @@ class TestLpValueBound:
             n = rng.randint(3, 4)
             q = random_qap(n, 3200 + trial, bmax=1, fill=0.5)
             cost_star, phi_star = qap_bruteforce(q)
-            pairs = list(phi_star.graph())
+            pairs = list(enumerate(phi_star.mapping))
             for size in (1, 2):
-                for combo in itertools.combinations(pairs, size):
-                    alpha = PartialInjection(frozenset(combo))
+                for alpha in itertools.combinations(pairs, size):
                     qualifies = all(
                         abs(
-                            b_alpha(q, phi_star.graph(), v, vp)
+                            b_alpha(q, tuple(enumerate(phi_star.mapping)), v, vp)
                             - b_alpha(q, alpha, v, vp)
                         )
                         <= eps * n / 3

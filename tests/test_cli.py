@@ -318,7 +318,7 @@ class TestOracleCommand:
     def test_second_graph_required(self, files, kind):
         res = run_cli(["oracle", kind, files["k3.graph"]])
         assert res.returncode == 2 and res.stdout == ""
-        assert "needs two graph files" in res.stderr
+        assert "required: b" in res.stderr
 
     def test_qap(self, tmp_path):
         p = tmp_path / "q.qap"
@@ -476,18 +476,47 @@ class TestOrderCap:
         # map is built, so the command ends at once in a 1 GiB address space
         path = tmp_path / "huge.graph"
         path.write_text("n 10000000000\nc 0 1\n")
-        limit = (2**30, 2**30)
-        res = subprocess.run(
-            [sys.executable, "-m", "robustiso.cli", *(a.format(graph=path) for a in argv)],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
-        )
+        res = run_cli_in_one_gib([a.format(graph=path) for a in argv])
         assert res.returncode == 3, res.stderr
         data = payload(res)
         assert data["error"] == "budget-exceeded" and "vertex cap" in data["detail"]
         assert 10**10 in data.values()
+
+    def test_huge_vcgap_order_exits_two_at_once(self, tmp_path):
+        # the order check once came after the entries of all 2^29 subsets
+        out = tmp_path / "gap.qap"
+        res = run_cli_in_one_gib(["gen", "vcgap", "--n", "1000000000", "--out", str(out)])
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == (
+            "error: order 1000000000 has n^4 >= 2^63 coefficient positions, past int64\n"
+        )
+        assert not out.exists()
+
+    def test_huge_blowup_exits_three_at_once(self, tmp_path):
+        # 40 CFI vertices times 30,000 layers: refused before the ell^2
+        # weights of any edge are built
+        save_bundle(gen_cfi_pair("k4"), str(tmp_path / "cfi"))
+        res = run_cli_in_one_gib(
+            ["gen", "blowup", "--in", str(tmp_path / "cfi"), "--ell", "30000",
+             "--out", str(tmp_path / "big")]
+        )
+        assert res.returncode == 3, res.stderr
+        data = payload(res)
+        assert data["error"] == "budget-exceeded" and "vertex cap" in data["detail"]
+        assert data["attempted"] == 1_200_000
+        assert not (tmp_path / "big").exists()
+
+
+def run_cli_in_one_gib(args):
+    """run_cli with the address space of the command limited to 1 GiB."""
+    limit = (2**30, 2**30)
+    return subprocess.run(
+        [sys.executable, "-m", "robustiso.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+    )
 
 
 class TestStartUp:

@@ -17,7 +17,6 @@ from conftest import (
 from paper_lemmas import mean_threshold_estimate, threshold_grid
 from robustiso import (
     Assignment,
-    PartialInjection,
     QapInstance,
     b_alpha,
     edit_cost,
@@ -44,7 +43,7 @@ PATH3 = path_graph(3)
 def random_partial_injection(rng, n, size):
     sources = rng.sample(range(n), size)
     targets = rng.sample(range(n), size)
-    return PartialInjection(frozenset(zip(sources, targets)))
+    return tuple(zip(sources, targets))
 
 
 class TestQapInstance:
@@ -256,12 +255,12 @@ class TestQapBruteforce:
 class TestBAlpha:
     def test_zero_instance(self):
         q = QapInstance(4, {})
-        alpha = PartialInjection(frozenset({(0, 0)}))
+        alpha = ((0, 0),)
         assert b_alpha(q, alpha, 1, 2) == 0
 
     def test_singleton_scaling(self):
         q = QapInstance(4, {(2, 3, 0, 0): 3})
-        alpha = PartialInjection(frozenset({(0, 0)}))
+        alpha = ((0, 0),)
         assert b_alpha(q, alpha, 2, 3) == 12
 
     def test_full_graph_matches_restricted_member_size(self):
@@ -271,7 +270,7 @@ class TestBAlpha:
         h = er_graph(4, 0.5, 52)
         q = ged_to_qap(g, h)
         phi = Assignment((1, 3, 0, 2))
-        alpha = phi.graph()
+        alpha = tuple(enumerate(phi.mapping))
         for v in range(4):
             for vp in range(4):
                 size = sum(1 for w in range(4) if q.c(v, vp, w, phi[w]) > 0)
@@ -279,21 +278,21 @@ class TestBAlpha:
 
     def test_empty_alpha_rejected(self):
         with pytest.raises(ValueError):
-            b_alpha(QapInstance(2, {}), PartialInjection(frozenset()), 0, 0)
+            b_alpha(QapInstance(2, {}), (), 0, 0)
 
     @pytest.mark.parametrize("pair", [(0, 3), (3, 0), (0, -1), (-1, 0)])
     def test_alpha_outside_the_ground_set_rejected(self, pair):
         # unchecked, (0, 3) read the coefficient of (1, 0): b = 3, not 0
         q = ged_to_qap(Graph(3, {(0, 1)}), Graph(3, {(1, 2)}))
-        assert b_alpha(q, PartialInjection(frozenset({(1, 0)})), 0, 1) == 3
+        assert b_alpha(q, ((1, 0),), 0, 1) == 3
         with pytest.raises(ValueError, match="alpha exceeds the ground set"):
-            b_alpha(q, PartialInjection(frozenset({pair})), 0, 1)
+            b_alpha(q, (pair,), 0, 1)
 
     @pytest.mark.parametrize("v, vp", [(0, 3), (3, 0), (0, -1), (-1, 0)])
     def test_pair_outside_the_ground_set_rejected(self, v, vp):
         q = ged_to_qap(Graph(3, {(0, 1)}), Graph(3, {(1, 2)}))
         with pytest.raises(ValueError, match=r"\(v, v'\) exceeds the ground set"):
-            b_alpha(q, PartialInjection(frozenset({(0, 0)})), v, vp)
+            b_alpha(q, ((0, 0),), v, vp)
 
     def test_linear_in_coefficients(self):
         rng = random.Random(33)
@@ -353,14 +352,14 @@ class TestMeanThresholdEstimate:
     def test_zero_instance_contained(self):
         q = QapInstance(3, {})
         grid = threshold_grid(1, 1)
-        alpha = PartialInjection(frozenset({(0, 0), (1, 1)}))
+        alpha = ((0, 0), (1, 1))
         est = mean_threshold_estimate(q, alpha, grid, 0, 0)
         assert est.contains
 
     def test_reduction_instance_contained(self):
         q = ged_to_qap(K3, PATH3)
         grid = threshold_grid(q.bound_b, 1)
-        alpha = Assignment.identity(3).graph()
+        alpha = ((0, 0), (1, 1), (2, 2))
         for v in range(3):
             for vp in range(3):
                 assert mean_threshold_estimate(q, alpha, grid, v, vp).contains
@@ -382,9 +381,7 @@ class TestMeanThresholdEstimate:
         q = QapInstance(2, {(0, 0, 0, 0): 5})
         grid = threshold_grid(1, 1)
         with pytest.raises(ValueError, match="bound"):
-            mean_threshold_estimate(
-                q, PartialInjection(frozenset({(0, 0)})), grid, 0, 0
-            )
+            mean_threshold_estimate(q, ((0, 0),), grid, 0, 0)
 
 
 class TestDistinctValues:
