@@ -12,12 +12,14 @@ seeded source set S of size m, and every injective image of S.
 The constraint matrix does not depend on alpha, so it is built once per
 instance (LpModel), as exact integers that both LP backends read; each
 alpha adds only its objective and row bounds (LinearProgram).  HiGHS reads
-it without the last target row, which the other assignment rows imply, and
-so runs without presolve (and retries with the primal simplex if its dual
-simplex stops short of a verdict).  Each LP is solved cold.  An LP's answer
-is its flat vector of n^2 values, or None when the LP is infeasible: exact
-Fractions from the simplex, and HiGHS's floats as it returns them,
-unverified.  The rounding compares either kind exactly with its mass floor.
+it as numpy arrays without the last target row, which the other assignment
+rows imply, and so runs without presolve (and retries with the primal
+simplex if its dual simplex stops short of a verdict).  Each thread keeps
+one HiGHS solver object, and each LP is passed to it afresh and solved cold.
+An LP's answer is its flat vector of n^2 values, or None when the LP is
+infeasible: exact Fractions from the simplex, and HiGHS's floats as it
+returns them, unverified.  The rounding compares either kind exactly with
+its mass floor, and each completion is costed from the same block.
 
 Two shortcuts skip solves without changing any output.  Twin vertices give
 equal block columns, so alphas that differ only in twins have equal LPs; a
@@ -30,9 +32,12 @@ No LP depends on another, so with HiGHS on more than one usable core the
 LPs are solved on a pool of worker threads (HiGHS releases the GIL while it
 solves) and everything else, from building each LP to rounding and costing,
 stays on the calling thread in alpha order; reports do not depend on the
-number of workers.  The exact simplex (an int64 numpy tableau, Python ints
-once entries might overflow) holds the GIL for most of a solve, so threads
-would only slow it: it solves inline.
+number of workers.  That calling-thread work holds the GIL, so it is kept
+small: the matrix goes to HiGHS as arrays made once per instance, the
+rounding reuses its accumulated weights, and a cost is one indexed sum.
+The exact simplex (an int64 numpy tableau, Python ints once entries might
+overflow) holds the GIL for most of a solve, so threads would only slow
+it: it solves inline.
 
 HiGHS is loaded on first use: scipy's solver module is imported when the
 "highs" backend solves its first LP, not when this module is imported, so
@@ -49,6 +54,7 @@ import itertools
 import math
 import os
 import random
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -57,7 +63,7 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .graphs import Assignment, Graph, edit_cost, partial_injection
-from .qap import QapInstance, qap_cost, weighted_ged_to_qap
+from .qap import QapInstance, weighted_ged_to_qap
 from .rationals import as_fraction
 from . import simplex
 
@@ -95,7 +101,8 @@ class LpModel:
         sums and the other n - 1 target sums imply it, so the matrix has full
         row rank and HiGHS needs no presolve to find the dependent row.
         Each value is one correctly rounded integer division, as float(Fraction).
-        Plain lists: HiGHS copies them in several times faster than arrays.
+        int32, int32 and float64 arrays, the dtypes of HiGHS's numpy passModel,
+        made once per instance and handed over uncopied by every alpha's solve.
         """
         denom = self.denom
         kept = self.assignment[: max(2 * self.n - 1, 0)]
@@ -103,7 +110,9 @@ class LpModel:
         columns = np.vstack([self.block, kept.astype(object) * denom]).T
         col, row = np.nonzero(columns)
         start = np.searchsorted(col, np.arange(len(columns) + 1))
-        return start.tolist(), row.tolist(), [c / denom for c in columns[col, row].tolist()]
+        value = [c / denom for c in columns[col, row].tolist()]
+        return (start.astype(np.int32), row.astype(np.int32),
+                np.array(value, dtype=np.float64))
 
     @cached_property
     def exact_rows(self):
@@ -235,41 +244,52 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+# each thread's HiGHS solver object, made on its first solve (_highs_solver)
+_local = threading.local()
+
+
+def _highs_solver(_highs):
+    """This thread's solver: one per thread, with its options set once.
+
+    Made again whenever its class is no longer `_highs._Highs`, so a solver
+    class put in its place takes effect on every thread's next solve.
+    """
+    solver = getattr(_local, "solver", None)
+    if type(solver) is not _highs._Highs:
+        solver = _local.solver = _highs._Highs()
+        solver.setOptionValue("output_flag", False)
+        # one thread per solve: approximate_qap runs solves side by side, and
+        # with HiGHS's default two such solves ran no faster than one
+        solver.setOptionValue("threads", 1)
+        # presolve took half of each run, and on these LPs its one reduction
+        # was the implied assignment row that LpModel.csc leaves out
+        solver.setOptionValue("presolve", "off")
+    return solver
+
+
 def _highs_solve(cost, row_lower, row_upper, csc):
     """Minimise cost . x subject to row_lower <= A x <= row_upper and x >= 0.
 
-    A is given as (start, index, value) in CSC form, with full row rank
-    (LpModel.csc).  Runs scipy's bundled HiGHS through its private `_core`
-    module, on a fresh solver object, so no basis carries over from an
-    earlier call: the dual simplex without presolve, and if that stops short
-    of a verdict, the primal simplex once more from scratch.  Returns x as
-    HiGHS gives it, floats, or None when the program is infeasible.
+    cost and the row bounds are float64 arrays, and A is given as (start,
+    index, value) in CSC form, with full row rank (LpModel.csc).  Runs scipy's
+    bundled HiGHS through its private `_core` module, on this thread's solver
+    object (_highs_solver), through the passModel that reads numpy arrays.
+    Passing a model clears the solver's basis and solution, so nothing carries
+    over from an earlier call: the dual simplex without presolve, and if that
+    stops short of a verdict, the primal simplex once more from scratch.
+    Returns x as HiGHS gives it, floats, or None when the program is infeasible.
     """
     _highs = __getattr__("_highs")
     start, index, value = csc
-    lp = _highs.HighsLp()
-    lp.num_col_ = len(cost)
-    lp.num_row_ = len(row_lower)
-    lp.col_cost_ = cost
-    lp.col_lower_ = [0.0] * len(cost)
-    lp.col_upper_ = [_highs.kHighsInf] * len(cost)
-    lp.row_lower_ = row_lower
-    lp.row_upper_ = row_upper
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.num_col_ = len(cost)
-    lp.a_matrix_.num_row_ = len(row_lower)
-    lp.a_matrix_.start_ = start
-    lp.a_matrix_.index_ = index
-    lp.a_matrix_.value_ = value
-    solver = _highs._Highs()
-    solver.setOptionValue("output_flag", False)
-    # one thread per solve: approximate_qap runs solves side by side, and
-    # with HiGHS's default two such solves ran no faster than one
-    solver.setOptionValue("threads", 1)
-    # presolve took half of each run, and on these LPs its one reduction
-    # was the implied assignment row that LpModel.csc leaves out
-    solver.setOptionValue("presolve", "off")
-    solver.passModel(lp)
+    num_col, num_row = len(cost), len(row_lower)
+    solver = _highs_solver(_highs)
+    solver.passModel(
+        num_col, num_row, len(value), int(_highs.MatrixFormat.kColwise),
+        int(_highs.ObjSense.kMinimize), 0.0, cost, np.zeros(num_col),
+        np.full(num_col, _highs.kHighsInf), row_lower, row_upper, start, index, value,
+        # every column continuous: this overload reads num_col entries here
+        np.zeros(num_col, dtype=np.int32),
+    )
     strategies = _highs.simplex_constants.SimplexStrategy
     for strategy in (strategies.kSimplexStrategyDual, strategies.kSimplexStrategyPrimal):
         solver.setOptionValue("simplex_strategy", int(strategy))
@@ -357,9 +377,9 @@ def solve_lp(lp: LinearProgram, method: str = "exact"):
     # unit bounds of the 2n - 1 assignment rows that LpModel.csc keeps
     ones = [1.0] * (2 * n - 1)
     return _highs_solve(
-        [b / lp.b_den for b in lp.b_num.tolist()],
-        [lo / den for lo in lows] + ones,
-        [hi / den for hi in highs] + ones,
+        np.array([b / lp.b_den for b in lp.b_num.tolist()]),
+        np.array([lo / den for lo in lows] + ones),
+        np.array([hi / den for hi in highs] + ones),
         model.csc,
     )
 
@@ -381,45 +401,50 @@ def round_apec(x, lp: LinearProgram, seed: int, retries: int = 32) -> tuple:
 
     Each draw is the one random.choices(options, weights) makes, call for
     call: one rng.random() scaled by the float total, bisected into the
-    accumulated float weights.  A source none of whose targets is used yet
-    reuses its accumulated weights instead of building them again.
+    accumulated float weights of the source's targets not used yet.  Those
+    weights depend only on the source and its free targets, so they are
+    accumulated once per (source, free targets) and reused by later draws.
     """
     n = lp.n
     floor = Fraction(1, 2 * n)
     draw = random.Random(seed).random
     # per source: the targets of positive mass, each with its float weight and
-    # whether the mass reaches the floor (compared exactly); the set of those
-    # targets; and the accumulated weights of all of them
+    # whether the mass reaches the floor (compared exactly); the bitmask of
+    # those targets; and its draws by free targets, each free-targets bitmask
+    # -> (options, accumulated weights, total, last index)
     support = []
     for v in range(n):
         row = enumerate(x[v * n : v * n + n])
         options = [(vp, float(mass), mass >= floor) for vp, mass in row if mass > 0]
-        cumulative = list(itertools.accumulate(w for _, w, _ in options))
-        support.append((options, {vp for vp, _, _ in options}, cumulative))
+        support.append((v, options, sum(1 << vp for vp, _, _ in options), {}))
     # b_alpha over one positive common denominator: integer sums order alike
     objective = lp.b_num.tolist()
-    if all(len(options) <= 1 for options, _, _ in support):
+    if all(len(options) <= 1 for _, options, _, _ in support):
         retries = 1
     best = None
     for _ in range(max(1, retries)):
-        used = set()
+        used = 0
         pairs = []
         obj = 0
-        for v, (options, targets, cumulative) in enumerate(support):
-            if not used.isdisjoint(targets):
-                options = [entry for entry in options if entry[0] not in used]
-                cumulative = list(itertools.accumulate(w for _, w, _ in options))
-            if not options:
+        for v, options, targets, draws in support:
+            free = targets & ~used
+            if not free:
                 continue
-            total = cumulative[-1] + 0.0
-            if not 0.0 < total < math.inf:
-                raise ValueError("Total of weights must be greater than zero and finite")
-            hit = bisect.bisect(cumulative, draw() * total, 0, len(options) - 1)
-            vp, _, kept = options[hit]
+            drawn = draws.get(free)
+            if drawn is None:
+                if free != targets:
+                    options = [entry for entry in options if free >> entry[0] & 1]
+                cumulative = list(itertools.accumulate(w for _, w, _ in options))
+                total = cumulative[-1] + 0.0
+                if not 0.0 < total < math.inf:
+                    raise ValueError("Total of weights must be greater than zero and finite")
+                drawn = draws[free] = (options, cumulative, total, len(options) - 1)
+            options, cumulative, total, last = drawn
+            vp, _, kept = options[bisect.bisect(cumulative, draw() * total, 0, last)]
             if not kept:
                 continue
             pairs.append((v, vp))
-            used.add(vp)
+            used |= 1 << vp
             obj += objective[v * n + vp]
         key = (-len(pairs), obj, tuple(pairs))
         if best is None or key < best:
@@ -475,7 +500,7 @@ def _solved(model: LpModel, alphas, eps, lp_method: str):
     it; so it holds at most one size's twin alphas.
 
     With HiGHS and more than one usable core, solve_lp runs on a pool of one
-    worker thread per core, at most two solves per worker in flight, while
+    worker thread per core, at most eight solves per worker in flight, while
     this thread builds the next LPs; otherwise each LP is solved inline.
     Closing the generator, or an error it raises, cancels the solves not yet
     started and waits for the running ones, so no worker outlives it.
@@ -518,7 +543,7 @@ def _solved(model: LpModel, alphas, eps, lp_method: str):
         for pairs, lp in lps:
             future = shared(pairs, lp, lambda lp: pool.submit(solve_lp, lp, method=lp_method))
             pending.append((pairs, lp, future))
-            if len(pending) == 2 * workers:
+            if len(pending) == 8 * workers:
                 pairs, lp, future = pending.popleft()
                 yield pairs, lp, future.result()
         while pending:
@@ -567,6 +592,13 @@ def approximate_qap(
     BudgetExceededError.check(total, budget, "alphas to try")
     model = lp_model(q)
     nonnegative = model.block.min(initial=0) >= 0
+    offsets = np.arange(n, dtype=np.int64) * n
+
+    def cost_of(assignment: Assignment) -> Fraction:
+        """qap_cost, read from the block: c(v, phi(v), w, phi(w)) * denom
+        sits at block[v*n + phi(v), w*n + phi(w)]."""
+        rows = offsets + np.array(assignment.mapping, dtype=np.int64)
+        return Fraction(int(model.block[rows[:, None], rows].sum()), model.denom)
 
     best = None  # (cost, assignment)
     tried = 0
@@ -584,7 +616,7 @@ def approximate_qap(
                 continue
             partial = round_apec(x, lp, seed=seed * 1_000_003 + tried)
             assignment = complete_matching(partial, n)
-            cost = qap_cost(q, assignment)
+            cost = cost_of(assignment)
             if keep_trace:
                 trace.append(
                     {"alpha": pairs, "status": "ok", "cost": cost,
@@ -597,7 +629,7 @@ def approximate_qap(
 
     if best is None:
         assignment = Assignment.identity(n)
-        best = (qap_cost(q, assignment), assignment)
+        best = (cost_of(assignment), assignment)
     return ApproxReport(
         best_assignment=best[1],
         best_cost=best[0],

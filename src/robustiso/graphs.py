@@ -25,6 +25,9 @@ Edge = tuple[int, int]
 # A graph's colour map, adjacency and every per-vertex pass are built over
 # range(n): orders past this many vertices are refused before any of them.
 VERTEX_CAP = 2**20
+# The most edges one blowup may build: every base edge becomes ell^2 edges,
+# so an order under VERTEX_CAP can still ask for ~10^10 of them.
+EDGE_CAP = 2**24
 
 
 def _norm_edge(u: int, v: int) -> Edge:
@@ -393,11 +396,14 @@ def blowup(g: Graph, ell: int) -> Graph:
 
     Copy (v, i) gets id v*ell + i (layers i = 0..ell-1) and colour
     colour(v)*ell + i, which encodes the (base colour, layer) pair injectively.
-    Edge weights, if present, are inherited from the base edge.
+    Edge weights, if present, are inherited from the base edge.  Past
+    VERTEX_CAP vertices or EDGE_CAP edges it raises BudgetExceededError
+    before building any edge.
     """
     if ell < 1:
         raise ValueError("blowup factor must be >= 1")
     Graph(g.n * ell)  # the vertex cap, checked before the ell^2 weights per edge
+    BudgetExceededError.check(len(g.edges) * ell**2, EDGE_CAP, "edges in one blowup (the edge cap)")
     weights = {}
     for (u, v), w in g.edge_weights.items():
         for i in range(ell):

@@ -506,6 +506,20 @@ class TestOrderCap:
         assert data["attempted"] == 1_200_000
         assert not (tmp_path / "big").exists()
 
+    def test_huge_blowup_edges_exit_three_at_once(self, tmp_path):
+        # 26,000 layers keep the 40 CFI vertices under the vertex cap, but
+        # each of the 60 base edges would become 26,000^2 edges
+        save_bundle(gen_cfi_pair("k4"), str(tmp_path / "cfi"))
+        res = run_cli_in_one_gib(
+            ["gen", "blowup", "--in", str(tmp_path / "cfi"), "--ell", "26000",
+             "--out", str(tmp_path / "big")]
+        )
+        assert res.returncode == 3, res.stderr
+        data = payload(res)
+        assert data["error"] == "budget-exceeded" and "edge cap" in data["detail"]
+        assert data["attempted"] == 60 * 26_000**2
+        assert not (tmp_path / "big").exists()
+
 
 def run_cli_in_one_gib(args):
     """run_cli with the address space of the command limited to 1 GiB."""

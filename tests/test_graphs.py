@@ -105,6 +105,18 @@ class TestGraphConstruction:
                 Graph(n, colours={0: 1})
             assert err.value.attempted == n
 
+    def test_blowup_past_the_edge_cap_is_refused(self, monkeypatch):
+        # |E| * ell^2 edges are counted before any is built; the cap itself is allowed
+        from robustiso import graphs
+
+        monkeypatch.setattr(graphs, "EDGE_CAP", 8)
+        path = Graph(3, {(0, 1), (1, 2)})
+        assert len(graphs.blowup(path, 2).edges) == 8
+        for g, ell in ((path, 3), (Graph(2, {(0, 1)}), 3)):
+            with pytest.raises(BudgetExceededError, match="edge cap") as err:
+                graphs.blowup(g, ell)
+            assert err.value.attempted == len(g.edges) * ell**2
+
     def test_bound(self):
         assert Graph(3, set()).bound_b() == 0
         assert K3.bound_b() == 1
