@@ -25,16 +25,22 @@ Two shortcuts skip solves without changing any output.  Twin vertices give
 equal block columns, so alphas that differ only in twins have equal LPs; a
 memo keyed by (b_num, b_den) lets them share one solve (see _solved).  And
 the range of each block row over the whole assignment polytope, the same
-for every alpha (LpModel.row_ranges), refutes any LP with a row interval
-outside it before either backend runs (_refutes).
+for every alpha, refutes any LP with a row interval outside it before
+either backend runs (_refutes).  On the HiGHS path these are each row's
+exact least and greatest values, two linear assignment problems per row
+(LpModel.tight_row_ranges); the exact backend takes a cheaper bracket
+(LpModel.row_ranges), so that it never loads scipy.optimize.
 
 No LP depends on another, so with HiGHS on more than one usable core the
 LPs are solved on a pool of worker threads (HiGHS releases the GIL while it
 solves) and everything else, from building each LP to rounding and costing,
 stays on the calling thread in alpha order; reports do not depend on the
 number of workers.  That calling-thread work holds the GIL, so it is kept
-small: the matrix goes to HiGHS as arrays made once per instance, the
-rounding reuses its accumulated weights, and a cost is one indexed sum.
+small: the matrix goes to HiGHS as arrays made once per instance, each
+alpha's bounds, refutation and floats are a few int64 array operations
+(Python ints where a value might pass 2^53), the rounding reuses its
+accumulated weights and compares float masses with a float floor, and a
+cost is one indexed sum.
 The exact simplex (an int64 numpy tableau, Python ints once entries might
 overflow) holds the GIL for most of a solve, so threads would only slow
 it: it solves inline.
@@ -57,7 +63,7 @@ import random
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -127,6 +133,11 @@ class LpModel:
         return tuple(rows), tuple(map(tuple, self.assignment.tolist()))
 
     @cached_property
+    def extent(self) -> int:
+        """n * max |block entry|: no block row . x is larger in size on the polytope."""
+        return self.n * int(np.abs(self.block).max(initial=0))
+
+    @cached_property
     def row_ranges(self):
         """(lower, upper): integer bounds on each block row . x over the polytope.
 
@@ -134,13 +145,39 @@ class LpModel:
         Every point of the assignment polytope takes one unit from each row of
         M and one from each column, so block row . x lies between the larger of
         the sums of M's row minima and of its column minima and the smaller of
-        the sums of its row maxima and of its column maxima.
+        the sums of its row maxima and of its column maxima.  Arrays of the
+        block's dtype.
         """
         n = self.n
         cells = self.block.reshape(n * n, n, n)
         lower = np.maximum(cells.min(axis=2).sum(axis=1), cells.min(axis=1).sum(axis=1))
         upper = np.minimum(cells.max(axis=2).sum(axis=1), cells.max(axis=1).sum(axis=1))
-        return lower.tolist(), upper.tolist()
+        return lower, upper
+
+    @cached_property
+    def tight_row_ranges(self):
+        """(lower, upper): each block row's least and greatest value over the polytope.
+
+        The polytope's vertices are the permutation matrices, so row v*n + v'
+        ranges between the least and greatest assignment sums of its cell
+        matrix M (row_ranges): two linear assignment problems, solved by scipy's
+        linear_sum_assignment (Crouse, IEEE TAES 2016), whose chosen cells are
+        summed in integers.  It solves in floats, which are exact while
+        2n * max |c| < 2^53; past that, and for an object-dtype block, these are
+        row_ranges' bounds.  The HiGHS path refutes with these, the exact
+        backend with row_ranges, so that it never loads scipy.optimize.
+        """
+        n = self.n
+        if self.block.dtype == object or 2 * self.extent >= 2**53:
+            return self.row_ranges
+        from scipy.optimize import linear_sum_assignment
+
+        lower = np.empty(n * n, dtype=np.int64)
+        upper = np.empty(n * n, dtype=np.int64)
+        for row, cells in enumerate(self.block.reshape(n * n, n, n)):
+            lower[row] = cells[linear_sum_assignment(cells)].sum()
+            upper[row] = cells[linear_sum_assignment(cells, maximize=True)].sum()
+        return lower, upper
 
     @cached_property
     def twin_columns(self) -> list:
@@ -180,11 +217,25 @@ class LinearProgram:
     @cached_property
     def integer_bounds(self):
         """(lo, hi, den): the row bounds b -+ slack as integers over one denominator,
-        computed once per LP for _refutes and solve_lp alike."""
+        computed once per LP for _refutes and solve_lp alike.
+
+        lo and hi are int64 arrays where every value and den are below 2^53 and
+        _refutes' cross-multiplied comparisons stay inside int64, so that each
+        lo / den in float64 is Python's correctly rounded int / int; otherwise,
+        and for an object-dtype block, they are object arrays of Python ints.
+        """
         sn, sd = self.slack.numerator, self.slack.denominator
+        b_num = self.b_num
         shift = sn * self.b_den
-        centre = [b * sd for b in self.b_num.tolist()]
-        return [c - shift for c in centre], [c + shift for c in centre], sd * self.b_den
+        den = sd * self.b_den
+        top = int(np.abs(b_num).max(initial=0)) * sd + shift  # no |lo| or |hi| is larger
+        if not (
+            b_num.dtype != object and top < 2**53 and den < 2**53
+            and top * self.model.denom < 2**63 and self.model.extent * den < 2**63
+        ):
+            b_num = b_num.astype(object)
+        centre = b_num * sd
+        return centre - shift, centre + shift, den
 
 
 @dataclass(frozen=True)
@@ -267,6 +318,21 @@ def _highs_solver(_highs):
     return solver
 
 
+@cache
+def _column_bounds(num_col: int):
+    """(lower, upper, integrality) of num_col continuous columns x >= 0, as
+    passModel reads them: made once per column count and shared read-only."""
+    _highs = __getattr__("_highs")
+    arrays = (
+        np.zeros(num_col), np.full(num_col, _highs.kHighsInf),
+        # every column continuous: this overload reads num_col entries here
+        np.zeros(num_col, dtype=np.int32),
+    )
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def _highs_solve(cost, row_lower, row_upper, csc):
     """Minimise cost . x subject to row_lower <= A x <= row_upper and x >= 0.
 
@@ -278,18 +344,24 @@ def _highs_solve(cost, row_lower, row_upper, csc):
     over from an earlier call: the dual simplex without presolve, and if that
     stops short of a verdict, the primal simplex once more from scratch.
     Returns x as HiGHS gives it, floats, or None when the program is infeasible.
+    A model that HiGHS refuses, such as one with a matrix value past its
+    large_matrix_value, raises ValueError.
     """
     _highs = __getattr__("_highs")
     start, index, value = csc
     num_col, num_row = len(cost), len(row_lower)
+    col_lower, col_upper, integrality = _column_bounds(num_col)
     solver = _highs_solver(_highs)
-    solver.passModel(
+    if solver.passModel(
         num_col, num_row, len(value), int(_highs.MatrixFormat.kColwise),
-        int(_highs.ObjSense.kMinimize), 0.0, cost, np.zeros(num_col),
-        np.full(num_col, _highs.kHighsInf), row_lower, row_upper, start, index, value,
-        # every column continuous: this overload reads num_col entries here
-        np.zeros(num_col, dtype=np.int32),
-    )
+        int(_highs.ObjSense.kMinimize), 0.0, cost, col_lower, col_upper,
+        row_lower, row_upper, start, index, value, integrality,
+    ) == _highs.HighsStatus.kError:
+        limit = solver.getOptionValue("large_matrix_value")[1]
+        raise ValueError(
+            f"HiGHS refused the LP: its matrix values must stay below {limit:g} "
+            "(large_matrix_value); solve it with --lp exact"
+        )
     strategies = _highs.simplex_constants.SimplexStrategy
     for strategy in (strategies.kSimplexStrategyDual, strategies.kSimplexStrategyPrimal):
         solver.setOptionValue("simplex_strategy", int(strategy))
@@ -316,19 +388,22 @@ def _highs_solve(cost, row_lower, row_upper, csc):
     raise RuntimeError(f"HiGHS stopped with status {name}")
 
 
-def _refutes(lp: LinearProgram) -> bool:
+def _refutes(lp: LinearProgram, ranges) -> bool:
     """Whether some row's interval misses the range of its row over the polytope.
 
     Row v*n + v' asks lo / den <= block row . x / denom <= hi / den, and
-    block row . x lies in [lower, upper] (LpModel.row_ranges) at every point
-    of the assignment polytope; compared in integers, a miss proves the LP
-    infeasible without solving it.
+    block row . x lies in [lower, upper] (ranges: LpModel.row_ranges or
+    tight_row_ranges) at every point of the assignment polytope; compared in
+    integers, a miss proves the LP infeasible without solving it.
     """
     lows, highs, den = lp.integer_bounds
+    lower, upper = ranges
+    if lows.dtype == object:
+        lower, upper = lower.astype(object), upper.astype(object)
     denom = lp.model.denom
-    return any(
-        hi * denom < lower * den or lo * denom > upper * den
-        for lo, hi, lower, upper in zip(lows, highs, *lp.model.row_ranges)
+    return bool(
+        np.count_nonzero(highs * denom < lower * den)
+        or np.count_nonzero(lows * denom > upper * den)
     )
 
 
@@ -353,34 +428,38 @@ def solve_lp(lp: LinearProgram, method: str = "exact"):
     worker threads when more than one core is usable.
 
     Before either backend runs, an LP that _refutes proves infeasible from
-    the rows' ranges over the polytope gives None without a solve.
+    the rows' ranges over the polytope gives None without a solve: the exact
+    ranges on the HiGHS path (LpModel.tight_row_ranges), the cheaper bracket
+    on the exact one (LpModel.row_ranges).
     """
     if method not in ("exact", "highs"):
         raise ValueError(f"unknown LP method {method!r}")
-    if _refutes(lp):
+    model = lp.model
+    if _refutes(lp, model.tight_row_ranges if method == "highs" else model.row_ranges):
         return None
     n = lp.n
-    model = lp.model
     denom = model.denom
     lows, highs, den = lp.integer_bounds
     if method == "exact":
         a_ub, a_eq = model.exact_rows
         b_ub = []
         # a(v, v') . x <= hi  <=>  block row . x <= hi * denom
-        for lo, hi in zip(lows, highs):
+        for lo, hi in zip(lows.tolist(), highs.tolist()):
             b_ub += (Fraction(hi * denom, den), Fraction(-lo * denom, den))
         status, x, _ = simplex.simplex_min(
             lp.b_num.tolist(), a_ub, b_ub, a_eq, [1] * (2 * n)
         )
         return None if status == simplex.INFEASIBLE else tuple(x)
-    # exact Python integers until one correctly rounded division each; the
-    # unit bounds of the 2n - 1 assignment rows that LpModel.csc keeps
-    ones = [1.0] * (2 * n - 1)
+    # one correctly rounded division each: in float64 for int64 bounds (all
+    # below 2^53), in Python for object ones; then the unit bounds of the
+    # 2n - 1 assignment rows that LpModel.csc keeps
+    b_num = lp.b_num.astype(object) if lows.dtype == object else lp.b_num
+    rows = n * n + 2 * n - 1
+    row_lower, row_upper = np.ones(rows), np.ones(rows)
+    row_lower[: n * n] = lows / den
+    row_upper[: n * n] = highs / den
     return _highs_solve(
-        np.array([b / lp.b_den for b in lp.b_num.tolist()]),
-        np.array([lo / den for lo in lows] + ones),
-        np.array([hi / den for hi in highs] + ones),
-        model.csc,
+        np.asarray(b_num / lp.b_den, dtype=np.float64), row_lower, row_upper, model.csc
     )
 
 
@@ -403,49 +482,70 @@ def round_apec(x, lp: LinearProgram, seed: int, retries: int = 32) -> tuple:
     call: one rng.random() scaled by the float total, bisected into the
     accumulated float weights of the source's targets not used yet.  Those
     weights depend only on the source and its free targets, so they are
-    accumulated once per (source, free targets) and reused by later draws.
+    accumulated once per (source, free targets) and reused by later draws; a
+    single free target still takes its rng.random(), with nothing to bisect.
+
+    A float mass reaches the floor exactly when it reaches t = float(1/(2n)):
+    no float lies strictly between the two, so it is mass >= t when t is at
+    least the floor and mass > t when t lies below it.  Other masses are
+    compared with the floor as Fractions.
     """
     n = lp.n
     floor = Fraction(1, 2 * n)
+    t = 1 / (2 * n)
+    t_reaches = Fraction(t) >= floor
     draw = random.Random(seed).random
-    # per source: the targets of positive mass, each with its float weight and
-    # whether the mass reaches the floor (compared exactly); the bitmask of
-    # those targets; and its draws by free targets, each free-targets bitmask
-    # -> (options, accumulated weights, total, last index)
-    support = []
-    for v in range(n):
-        row = enumerate(x[v * n : v * n + n])
-        options = [(vp, float(mass), mass >= floor) for vp, mass in row if mass > 0]
-        support.append((v, options, sum(1 << vp for vp, _, _ in options), {}))
     # b_alpha over one positive common denominator: integer sums order alike
     objective = lp.b_num.tolist()
-    if all(len(options) <= 1 for _, options, _, _ in support):
+    # per source: its targets of positive mass, each an option (pair, bit,
+    # objective term) with its float weight, the pair None when the mass is
+    # below the floor; the bitmask of those targets; and its draws by free
+    # targets, each free-targets bitmask -> (options, accumulated weights,
+    # total, last index)
+    support = []
+    for v in range(n):
+        entries = []
+        for vp, mass in enumerate(x[v * n : v * n + n]):
+            if mass > 0:
+                if type(mass) is float:
+                    kept = mass >= t if t_reaches else mass > t
+                else:
+                    kept = mass >= floor
+                option = ((v, vp) if kept else None, 1 << vp, objective[v * n + vp])
+                entries.append((option, float(mass)))
+        support.append((entries, sum(option[1] for option, _ in entries), {}))
+    if all(len(entries) <= 1 for entries, _, _ in support):
         retries = 1
     best = None
     for _ in range(max(1, retries)):
         used = 0
         pairs = []
         obj = 0
-        for v, options, targets, draws in support:
+        for entries, targets, draws in support:
             free = targets & ~used
             if not free:
                 continue
             drawn = draws.get(free)
             if drawn is None:
                 if free != targets:
-                    options = [entry for entry in options if free >> entry[0] & 1]
-                cumulative = list(itertools.accumulate(w for _, w, _ in options))
+                    entries = [entry for entry in entries if free & entry[0][1]]
+                cumulative = list(itertools.accumulate(w for _, w in entries))
                 total = cumulative[-1] + 0.0
                 if not 0.0 < total < math.inf:
                     raise ValueError("Total of weights must be greater than zero and finite")
+                options = [option for option, _ in entries]
                 drawn = draws[free] = (options, cumulative, total, len(options) - 1)
             options, cumulative, total, last = drawn
-            vp, _, kept = options[bisect.bisect(cumulative, draw() * total, 0, last)]
-            if not kept:
+            if last:
+                pair, bit, term = options[bisect.bisect(cumulative, draw() * total, 0, last)]
+            else:
+                draw()
+                pair, bit, term = options[0]
+            if pair is None:
                 continue
-            pairs.append((v, vp))
-            used |= 1 << vp
-            obj += objective[v * n + vp]
+            pairs.append(pair)
+            used |= bit
+            obj += term
         key = (-len(pairs), obj, tuple(pairs))
         if best is None or key < best:
             best = key
@@ -533,10 +633,11 @@ def _solved(model: LpModel, alphas, eps, lp_method: str):
         return
     from concurrent.futures import ThreadPoolExecutor
 
-    # first uses on this thread, so no worker races the HiGHS import or the CSC
+    # first uses on this thread, so no worker races the imports, the CSC or
+    # the ranges
     __getattr__("_highs")
     model.csc
-    model.row_ranges
+    model.tight_row_ranges
     pool = ThreadPoolExecutor(workers)
     pending = collections.deque()
     try:

@@ -77,12 +77,18 @@ def fraction_rows(model):
     return [[Fraction(c, model.denom) for c in row] for row in model.block.tolist()]
 
 
+def int_bounds(lp):
+    """lp.integer_bounds with lo and hi as lists of Python ints."""
+    lows, highs, den = lp.integer_bounds
+    return lows.tolist(), highs.tolist(), den
+
+
 class TestBuildAlphaLp:
     def test_zero_instance_rows(self):
         lp = build_alpha_lp(lp_model(QapInstance(2, {})), ((0, 0),), 1)
         assert len(lp.b_num) == 4
         rows = fraction_rows(lp.model)
-        lows, highs, den = lp.integer_bounds
+        lows, highs, den = int_bounds(lp)
         # two inequality rows each at solve time
         assert len(lows) == len(highs) == len(rows) == 4
         for coeffs, lo, hi in zip(rows, lows, highs):
@@ -107,7 +113,7 @@ class TestBuildAlphaLp:
         assert qap_cost(q, phi) == 0
         alpha = tuple(enumerate(phi.mapping))[:2]
         lp = build_alpha_lp(lp_model(q), alpha, 1)
-        lows, highs, den = lp.integer_bounds
+        lows, highs, den = int_bounds(lp)
         for coeffs, lo, hi in zip(fraction_rows(lp.model), lows, highs):
             lo, hi = Fraction(lo, den), Fraction(hi, den)
             value = sum(
@@ -144,13 +150,13 @@ class TestSolveLp:
         entries = {(0, 0, w, wp): 1 for w in range(3) for wp in range(3)}
         entries[(0, 0, 0, 0)] = 20
         lp = build_alpha_lp(lp_model(QapInstance(3, entries)), ((0, 0),), 1)
-        lows, highs, den = lp.integer_bounds
+        lows, highs, den = int_bounds(lp)
         assert Fraction(lows[0], den) == 59 and Fraction(highs[0], den) == 61
         assert solve_lp(lp, "exact") is None
         assert solve_lp(lp, "highs") is None
 
     def test_bounds_are_computed_once_per_lp(self):
-        # _refutes and solve_lp both read them: one set of lists per LP
+        # _refutes and solve_lp both read them: one set of arrays per LP
         lp = build_alpha_lp(lp_model(ged_to_qap(K3, PATH3)), ((0, 1),), 1)
         first = lp.integer_bounds
         assert solve_lp(lp, "exact") is not None
@@ -177,7 +183,7 @@ class TestSolveLp:
             n = model.n
             rows = [[float(c) for c in row] for row in fraction_rows(model)]
             for lp in lps:
-                lows, highs, den = lp.integer_bounds
+                lows, highs, den = int_bounds(lp)
                 res = linprog(
                     [b / lp.b_den for b in lp.b_num.tolist()],
                     A_ub=rows + [[-c for c in row] for row in rows],
@@ -233,7 +239,8 @@ class TestSolveLp:
     def test_dual_simplex_stop_is_retried_with_the_primal(self, monkeypatch):
         # without presolve HiGHS's dual simplex stopped with status Unknown on
         # these two infeasible LPs; the primal simplex, run once more from
-        # scratch, finds them infeasible
+        # scratch, finds them infeasible.  The bracket lets them through and
+        # the tight ranges refute them, so HiGHS gets their arrays directly
         cleared = []
         real = approx._highs._Highs
 
@@ -244,23 +251,28 @@ class TestSolveLp:
 
         monkeypatch.setattr(approx._highs, "_Highs", Counted)
         for lp in unknown_status_lps():
-            assert not approx._refutes(lp)
+            assert not approx._refutes(lp, lp.model.row_ranges)
+            assert approx._refutes(lp, lp.model.tight_row_ranges)
+            assert approx._highs_solve(*list_highs_arrays(lp), lp.model.csc) is None
             assert solve_lp(lp, "highs") is None
             assert solve_lp(lp, "exact") is None
         assert cleared == [approx._highs.HighsModelStatus.kUnknown] * 2
 
     def test_a_reused_solver_carries_nothing_over(self):
         # one thread's solver takes the primal retry on the two Unknown-status
-        # LPs, then solves every seeded LP: each answer equals a fresh solver's
-        # on the same LP given as Python lists, so no strategy, basis or
-        # option passes from one solve to the next
+        # LPs, then solves every seeded LP that the bracket lets through: each
+        # answer equals a fresh solver's on the same LP given as Python lists,
+        # so no strategy, basis or option passes from one solve to the next
         lps = list(unknown_status_lps())
-        lps += [lp for _, seeded in seeded_highs_lps() for lp in seeded if not approx._refutes(lp)]
+        lps += [
+            lp for _, seeded in seeded_highs_lps() for lp in seeded
+            if not approx._refutes(lp, lp.model.row_ranges)
+        ]
         answers, solvers = [], set()
 
         def solve_all():
             for lp in lps:
-                answers.append(solve_lp(lp, "highs"))
+                answers.append(approx._highs_solve(*list_highs_arrays(lp), lp.model.csc))
                 solvers.add(id(approx._local.solver))
 
         thread = threading.Thread(target=solve_all)
@@ -383,21 +395,33 @@ def seeded_highs_lps():
         yield model, lps
 
 
+def list_highs_arrays(lp):
+    """(cost, row_lower, row_upper) of lp for HiGHS, from Python lists: b_alpha,
+    then b_alpha -+ slack, each float(Fraction), the correctly rounded value,
+    and the unit bounds of the 2n - 1 assignment rows that LpModel.csc keeps."""
+    b = [Fraction(c, lp.b_den) for c in lp.b_num.tolist()]
+    ones = [1.0] * (2 * lp.n - 1)
+    return (
+        np.array([float(c) for c in b]),
+        np.array([float(c - lp.slack) for c in b] + ones),
+        np.array([float(c + lp.slack) for c in b] + ones),
+    )
+
+
 def fresh_list_solve(lp):
-    """solve_lp(lp, "highs") for an LP it does not refute, on a fresh HiGHS
-    solver given the model as Python lists in a HighsLp."""
+    """_highs_solve on lp's arrays, on a fresh HiGHS solver given the model as
+    Python lists in a HighsLp."""
     highs = approx._highs
     n = lp.n
-    lows, ups, den = lp.integer_bounds
+    cost, row_lower, row_upper = (a.tolist() for a in list_highs_arrays(lp))
     start, index, value = (a.tolist() for a in lp.model.csc)
-    ones = [1.0] * (2 * n - 1)
     model = highs.HighsLp()
     model.num_col_, model.num_row_ = n * n, n * n + 2 * n - 1
-    model.col_cost_ = [b / lp.b_den for b in lp.b_num.tolist()]
+    model.col_cost_ = cost
     model.col_lower_ = [0.0] * (n * n)
     model.col_upper_ = [highs.kHighsInf] * (n * n)
-    model.row_lower_ = [lo / den for lo in lows] + ones
-    model.row_upper_ = [up / den for up in ups] + ones
+    model.row_lower_ = row_lower
+    model.row_upper_ = row_upper
     matrix = model.a_matrix_
     matrix.format_ = highs.MatrixFormat.kColwise
     matrix.num_col_, matrix.num_row_ = model.num_col_, model.num_row_
@@ -497,7 +521,7 @@ def test_exact_vertex_does_not_depend_on_row_scale():
         )
         model = lp_model(q)
         lp = build_alpha_lp(model, tuple(pairs), eps)
-        lows, highs, den = lp.integer_bounds
+        lows, highs, den = int_bounds(lp)
         objective = [Fraction(b, lp.b_den) for b in lp.b_num.tolist()]
         results = []
         for reduce in (False, True):
@@ -565,7 +589,7 @@ def test_exact_solutions_feasible_on_rational_instances():
             assert sum(x[v * n : v * n + n]) == 1
             assert sum(x[v::n]) == 1
         block, denom = q.scaled_block()
-        lows, highs, den = lp.integer_bounds
+        lows, highs, den = int_bounds(lp)
         for row, lo, hi in zip(block.tolist(), lows, highs):
             value = sum(Fraction(c, denom) * xi for c, xi in zip(row, x))
             assert Fraction(lo, den) <= value <= Fraction(hi, den)
@@ -653,10 +677,28 @@ def test_row_ranges_bracket_every_permutation():
     assert caught["lower"] >= 6 and caught["upper"] >= 6, caught
 
 
+def test_tight_row_ranges_are_each_rows_extremes():
+    # the tight ranges are each row's least and greatest activity over all n!
+    # permutation matrices, the polytope's vertices; the bracket is looser on
+    # some rows of every kind, so it would not pass here
+    looser = collections.Counter()
+    for kind in ("ged", "weighted-ged", "qap"):
+        for n in (2, 3, 4, 5):
+            model = lp_model(agreement_instance(kind, n))
+            activities = permutation_activities(model)
+            lower, upper = model.tight_row_ranges
+            assert lower.tolist() == activities.min(axis=1).tolist(), (kind, n)
+            assert upper.tolist() == activities.max(axis=1).tolist(), (kind, n)
+            bracket_lower, bracket_upper = model.row_ranges
+            looser[kind] += int((bracket_lower != lower).sum() + (bracket_upper != upper).sum())
+    assert min(looser.values()) > 0 and len(looser) == 3, looser
+
+
 def test_refused_lps_are_infeasible_for_both_solvers(monkeypatch):
     # every alpha of size 1 and 2 at n = 3..5, at the eps of the backend
-    # agreement test: each LP the ranges refuse is infeasible for the exact
-    # simplex and for HiGHS too
+    # agreement test: each LP the tight ranges refuse (871 LPs; the
+    # bracket refuses 443 of them and no other) is infeasible for
+    # the exact simplex and for HiGHS too
     real = approx._refutes
     refused = []
     for kind in ("ged", "weighted-ged", "qap"):
@@ -664,9 +706,13 @@ def test_refused_lps_are_infeasible_for_both_solvers(monkeypatch):
             q = agreement_instance(kind, n)
             model = lp_model(q)
             for eps in (q.bound_b / 2, 2 * q.bound_b):
-                lps = (build_alpha_lp(model, alpha, eps) for alpha in small_alphas(n))
-                refused += filter(real, lps)
-    monkeypatch.setattr(approx, "_refutes", lambda lp: False)
+                for alpha in small_alphas(n):
+                    lp = build_alpha_lp(model, alpha, eps)
+                    if real(lp, model.tight_row_ranges):
+                        refused.append(lp)
+                    else:
+                        assert not real(lp, model.row_ranges), (kind, n, alpha)
+    monkeypatch.setattr(approx, "_refutes", lambda lp, ranges: False)
     for lp in refused:
         assert solve_lp(lp, "exact") is None, lp.b_num
         assert solve_lp(lp, "highs") is None, lp.b_num
@@ -711,7 +757,7 @@ def test_twin_alphas_share_one_solve(monkeypatch, n):
                 assert sorted(solved) == sorted(lps)
                 with monkeypatch.context() as m:
                     m.setattr(approx, "_solved", separately)
-                    m.setattr(approx, "_refutes", lambda lp: False)
+                    m.setattr(approx, "_refutes", lambda lp, ranges: False)
                     reference = approximate_qap(
                         q, eps, 2, seed=3, lp_method=method, keep_trace=True
                     )
@@ -749,6 +795,36 @@ def test_csc_pinned():
     assert lp_model(csc_pin_instances()[-3]).block.dtype == object
     digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
     assert digest == "4245eefcefeab156317583707425044e8b148f62d194f9fe11ca86dfac98a2cd"
+
+
+def test_highs_gets_the_floats_python_division_gives(monkeypatch):
+    # the float64 cost and row bounds that solve_lp hands HiGHS are bit for
+    # bit the correctly rounded values: from int64 arrays on the seeded LPs,
+    # from Python ints on the CSC pin instances whose block is object dtype
+    # or whose denominators pass 2^53
+    handed = []
+    monkeypatch.setattr(approx, "_refutes", lambda lp, ranges: False)
+    monkeypatch.setattr(approx, "_highs_solve", lambda *arrays: handed.append(arrays[:3]))
+    lps = [lp for _, seeded in seeded_highs_lps() for lp in seeded]
+    for q in csc_pin_instances():
+        model = lp_model(q)
+        lps += [
+            build_alpha_lp(model, ((v, (v + 1) % q.n),), eps)
+            for v in range(q.n) for eps in (Fraction(1, 7), 3)
+        ]
+    paths = collections.Counter()
+    for lp in lps:
+        handed.clear()
+        assert solve_lp(lp, "highs") is None
+        (arrays,) = handed
+        for ours, listed in zip(arrays, list_highs_arrays(lp)):
+            assert ours.dtype == np.float64 and ours.tobytes() == listed.tobytes()
+        paths["python" if lp.integer_bounds[0].dtype == object else "int64"] += 1
+    assert paths["int64"] >= 100 and paths["python"] >= 10, paths
+    # the 2^70 coefficient and a denominator past 2^53 take the Python-int path
+    for q in (csc_pin_instances()[-3], csc_pin_instances()[-1]):
+        lp = build_alpha_lp(lp_model(q), ((0, 0),), 1)
+        assert lp.integer_bounds[0].dtype == object
 
 
 def vector(n, entries):

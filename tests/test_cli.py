@@ -394,6 +394,21 @@ class TestErrorPaths:
         assert res.returncode == 2
         assert "self-loop" in res.stderr
 
+    def test_lp_that_highs_refuses_is_input_error(self, tmp_path):
+        # a 2^70 coefficient is past HiGHS's 1e15 limit on matrix values: one
+        # error line naming the limit and --lp exact, which solves it
+        path = str(tmp_path / "big.qap")
+        with open(path, "w") as fh:
+            fh.write("qap 3\nq 0 1 2 0 1180591620717411303424\n")
+        res = run_cli(["qap", path, "--eps", "1", "--seed", "1"])
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == (
+            "error: HiGHS refused the LP: its matrix values must stay below 1e+15 "
+            "(large_matrix_value); solve it with --lp exact\n"
+        )
+        res = run_cli(["qap", path, "--eps", "1", "--seed", "1", "--lp", "exact"])
+        assert res.returncode == 0 and payload(res)["best_cost"] == "0/1"
+
     def test_huge_exponent_is_refused_at_once(self, files, tmp_path):
         # building 10^10000000 once took seconds, and ged then crashed
         path = str(tmp_path / "exp.graph")
