@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import robustiso
+import robustiso.cli
 from robustiso import parse_graph, serialize_graph
 from robustiso.generators import (
     gen_blowup_pair, gen_cfi_pair, gen_random_graph, save_bundle,
@@ -153,6 +155,73 @@ class TestGedCommand:
         )
         assert res.returncode == 2
         assert "order" in res.stderr
+
+
+def run_main(argv, capsys):
+    """(exit code, stdout, stderr) of cli.main run in this process."""
+    try:
+        code = robustiso.cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestApproximationOutputsPinned:
+    # the sha256 of stdout (timing_ms set to 0) and stderr, joined by a NUL,
+    # of the approximation commands and their neighbours: `ged` and `qap` on
+    # both backends and in both modes, with the oracle on and off, and their
+    # budget, input and usage errors
+    @pytest.mark.parametrize("argv, env, code, digest", [
+        (["ged", "k3.graph", "p3.graph", "--eps", "1", "--seed", "7"], None, 0, "0c491ca30e3765e0db95d652dc13056d60b7c7fdb7b62a01864f82155b18932e"),
+        (["ged", "k3.graph", "p3.graph", "--eps", "1", "--seed", "7", "--lp", "exact"],
+         None, 0, "cd11ac063f26389058783d1377c51fc193921ebe77e56d31f0135b640c30211e"),
+        (["ged", "k3.graph", "p3.graph", "--eps", "1", "--seed", "1", "--m", "2"],
+         None, 0, "fabcdf163b0a5a345e10f5526e488e894ba260664a301cd06ddd799bf40da928"),
+        (["ged", "k3.graph", "p3.graph", "--eps", "1", "--seed", "1", "--m", "2",
+          "--lp", "exact"], None, 0, "b7f73038fc2b4ae259d5b1db36ddf23bd106299cc2a878eabeb465baaa6902bc"),
+        (["ged", "c6.graph", "2c3.graph", "--eps", "1", "--seed", "3",
+          "--mode", "sampled", "--m", "2"], None, 0, "f8206173015110414ccadc86ca61109c76963e20a815dec6a3a85a0f3eb39300"),
+        (["ged", "c6.graph", "2c3.graph", "--eps", "1", "--seed", "3",
+          "--mode", "sampled", "--m", "2", "--lp", "exact"], None, 0, "b368d3e6a4ead80fdfcac0a4a67b9e7ce672b56aadb973e1ac48ada78109b26c"),
+        (["ged", "c6.graph", "2c3.graph", "--eps", "1", "--seed", "7",
+          "--oracle-cap", "0"], None, 0, "c0352d24463acd782448577868679d63160a96c32f652585a86fbfdb27c3ba6e"),
+        (["ged", "c6.graph", "2c3.graph", "--eps", "1/2", "--seed", "7",
+          "--oracle-cap", "0"], None, 0, "ddb95da31eb54fe3c9b5700b3cdb8513f2123c9d2aed76d50cd1a731d6a35124"),
+        (["qap", "small.qap", "--eps", "1", "--seed", "3"], None, 0, "541bfad98bcc44a5ba90e7cfbd3321aa5b23a30ea90c7de3a8d9e47bebff63ec"),
+        (["qap", "small.qap", "--eps", "1", "--seed", "3", "--lp", "exact"],
+         None, 0, "541bfad98bcc44a5ba90e7cfbd3321aa5b23a30ea90c7de3a8d9e47bebff63ec"),
+        (["qap", "small.qap", "--eps", "1", "--seed", "3", "--m", "2"], None, 0, "9c980fdf30eacd81ef0fc5cf04264e154072057e450ac47f2a04e10079f3732c"),
+        (["qap", "small.qap", "--eps", "1", "--seed", "3", "--mode", "sampled",
+          "--m", "2"], None, 0, "92dbf3dd68910cc33307ab65b9732459bec7ef1a1d8fcd33f3e66da0417a63e1"),
+        (["qap", "small.qap", "--eps", "1", "--seed", "3", "--mode", "sampled",
+          "--m", "2", "--lp", "exact"], None, 0, "92dbf3dd68910cc33307ab65b9732459bec7ef1a1d8fcd33f3e66da0417a63e1"),
+        (["qap", "small.qap", "--eps", "1/3", "--seed", "5", "--m", "2",
+          "--oracle-cap", "0"], None, 0, "96ddf0079f6cbc95f7e5aa2f6803da6cd41e7241c0bd5b86be813dde4e70a0bd"),
+        (["qap", "empty.qap", "--eps", "1", "--seed", "1"], None, 0, "8c656c0df27f51c742f0d41f76f54329803739af4fca468d735bb35b760db584"),
+        (["oracle", "ged", "k3.graph", "p3.graph"], None, 0, "5317ece08be30c97285b82e398df6f4c6746ea2a5ac53e6841d89ba217f87bcf"),
+        (["oracle", "qap", "small.qap"], None, 0, "191ec5cb8f710afaf3c9ae5fc7929e017a11b3439496823231e7e2fd80d9d0dd"),
+        (["ged", "k3.graph", "p3.graph", "--eps", "1", "--seed", "1"],
+         {"ROBUSTISO_BUDGET": "1"}, 3, "f427e4e476f16c529f0756ae97595206942696fa5fa24a48725e6a2d18157568"),
+        (["qap", "big.qap", "--eps", "1", "--seed", "1"], None, 2, "3b967a599a3ea0c0d917e779b2b9b568884c51591926fcc170fb934d5e04c81b"),
+        (["ged", "k3.graph", "p3.graph", "--seed", "1"], None, 2, "73e8738c0ece1cd922171eddeed453c7a72e9798b91f11ffac5d54187b45dc2e"),
+        (["ged", "--help"], None, 0, "7077b2e136d4c53f9cacc12692785b30a1f10fcf6a3a2762339682f557ba31c0"),
+        (["qap", "--help"], None, 0, "3116e3cc38f9450f8fd5f8ed4282773557f7932e625ad8923072b1ac2541a288"),
+    ])
+    def test_output_digest(self, files, tmp_path, capsys, monkeypatch, argv, env, code,
+                           digest):
+        (tmp_path / "empty.qap").write_text("qap 0\n")
+        (tmp_path / "big.qap").write_text("qap 3\nq 0 1 2 0 1180591620717411303424\n")
+        paths = {**files, "empty.qap": str(tmp_path / "empty.qap"),
+                 "big.qap": str(tmp_path / "big.qap")}
+        monkeypatch.delenv("ROBUSTISO_BUDGET", raising=False)
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to this width
+        for key, value in (env or {}).items():
+            monkeypatch.setenv(key, value)
+        got, out, err = run_main([paths.get(a, a) for a in argv], capsys)
+        out = re.sub(r'"timing_ms": [^,}]+', '"timing_ms": 0', out)
+        assert got == code, err
+        assert hashlib.sha256(f"{out}\0{err}".encode()).hexdigest() == digest, (out, err)
 
 
 class TestRobustGiCommand:
