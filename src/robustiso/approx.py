@@ -63,7 +63,7 @@ import random
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -244,10 +244,6 @@ class ApproxReport:
     best_cost: Fraction
     alphas_tried: int
     lps_infeasible: int
-    eps: Fraction
-    m: int
-    mode: str
-    seed: int
     trace: tuple = ()
 
 
@@ -318,21 +314,6 @@ def _highs_solver(_highs):
     return solver
 
 
-@cache
-def _column_bounds(num_col: int):
-    """(lower, upper, integrality) of num_col continuous columns x >= 0, as
-    passModel reads them: made once per column count and shared read-only."""
-    _highs = __getattr__("_highs")
-    arrays = (
-        np.zeros(num_col), np.full(num_col, _highs.kHighsInf),
-        # every column continuous: this overload reads num_col entries here
-        np.zeros(num_col, dtype=np.int32),
-    )
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
-
-
 def _highs_solve(cost, row_lower, row_upper, csc):
     """Minimise cost . x subject to row_lower <= A x <= row_upper and x >= 0.
 
@@ -350,12 +331,13 @@ def _highs_solve(cost, row_lower, row_upper, csc):
     _highs = __getattr__("_highs")
     start, index, value = csc
     num_col, num_row = len(cost), len(row_lower)
-    col_lower, col_upper, integrality = _column_bounds(num_col)
     solver = _highs_solver(_highs)
     if solver.passModel(
         num_col, num_row, len(value), int(_highs.MatrixFormat.kColwise),
-        int(_highs.ObjSense.kMinimize), 0.0, cost, col_lower, col_upper,
-        row_lower, row_upper, start, index, value, integrality,
+        int(_highs.ObjSense.kMinimize), 0.0, cost, np.zeros(num_col),
+        np.full(num_col, _highs.kHighsInf), row_lower, row_upper, start, index, value,
+        # every column continuous: this overload reads num_col entries here
+        np.zeros(num_col, dtype=np.int32),
     ) == _highs.HighsStatus.kError:
         limit = solver.getOptionValue("large_matrix_value")[1]
         raise ValueError(
@@ -736,10 +718,6 @@ def approximate_qap(
         best_cost=best[0],
         alphas_tried=tried,
         lps_infeasible=infeasible,
-        eps=eps,
-        m=m,
-        mode=mode,
-        seed=seed,
         trace=tuple(trace),
     )
 

@@ -4,11 +4,12 @@ Exit codes: 0 success (or Isomorphic), 1 Far, 2 usage/input error or a
 failed self-check of a computed object, 3 work budget or size cap
 exceeded: every budget and cap is one rule, BudgetExceededError.check,
 and reports the count it refused as "attempted".  `ged`/`qap` need eps > 0.
-Rationals are "p/q" strings.  ROBUSTISO_BUDGET sets all four work budgets,
-each in its own unit: alphas for `ged`/`qap` (default 200,000), (tuple,
-vertex) pairs of one k-WL round (default 10^6), (threshold, alpha) pairs
-of the weak-VC test (default 10^7) and the nodes of each exact VC search
-of `vc` and `gen random --target-vc` (default unbounded).  The first three
+Rationals are "p/q" strings.  ROBUSTISO_BUDGET, an integer >= 0 like the
+oracles' --cap, sets all four work budgets, each in its own unit: alphas
+for `ged`/`qap` (default 200,000), (tuple, vertex) pairs of one k-WL
+round (default 10^6), (threshold, alpha) pairs of the weak-VC test
+(default 10^7) and the nodes of each exact VC search of `vc` and
+`gen random --target-vc` (default unbounded).  The first three
 are counted before the work starts, so `ged`/`qap` exit 3 before their
 first LP; a VC search stops at the node past its budget.
 """
@@ -21,7 +22,6 @@ import os
 import sys
 import time
 from fractions import Fraction
-from functools import partial
 
 from . import approx, generators, setsystems, wl
 from .errors import BudgetExceededError, ParseError, VerificationError
@@ -40,14 +40,25 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+def _count(raw: str) -> int:
+    """An integer >= 0, the form of every work budget and size cap."""
+    try:
+        count = int(raw)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {raw!r}")
+    return count
+
+
 def _budget() -> dict:
     raw = os.environ.get("ROBUSTISO_BUDGET")
     if raw is None:
         return {}
     try:
-        return {"budget": int(raw)}
-    except ValueError:
-        raise ValueError(f"ROBUSTISO_BUDGET must be an integer, got {raw!r}")
+        return {"budget": _count(raw)}
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"ROBUSTISO_BUDGET {exc}")
 
 
 def _emit(payload: dict) -> None:
@@ -106,19 +117,25 @@ def cmd_vc(args) -> int:
     return EXIT_OK
 
 
-def _emit_approximation(args, cost_key, n, approximate, oracle) -> int:
-    """Shared output of `ged` and `qap`: `approximate(**options)` returns
-    (cost, assignment, report); `oracle(cap=...)` returns (cost, assignment)
-    and runs when n is within --oracle-cap."""
+def cmd_approximate(args) -> int:
+    """`ged` and `qap`: approximate_ged is approximate_qap on the edit-distance
+    reduction, so both print one payload.  The brute-force oracle runs when n
+    is within --oracle-cap."""
+    ged = args.command == "ged"
+    inputs = (_load_graph(args.g), _load_graph(args.h)) if ged else (_load_qap(args.qap),)
     start = time.monotonic()
-    cost, assignment, report = approximate(
-        eps=args.eps, m=args.m, seed=args.seed, mode=args.mode,
-        lp_method=args.lp, **_budget(),
-    )
+    options = dict(eps=args.eps, m=args.m, seed=args.seed, mode=args.mode,
+                   lp_method=args.lp, **_budget())
+    if ged:
+        result = approx.approximate_ged(*inputs, **options)
+        cost, report = result.cost, result.report
+    else:
+        report = approx.approximate_qap(*inputs, **options)
+        cost = report.best_cost
     elapsed = (time.monotonic() - start) * 1000
     out = {
-        cost_key: format_rational(cost),
-        "assignment": list(assignment.mapping),
+        "approx_cost" if ged else "best_cost": format_rational(cost),
+        "assignment": list(report.best_assignment.mapping),
         "eps": format_rational(args.eps),
         "m": args.m,
         "mode": args.mode,
@@ -127,37 +144,13 @@ def _emit_approximation(args, cost_key, n, approximate, oracle) -> int:
         "lps_infeasible": report.lps_infeasible,
         "timing_ms": round(elapsed, 3),
     }
-    if n <= args.oracle_cap:
-        oracle_cost, _ = oracle(cap=args.oracle_cap)
+    if inputs[0].n <= args.oracle_cap:
+        oracle = edit_distance_bruteforce if ged else qap_bruteforce
+        oracle_cost, _ = oracle(*inputs, cap=args.oracle_cap)
         out["oracle_cost"] = format_rational(oracle_cost)
         out["gap"] = format_rational(cost - oracle_cost)
     _emit(out)
     return EXIT_OK
-
-
-def cmd_ged(args) -> int:
-    g = _load_graph(args.g)
-    h = _load_graph(args.h)
-
-    def approximate(**options):
-        result = approx.approximate_ged(g, h, **options)
-        return result.cost, result.assignment, result.report
-
-    return _emit_approximation(
-        args, "approx_cost", g.n, approximate, partial(edit_distance_bruteforce, g, h)
-    )
-
-
-def cmd_qap(args) -> int:
-    q = _load_qap(args.qap)
-
-    def approximate(**options):
-        report = approx.approximate_qap(q, **options)
-        return report.best_cost, report.best_assignment, report
-
-    return _emit_approximation(
-        args, "best_cost", q.n, approximate, partial(qap_bruteforce, q)
-    )
 
 
 def cmd_robust_gi(args) -> int:
@@ -284,26 +277,21 @@ def build_parser() -> argparse.ArgumentParser:
                         "(--qap only)")
     p.set_defaults(fn=cmd_vc)
 
-    p = sub.add_parser("ged", help="approximate graph edit distance")
-    p.add_argument("g")
-    p.add_argument("h")
-    p.add_argument("--eps", type=_rational, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    p.add_argument("--lp", choices=["exact", "highs"], default="highs")
-    p.add_argument("--oracle-cap", type=int, default=8)
-    p.set_defaults(fn=cmd_ged)
-
-    p = sub.add_parser("qap", help="approximate a QAP instance")
-    p.add_argument("qap")
-    p.add_argument("--eps", type=_rational, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    p.add_argument("--lp", choices=["exact", "highs"], default="highs")
-    p.add_argument("--oracle-cap", type=int, default=7)
-    p.set_defaults(fn=cmd_qap)
+    approx_flags = argparse.ArgumentParser(add_help=False)
+    approx_flags.add_argument("--eps", type=_rational, required=True)
+    approx_flags.add_argument("--seed", type=int, required=True)
+    approx_flags.add_argument("--m", type=int, default=1)
+    approx_flags.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
+    approx_flags.add_argument("--lp", choices=["exact", "highs"], default="highs")
+    for name, inputs, oracle_cap, help_text in (
+        ("ged", ["g", "h"], 8, "approximate graph edit distance"),
+        ("qap", ["qap"], 7, "approximate a QAP instance"),
+    ):
+        p = sub.add_parser(name, parents=[approx_flags], help=help_text)
+        for dest in inputs:
+            p.add_argument(dest)
+        p.add_argument("--oracle-cap", type=int, default=oracle_cap)
+        p.set_defaults(fn=cmd_approximate)
 
     p = sub.add_parser("robust-gi", help="promise isomorphism test")
     p.add_argument("g")
@@ -339,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact brute-force oracles")
     p.set_defaults(fn=cmd_oracle)
     cap_flag = argparse.ArgumentParser(add_help=False)
-    cap_flag.add_argument("--cap", type=int, default=10, help="largest n to enumerate")
+    cap_flag.add_argument("--cap", type=_count, default=10, help="largest n to enumerate")
     kinds = p.add_subparsers(dest="kind", required=True)
     f = kinds.add_parser("ged", parents=[cap_flag])
     f.add_argument("a")

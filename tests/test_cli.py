@@ -495,6 +495,43 @@ class TestErrorPaths:
             assert res.returncode == 2 and res.stdout == "", args
             assert shown in res.stderr and "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("argv, budget, shown", [
+        (["ged", "k3.graph", "p3.graph", "--eps", "1", "--seed", "1"], "-1",
+         "error: ROBUSTISO_BUDGET must be an integer >= 0, got '-1'"),
+        (["vc", "--graph", "k3.graph"], "-5",
+         "error: ROBUSTISO_BUDGET must be an integer >= 0, got '-5'"),
+        (["wl", "k3.graph"], "many",
+         "error: ROBUSTISO_BUDGET must be an integer >= 0, got 'many'"),
+        (["oracle", "ged", "k3.graph", "p3.graph", "--cap", "-1"], None,
+         "robustiso oracle ged: error: argument --cap: must be an integer >= 0, got '-1'"),
+        (["oracle", "qap", "small.qap", "--cap=-3"], None,
+         "robustiso oracle qap: error: argument --cap: must be an integer >= 0, got '-3'"),
+        (["oracle", "qap", "small.qap", "--cap", "ten"], None,
+         "robustiso oracle qap: error: argument --cap: must be an integer >= 0, got 'ten'"),
+    ], ids=["ged-budget", "vc-budget", "wl-budget-text", "oracle-ged-cap", "oracle-qap-cap",
+            "oracle-qap-cap-text"])
+    def test_negative_budget_or_cap_is_usage_error(self, files, capsys, monkeypatch,
+                                                   argv, budget, shown):
+        monkeypatch.delenv("ROBUSTISO_BUDGET", raising=False)
+        if budget is not None:
+            monkeypatch.setenv("ROBUSTISO_BUDGET", budget)
+        code, out, err = run_main([files.get(a, a) for a in argv], capsys)
+        assert code == 2 and out == ""
+        assert [line for line in err.splitlines() if "error:" in line] == [shown]
+
+    @pytest.mark.parametrize("argv, budget, attempted", [
+        (["ged", "k3.graph", "p3.graph", "--eps", "1", "--seed", "1"], "0", 9),
+        (["oracle", "ged", "k3.graph", "p3.graph", "--cap", "0"], None, 3),
+    ], ids=["ged-budget", "oracle-ged-cap"])
+    def test_zero_budget_or_cap_is_a_limit(self, files, capsys, monkeypatch,
+                                           argv, budget, attempted):
+        monkeypatch.delenv("ROBUSTISO_BUDGET", raising=False)
+        if budget is not None:
+            monkeypatch.setenv("ROBUSTISO_BUDGET", budget)
+        code, out, err = run_main([files.get(a, a) for a in argv], capsys)
+        assert code == 3 and err == ""
+        assert json.loads(out)["attempted"] == attempted
+
     def test_missing_file_exit_two(self):
         res = run_cli(["vc", "--graph", "/nonexistent.graph"])
         assert res.returncode == 2
