@@ -69,7 +69,7 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .graphs import Assignment, Graph, edit_cost, partial_injection
-from .qap import QapInstance, weighted_ged_to_qap
+from .qap import QapInstance, block_totals, weighted_ged_to_qap
 from .rationals import as_fraction
 from . import simplex
 
@@ -675,14 +675,6 @@ def approximate_qap(
     BudgetExceededError.check(total, budget, "alphas to try")
     model = lp_model(q)
     nonnegative = model.block.min(initial=0) >= 0
-    offsets = np.arange(n, dtype=np.int64) * n
-
-    def cost_of(assignment: Assignment) -> Fraction:
-        """qap_cost, read from the block: c(v, phi(v), w, phi(w)) * denom
-        sits at block[v*n + phi(v), w*n + phi(w)]."""
-        rows = offsets + np.array(assignment.mapping, dtype=np.int64)
-        return Fraction(int(model.block[rows[:, None], rows].sum()), model.denom)
-
     best = None  # (cost, assignment)
     tried = 0
     infeasible = 0
@@ -699,7 +691,7 @@ def approximate_qap(
                 continue
             partial = round_apec(x, lp, seed=seed * 1_000_003 + tried)
             assignment = complete_matching(partial, n)
-            cost = cost_of(assignment)
+            cost = Fraction(int(block_totals(model.block, assignment.mapping)), model.denom)
             if keep_trace:
                 trace.append(
                     {"alpha": pairs, "status": "ok", "cost": cost,
@@ -711,8 +703,8 @@ def approximate_qap(
                     break
 
     if best is None:
-        assignment = Assignment.identity(n)
-        best = (cost_of(assignment), assignment)
+        identity = Assignment.identity(n)
+        best = (Fraction(int(block_totals(model.block, identity.mapping)), model.denom), identity)
     return ApproxReport(
         best_assignment=best[1],
         best_cost=best[0],

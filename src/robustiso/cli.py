@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[approx_flags], help=help_text)
         for dest in inputs:
             p.add_argument(dest)
-        p.add_argument("--oracle-cap", type=int, default=oracle_cap)
+        p.add_argument("--oracle-cap", type=_count, default=oracle_cap)
         p.set_defaults(fn=cmd_approximate)
 
     p = sub.add_parser("robust-gi", help="promise isomorphism test")

@@ -128,17 +128,13 @@ def cfi_graph(base: Graph, twisted_edges=()) -> Graph:
     return Graph(4 * base.n + 4 * len(edges), frozenset(out_edges), colours=colours)
 
 
-def gen_cfi_pair(base="k4") -> InstanceBundle:
+def gen_cfi_pair(base_name: str = "k4") -> InstanceBundle:
     """Non-isomorphic coloured 3-regular pair indistinguishable by low WL.
 
-    The pair is the untwisted gadget graph and the one-twist gadget graph
+    The untwisted and the one-twist gadget graph over the named stock base
     (twist on the lexicographically smallest base edge).
     """
-    if isinstance(base, str):
-        base_name = base
-        base = stock_base(base)
-    else:
-        base_name = f"custom({base.n})"
+    base = stock_base(base_name)
     g = cfi_graph(base, ())
     h = cfi_graph(base, (sorted(base.edges)[0],))
     metadata = {

@@ -2,10 +2,12 @@
 
 All coefficients are exact rationals.  An instance stores them once, as
 integers over one common denominator at the sorted flat positions of the
-nonzero coefficients; costs, b_alpha, threshold tests and the LP block are
-array operations on that form and compare in integers.  The edit-distance
-reduction broadcasts the integer weight matrices of graphs.weight_matrices,
-and the brute-force optimum minimises over the bijection enumeration there.
+nonzero coefficients; threshold tests compare in integers on that form.
+Coefficients, b_alpha and costs read the integer block scattered from it
+(scaled_block), and every cost is one gather on that block (block_totals):
+qap_cost, the brute-force optimum over the bijection enumeration of graphs,
+and approx's completions.  The edit-distance reduction broadcasts the
+integer weight matrices of graphs.weight_matrices.
 """
 
 from __future__ import annotations
@@ -88,20 +90,9 @@ class QapInstance:
         self.denom = denom // common
         self.bound_b = Fraction(largest, self.denom)
 
-    def scaled_at(self, positions) -> np.ndarray:
-        """Scaled coefficients at flat positions (any shape); 0 where none is stored."""
-        positions = np.asarray(positions, dtype=np.int64)
-        out = np.zeros(positions.shape, dtype=self.scaled.dtype)
-        if self.index.size:
-            slot = np.searchsorted(self.index, positions).clip(max=self.index.size - 1)
-            hit = self.index[slot] == positions
-            out[hit] = self.scaled[slot[hit]]
-        return out
-
     def c(self, v: int, vp: int, w: int, wp: int) -> Fraction:
-        n = self.n
-        position = ((v * n + vp) * n + w) * n + wp
-        return Fraction(int(self.scaled_at(position)), self.denom)
+        block, denom = self.scaled_block()
+        return Fraction(int(block[v * self.n + vp, w * self.n + wp]), denom)
 
     def nonzero_entries(self):
         """Sorted ((v,v',w,w'), value) pairs with nonzero value."""
@@ -157,14 +148,25 @@ class QapInstance:
         return f"QapInstance(n={self.n}, nonzero={self.index.size})"
 
 
+def block_totals(block: np.ndarray, mappings) -> np.ndarray:
+    """Per mapping row p: the sum over ordered pairs (v, w) of block[v*n + p(v), w*n + p(w)].
+
+    mappings is one row of n targets, or rows along its last axis under any
+    leading shape, which the result keeps.  On a scaled_block each total is
+    the QAP cost of p times denom.
+    """
+    mappings = np.asarray(mappings, dtype=np.int64)
+    n = mappings.shape[-1]
+    rows = np.arange(n) * n + mappings
+    return block[rows[..., :, None], rows[..., None, :]].sum(axis=(-2, -1))
+
+
 def qap_cost(q: QapInstance, phi: Assignment) -> Fraction:
     """Sum of c(v, phi(v), w, phi(w)) over all ordered pairs, diagonal included."""
     if len(phi) != q.n:
         raise ValueError("assignment order does not match the instance")
-    n = q.n
-    rows = np.arange(n) * n + np.array(phi.mapping, dtype=np.int64)
-    total = q.scaled_at(rows[:, None] * (n * n) + rows[None, :]).sum()
-    return Fraction(int(total), q.denom)
+    block, denom = q.scaled_block()
+    return Fraction(int(block_totals(block, phi.mapping)), denom)
 
 
 def ged_to_qap(g: Graph, h: Graph) -> QapInstance:
@@ -192,13 +194,7 @@ def qap_bruteforce(q: QapInstance, cap: int = 9):
     """Exact minimum over all n! assignments; lexicographic tie-break."""
     BudgetExceededError.check(q.n, cap, "QAP positions to brute-force")
     block, denom = q.scaled_block()
-    n = q.n
-
-    def totals(mappings):
-        rows = np.arange(n) * n + mappings
-        return block[rows[:, :, None], rows[:, None, :]].sum(axis=(1, 2))
-
-    total, mapping = cheapest_bijection(Graph(n), Graph(n), totals)
+    total, mapping = cheapest_bijection(Graph(q.n), Graph(q.n), lambda p: block_totals(block, p))
     return Fraction(total, denom), Assignment(mapping)
 
 
@@ -214,10 +210,9 @@ def b_alpha(q: QapInstance, alpha, v: int, vp: int) -> Fraction:
     alpha = partial_injection(alpha, n)
     if not (0 <= v < n and 0 <= vp < n):
         raise ValueError("(v, v') exceeds the ground set")
-    pairs = np.array(alpha, dtype=np.int64)
-    positions = (v * n + vp) * n * n + pairs[:, 0] * n + pairs[:, 1]
-    total = q.scaled_at(positions).sum()
-    return Fraction(n, len(alpha)) * Fraction(int(total), q.denom)
+    block, denom = q.scaled_block()
+    total = block[v * n + vp, [w * n + wp for w, wp in alpha]].sum()
+    return Fraction(n, len(alpha)) * Fraction(int(total), denom)
 
 
 def parse_qap(text: str) -> QapInstance:

@@ -62,7 +62,7 @@ def mean_threshold_estimate(q, alpha, grid: ThresholdGrid, v: int, vp: int):
     if len(alpha) == 0:
         raise ValueError("alpha must be nonempty")
     pairs = np.array(alpha, dtype=np.int64)
-    scaled = q.scaled_at((v * q.n + vp) * q.n * q.n + pairs[:, 0] * q.n + pairs[:, 1])
+    scaled = q.scaled_block()[0][v * q.n + vp, pairs[:, 0] * q.n + pairs[:, 1]]
     if grid.b < q.bound_b:
         raise ValueError("grid bound is below the instance coefficient bound")
     n = q.n

@@ -223,6 +223,27 @@ class TestApproximationOutputsPinned:
         assert got == code, err
         assert hashlib.sha256(f"{out}\0{err}".encode()).hexdigest() == digest, (out, err)
 
+    def test_object_dtype_costs_pinned(self, tmp_path, capsys, monkeypatch):
+        # coefficients of 2^70 keep the block in Python ints; every LP is
+        # infeasible, so best_cost is the identity fallback's, and the oracle
+        # brute-forces the same object block
+        path = tmp_path / "obj.qap"
+        path.write_text("qap 2\nq 0 0 0 0 1180591620717411303424\n"
+                        "q 0 1 0 1 1180591620717411303424\n")
+        monkeypatch.delenv("ROBUSTISO_BUDGET", raising=False)
+        code, out, err = run_main(
+            ["qap", str(path), "--eps", "1", "--seed", "1", "--lp", "exact"], capsys
+        )
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["best_cost"] == report["oracle_cost"] == "1180591620717411303424/1"
+        assert report["assignment"] == [0, 1] and report["gap"] == "0/1"
+        assert (report["alphas_tried"], report["lps_infeasible"]) == (4, 4)
+        code, out, err = run_main(["oracle", "qap", str(path)], capsys)
+        assert code == 0 and json.loads(out) == {
+            "kind": "qap", "cost": "1180591620717411303424/1", "assignment": [0, 1],
+        }
+
 
 class TestRobustGiCommand:
     def test_isomorphic_exit_zero(self, files):
@@ -508,8 +529,12 @@ class TestErrorPaths:
          "robustiso oracle qap: error: argument --cap: must be an integer >= 0, got '-3'"),
         (["oracle", "qap", "small.qap", "--cap", "ten"], None,
          "robustiso oracle qap: error: argument --cap: must be an integer >= 0, got 'ten'"),
+        (["ged", "k3.graph", "p3.graph", "--eps", "1", "--seed", "1", "--oracle-cap", "-1"],
+         None, "robustiso ged: error: argument --oracle-cap: must be an integer >= 0, got '-1'"),
+        (["qap", "small.qap", "--eps", "1", "--seed", "1", "--oracle-cap=-2"], None,
+         "robustiso qap: error: argument --oracle-cap: must be an integer >= 0, got '-2'"),
     ], ids=["ged-budget", "vc-budget", "wl-budget-text", "oracle-ged-cap", "oracle-qap-cap",
-            "oracle-qap-cap-text"])
+            "oracle-qap-cap-text", "ged-oracle-cap", "qap-oracle-cap"])
     def test_negative_budget_or_cap_is_usage_error(self, files, capsys, monkeypatch,
                                                    argv, budget, shown):
         monkeypatch.delenv("ROBUSTISO_BUDGET", raising=False)

@@ -29,7 +29,7 @@ from robustiso import (
     weighted_ged_to_qap,
 )
 from robustiso import qap
-from robustiso.approx import m_bound
+from robustiso.approx import approximate_qap, m_bound
 from robustiso.errors import BudgetExceededError, ParseError
 from robustiso.generators import gen_vc_gap_qap
 from robustiso.graphs import Graph
@@ -250,6 +250,50 @@ class TestQapBruteforce:
     def test_cap(self):
         with pytest.raises(BudgetExceededError):
             qap_bruteforce(QapInstance(10, {}))
+
+
+def stored_cost(q, mapping):
+    """The QAP cost of mapping summed over the stored coefficients, not the block."""
+    return sum(
+        (value for (v, vp, w, wp), value in q.nonzero_entries()
+         if mapping[v] == vp and mapping[w] == wp),
+        Fraction(0),
+    )
+
+
+class TestBlockTotals:
+    def instances(self):
+        for n in range(5):
+            yield random_qap(n, 8100 + n, bmax=3, denom=6, fill=0.4)
+        # 2^70 keeps the block in Python ints
+        yield QapInstance(2, {(0, 0, 0, 0): 2**70, (0, 1, 0, 1): 2**70})
+
+    def test_matches_the_stored_coefficients(self):
+        for q in self.instances():
+            block, denom = q.scaled_block()
+            perms = np.array(list(itertools.permutations(range(q.n))), dtype=np.int64)
+            want = [stored_cost(q, p) for p in perms.tolist()]
+            for p, cost in zip(perms.tolist(), want):
+                assert Fraction(int(qap.block_totals(block, p)), denom) == cost, (q, p)
+            batch = qap.block_totals(block, perms)
+            assert batch.shape == (len(perms),)
+            assert [Fraction(int(t), denom) for t in batch] == want
+            if len(perms) % 2 == 0:
+                stacked = qap.block_totals(block, perms.reshape(2, -1, q.n))
+                assert stacked.shape == (2, len(perms) // 2)
+                assert [Fraction(int(t), denom) for t in stacked.ravel()] == want
+
+    def test_costs_agree(self):
+        for seed in range(6):
+            q = random_qap(4, 8200 + seed, bmax=2, denom=3, fill=0.5)
+            oracle, phi = qap_bruteforce(q)
+            costs = [qap_cost(q, Assignment(p)) for p in itertools.permutations(range(4))]
+            assert oracle == min(costs) == qap_cost(q, phi) == stored_cost(q, phi.mapping)
+            for lp_method in ("exact", "highs"):
+                report = approximate_qap(q, 1, 1, seed=seed, lp_method=lp_method)
+                assert report.best_cost == qap_cost(q, report.best_assignment)
+                assert report.best_cost == stored_cost(q, report.best_assignment.mapping)
+                assert report.best_cost >= oracle
 
 
 class TestBAlpha:
