@@ -675,6 +675,7 @@ def approximate_qap(
     BudgetExceededError.check(total, budget, "alphas to try")
     model = lp_model(q)
     nonnegative = model.block.min(initial=0) >= 0
+    cost_of = lambda a: Fraction(int(block_totals(model.block, a.mapping)), model.denom)
     best = None  # (cost, assignment)
     tried = 0
     infeasible = 0
@@ -691,7 +692,7 @@ def approximate_qap(
                 continue
             partial = round_apec(x, lp, seed=seed * 1_000_003 + tried)
             assignment = complete_matching(partial, n)
-            cost = Fraction(int(block_totals(model.block, assignment.mapping)), model.denom)
+            cost = cost_of(assignment)
             if keep_trace:
                 trace.append(
                     {"alpha": pairs, "status": "ok", "cost": cost,
@@ -703,8 +704,8 @@ def approximate_qap(
                     break
 
     if best is None:
-        identity = Assignment.identity(n)
-        best = (Fraction(int(block_totals(model.block, identity.mapping)), model.denom), identity)
+        assignment = Assignment.identity(n)
+        best = (cost_of(assignment), assignment)
     return ApproxReport(
         best_assignment=best[1],
         best_cost=best[0],

@@ -128,19 +128,19 @@ def cfi_graph(base: Graph, twisted_edges=()) -> Graph:
     return Graph(4 * base.n + 4 * len(edges), frozenset(out_edges), colours=colours)
 
 
-def gen_cfi_pair(base_name: str = "k4") -> InstanceBundle:
+def gen_cfi_pair(base: str = "k4") -> InstanceBundle:
     """Non-isomorphic coloured 3-regular pair indistinguishable by low WL.
 
     The untwisted and the one-twist gadget graph over the named stock base
     (twist on the lexicographically smallest base edge).
     """
-    base = stock_base(base_name)
-    g = cfi_graph(base, ())
-    h = cfi_graph(base, (sorted(base.edges)[0],))
+    graph = stock_base(base)
+    g = cfi_graph(graph, ())
+    h = cfi_graph(graph, (sorted(graph.edges)[0],))
     metadata = {
         "family": "cfi",
-        "params": {"base": base_name, "base_order": base.n,
-                   "base_edges": len(base.edges)},
+        "params": {"base": base, "base_order": graph.n,
+                   "base_edges": len(graph.edges)},
         "claims": {
             "non_isomorphic": True,
             "three_regular": True,

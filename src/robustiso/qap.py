@@ -91,6 +91,7 @@ class QapInstance:
         self.bound_b = Fraction(largest, self.denom)
 
     def c(self, v: int, vp: int, w: int, wp: int) -> Fraction:
+        """One coefficient from a fresh scaled_block: O(n^4) per call, refused past CELL_CAP."""
         block, denom = self.scaled_block()
         return Fraction(int(block[v * self.n + vp, w * self.n + wp]), denom)
 
@@ -162,7 +163,10 @@ def block_totals(block: np.ndarray, mappings) -> np.ndarray:
 
 
 def qap_cost(q: QapInstance, phi: Assignment) -> Fraction:
-    """Sum of c(v, phi(v), w, phi(w)) over all ordered pairs, diagonal included."""
+    """Sum of c(v, phi(v), w, phi(w)) over all ordered pairs, diagonal included.
+
+    O(n^4) per call and refused past CELL_CAP: it gathers a fresh scaled_block, as c does.
+    """
     if len(phi) != q.n:
         raise ValueError("assignment order does not match the instance")
     block, denom = q.scaled_block()
@@ -202,7 +206,7 @@ def b_alpha(q: QapInstance, alpha, v: int, vp: int) -> Fraction:
     """Scaled partial cost estimate (n/|alpha|) * sum of c(v,v',w,w') over alpha.
 
     alpha is the pairs of a partial injection of [n] (partial_injection), and
-    (v, v') must lie in [0, n)^2.
+    (v, v') must lie in [0, n)^2.  It reads a fresh scaled_block, as c does.
     """
     if len(alpha) == 0:
         raise ValueError("alpha must be nonempty")

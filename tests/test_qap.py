@@ -70,9 +70,11 @@ class TestQapInstance:
             q = random_qap(n, 2300 + n, bmax=2, denom=6, fill=fill)
             block, denom = q.scaled_block()
             assert block.shape == (n * n, n * n) and block.dtype == np.int64
+            # c reads the block too, so both are checked against the stored entries
+            stored = dict(q.nonzero_entries())
             for v, vp, w, wp in itertools.product(range(n), repeat=4):
                 value = Fraction(int(block[v * n + vp, w * n + wp]), denom)
-                assert value == q.c(v, vp, w, wp)
+                assert value == q.c(v, vp, w, wp) == stored.get((v, vp, w, wp), 0)
 
     def test_scaled_block_keeps_huge_values_exact(self):
         q = QapInstance(
@@ -123,11 +125,15 @@ class TestQapInstance:
     def test_dense_forms_past_the_cell_cap_are_refused(self, monkeypatch):
         # the block, the threshold mask and the GED reduction of an order-65
         # instance (65^4 > 2^24 cells) raise before allocating; at a cap of
-        # 3^4 order 3 still builds and order 4 does not
+        # 3^4 order 3 still builds and order 4 does not.  A coefficient, a
+        # cost and b_alpha read the block, so they are refused with it
         builds = {
             "block": lambda n: QapInstance(n, {}).scaled_block(),
             "mask": lambda n: QapInstance(n, {}).exceeds(0),
             "reduction": lambda n: weighted_ged_to_qap(Graph(n), Graph(n)),
+            "coefficient": lambda n: QapInstance(n, {(0, 1, 1, 0): 1}).c(0, 1, 1, 0),
+            "cost": lambda n: qap_cost(QapInstance(n, {}), Assignment.identity(n)),
+            "b_alpha": lambda n: b_alpha(QapInstance(n, {}), [(0, 0)], 0, 0),
         }
         for name, build in builds.items():
             with pytest.raises(BudgetExceededError) as info:
