@@ -1,17 +1,22 @@
 """Weisfeiler-Leman refinement, homogenising sets and robust isomorphism.
 
-Every dimension refines through one fixpoint, `_refine`: each round ranks
+Every dimension refines through one fixpoint, `_refine`: each round builds
 one numpy integer row per vertex (1-WL) or k-tuple (k-WL) of every graph
-in the run with `np.lexsort`, so colour ids are canonical across those
-graphs and histograms compare without hashing.  A 1-WL row is the vertex's
-colour, then its neighbours' colours in increasing order, padded with -1.
-A k-WL row starts from the atomic type (equality and adjacency bits, then
-vertex colours); in each round it is the tuple's colour, then for every
-vertex w one order-preserving integer code of the colours of the k tuples
-that put w at one position, sorted over w.  Rows compare exactly as the
-signature tuples do, so their ranks are the ids that sorting the tuples
-would give.  Colour histograms are `Histogram` mappings over one compact
-count array.
+in the run and ranks the rows in lexicographic order, so colour ids are
+canonical across those graphs and histograms compare without hashing.  A
+1-WL row is the vertex's colour, then its neighbours' colours in
+increasing order, padded with -1.  A k-WL row starts from the atomic type
+(equality and adjacency bits, then vertex colours); in each round it is
+the tuple's colour, then for every vertex w one order-preserving integer
+code of the colours of the k tuples that put w at one position, sorted
+over w.  Rows compare exactly as the signature tuples do, so their ranks
+are the ids that sorting the tuples would give.
+
+A round's row starts with the current colour, so only the rows of a class
+that splits can change rank: each round compares every row with one row of
+its class, sorts only the classes that split (Berkholz, Bonsma & Grohe,
+ESA 2013), and stops without sorting when none does.  Colour histograms are
+`Histogram` mappings over one compact count array.
 """
 
 from __future__ import annotations
@@ -32,6 +37,10 @@ from .setsystems import epsilon_net_greedy, mixed_system
 
 # Largest n^(k+1), the (tuple, vertex) pairs one k-WL round reads per graph.
 DEFAULT_WL_BUDGET = 1_000_000
+# Below this many entries a round's rows are ranked whole: there numpy's
+# per-call cost of finding and sorting the classes that split exceeds the
+# sort it saves (about 2,200 entries, 2-WL on two 10-vertex graphs, is even).
+_SPLIT_MIN_ENTRIES = 4096
 
 
 class Histogram(Mapping):
@@ -117,33 +126,91 @@ class StableColouring:
         return classes
 
 
-def _rank_rows(rows):
-    """Dense ranks of the rows of a 2-D integer array in lexicographic order;
-    returns (ranks, number of distinct rows)."""
-    if rows.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64), 0
-    order = np.lexsort(rows.T[::-1])
-    # Adjacent sorted rows compared a column at a time: gathering the whole
-    # sorted matrix would double the round's peak memory.
-    step = np.zeros(rows.shape[0] - 1, dtype=bool)
+def _distinct_steps(rows, order):
+    """step[i]: whether rows order[i] and order[i + 1] differ.  Compared a
+    column at a time: gathering the whole sorted matrix would double the
+    round's peak memory."""
+    step = np.zeros(order.size - 1, dtype=bool)
     for column in rows.T:
         ordered = column[order]
         step |= ordered[1:] != ordered[:-1]
+    return step
+
+
+def _rank_rows(rows):
+    """Dense ranks of the rows of a 2-D integer array in lexicographic order,
+    by one `np.lexsort` of the whole matrix; returns (ranks, number of
+    distinct rows).  Ranks the first rows of a refinement, and a round's
+    rows when most of them are in classes that split."""
+    if rows.shape[0] == 0:
+        return np.zeros(0, dtype=np.int64), 0
+    order = np.lexsort(rows.T[::-1])
     ranks = np.empty(rows.shape[0], dtype=np.int64)
     ranks[order[0]] = 0
-    ranks[order[1:]] = np.cumsum(step)
+    ranks[order[1:]] = np.cumsum(_distinct_steps(rows, order))
     return ranks, int(ranks[order[-1]]) + 1
+
+
+def _split_ranks(rows, cols, classes):
+    """The ranks `_rank_rows(rows)` gives when column 0 of `rows` is the
+    dense colouring `cols` with `classes` classes, sorting only the rows of
+    the classes that split; returns (ranks, number of distinct rows).
+
+    A class splits when one of its rows differs from a chosen row of it.  A
+    class that does not split gets a single id; a row of one that does gets
+    the number of new classes below its class plus its rank within it.
+    When no class splits this returns `cols` itself, sorting nothing.
+    Matrices of fewer than `_SPLIT_MIN_ENTRIES` entries are ranked whole.
+    """
+    if rows.size < _SPLIT_MIN_ENTRIES:
+        return _rank_rows(rows)
+    anchor = np.empty(classes, dtype=np.intp)
+    anchor[cols] = np.arange(cols.size)  # some row of each class
+    anchor = anchor[cols]
+    differs = np.zeros(cols.size, dtype=bool)
+    for column in rows.T[1:]:
+        differs |= column != column[anchor]
+    split = np.zeros(classes, dtype=bool)
+    split[cols[differs]] = True
+    del anchor, differs
+    moved = np.flatnonzero(split[cols])
+    if moved.size == 0:
+        return cols, classes
+    if 2 * moved.size > cols.size:
+        # Most rows move: one lexsort in place beats sorting them apart.
+        return _rank_rows(rows)
+    # Stable sorts from the last column to the first sort the moved rows
+    # lexicographically, gathering one column of them at a time.
+    order = moved
+    for column in rows.T[::-1]:
+        order = order[np.argsort(column[order], kind="stable")]
+    starts = np.ones(order.size, dtype=bool)  # first row of each new class
+    starts[1:] = _distinct_steps(rows, order)
+    old = cols[order]
+    counts = np.where(split, np.bincount(old[starts], minlength=classes), 1)
+    below = np.cumsum(counts) - counts  # new classes in lower old classes
+    ranks = below[cols]
+    # A moved row's rank among the moved rows counts the new classes of the
+    # lower split classes and its rank within its own: add the unsplit ones.
+    unsplit_below = np.cumsum(~split) - ~split
+    ranks[order] = np.cumsum(starts) - 1 + unsplit_below[old]
+    return ranks, int(below[-1] + counts[-1])
 
 
 def _refine(rows, signatures):
     """Colour the rows of `rows` by rank, then re-rank the rows that
-    `signatures(colours, classes)` builds until the class count stops
-    growing; returns (the colours before the last round, rounds)."""
+    `signatures(colours, classes)` builds, whose column 0 is the current
+    colour, until no class splits; returns (the stable colours, rounds).
+
+    Each round sorts only the rows of the classes that split
+    (`_split_ranks`), so the round that finds the colouring stable sorts
+    nothing; the ids are those of ranking every row, as `_rank_rows` does.
+    """
     cols, classes = _rank_rows(rows)
     del rows  # k-WL's atomic types are wide: free them before the rounds
     rounds = 0
     while True:
-        new_cols, new_classes = _rank_rows(signatures(cols, classes))
+        new_cols, new_classes = _split_ranks(signatures(cols, classes), cols, classes)
         if new_classes == classes:
             return cols, rounds
         cols, classes = new_cols, new_classes
@@ -169,7 +236,13 @@ def _joint_refine_1wl(graphs, individualised):
         rank = {v: i + 1 for i, v in enumerate(ind_sorted)}
         ranks += [rank.get(v, 0) for v in range(g.n)]
     starts = list(itertools.accumulate((g.n for g in graphs), initial=0))
-    adj = [[s + w for w in nbrs] for g, s in zip(graphs, starts) for nbrs in g.adj]
+    # Built from the edges rather than `Graph.adj`, which would cache a
+    # frozenset per vertex on every graph compared.
+    adj = [[] for _ in range(starts[-1])]
+    for g, s in zip(graphs, starts):
+        for u, v in g.edges:
+            adj[s + u].append(s + v)
+            adj[s + v].append(s + u)
     width = max(map(len, adj), default=0)
     # neighbours[v]: the joint indices of v's neighbours, padded with -1.
     neighbours = np.array(
@@ -221,24 +294,36 @@ def _joint_refine_kwl(graphs, k, budget):
 
     def signatures(cols, base):
         colours = cols.reshape(shape)
+
+        def digit(pos, scale):
+            # [t, w]: scale times the colour of t with position pos set to w.
+            return np.expand_dims(np.moveaxis(colours * scale, 1 + pos, -1), 1 + pos)
+
         # Row t: the colour of tuple t, then its neighbour codes sorted over w.
-        rows = np.zeros((cols.size, n + 1), dtype=np.int64)
+        rows = np.empty((cols.size, n + 1), dtype=np.int64)
         rows[:, 0] = cols
         # codes[t, w] is a view of row t: the colours of t with position
         # 0..k-1 replaced by w, most significant first, as base-`base` digits.
         codes = rows[:, 1:].reshape(shape + (n,), copy=False)
-        bound = 1  # every code is below bound
-        for pos in range(k):
-            if bound * base > 2**63:
-                # Re-rank rather than overflow int64.  Ranks number fewer
-                # than the n^(k+1) codes, so rank * base stays far below
-                # 2^63 for any array that fits in memory.
-                uniq, inverse = np.unique(codes, return_inverse=True)
-                codes[...] = inverse.reshape(codes.shape)
-                bound = uniq.size
-            codes *= base
-            codes += np.expand_dims(np.moveaxis(colours, 1 + pos, -1), 1 + pos)
-            bound *= base
+        if base**k <= 2**63:
+            # Every code is below base^k: sum the pre-scaled digits (k >= 2).
+            np.add(digit(0, base ** (k - 1)), digit(1, base ** (k - 2)), out=codes)
+            for pos in range(2, k):
+                codes += digit(pos, base ** (k - 1 - pos))
+        else:
+            codes[...] = 0
+            bound = 1  # every code is below bound
+            for pos in range(k):
+                if bound * base > 2**63:
+                    # Re-rank rather than overflow int64.  Ranks number fewer
+                    # than the n^(k+1) codes, so rank * base stays far below
+                    # 2^63 for any array that fits in memory.
+                    uniq, inverse = np.unique(codes, return_inverse=True)
+                    codes[...] = inverse.reshape(codes.shape)
+                    bound = uniq.size
+                codes *= base
+                codes += digit(pos, 1)
+                bound *= base
         codes.sort(axis=-1)
         return rows
 

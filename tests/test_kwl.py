@@ -2,6 +2,7 @@
 compact colour histograms."""
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle_graph, er_graph, relabelled_copy
-from robustiso import Graph, k_wl_stable
+from robustiso import Graph, k_wl_stable, wl
 from robustiso.generators import gen_blowup_pair, gen_cfi_pair
 from robustiso.wl import (
     DEFAULT_WL_BUDGET,
@@ -20,6 +21,8 @@ from robustiso.wl import (
     WlComparison,
     _joint_refine_1wl,
     _joint_refine_kwl,
+    _rank_rows,
+    _split_ranks,
     colour_refinement,
     wl_compare,
 )
@@ -274,6 +277,46 @@ def tuple_1wl(graphs, individualised):
         cols, rounds = new, rounds + 1
 
 
+def tuple_kwl(graphs, k):
+    """Reference joint k-WL over Python tuples, for graphs of one order: a
+    k-tuple's atomic type is (equality bits, adjacency bits, vertex colours)
+    over the position pairs (i, j) in row-major order; every round its
+    signature is its colour, then for each vertex w the tuple of the colours
+    of the k tuples that put w at position 0, ..., k-1, sorted over w.
+    Every round sorts the distinct signatures of all graphs and renames each
+    to its rank."""
+    n = graphs[0].n
+    tuples = list(itertools.product(range(n), repeat=k))
+    index = {t: i for i, t in enumerate(tuples)}
+    pairs = [(i, j) for i in range(k) for j in range(k)]
+
+    def canonical(signatures):
+        distinct = sorted({s for sig in signatures for s in sig})
+        rank = {s: r for r, s in enumerate(distinct)}
+        return [[rank[s] for s in sig] for sig in signatures]
+
+    def atomic(g, t):
+        return (
+            tuple(t[i] == t[j] for i, j in pairs),
+            tuple((min(t[i], t[j]), max(t[i], t[j])) in g.edges for i, j in pairs),
+            tuple(g.colour_of(v) for v in t),
+        )
+
+    def neighbours(col, t):
+        return sorted(
+            tuple(col[index[t[:pos] + (w,) + t[pos + 1 :]]] for pos in range(k))
+            for w in range(n)
+        )
+
+    cols = canonical([[atomic(g, t) for t in tuples] for g in graphs])
+    rounds = 0
+    while True:
+        new = canonical([[(col[index[t]], tuple(neighbours(col, t))) for t in tuples] for col in cols])
+        if len({c for col in new for c in col}) == len({c for col in cols for c in col}):
+            return cols, rounds
+        cols, rounds = new, rounds + 1
+
+
 class TestIndependentOracles:
     def test_1wl_ids_equal_the_sorted_signature_tuples(self):
         rng = random.Random(650)
@@ -286,6 +329,29 @@ class TestIndependentOracles:
             cols, rounds = _joint_refine_1wl(graphs, individualised)
             got = [[int(c) for c in col] for col in cols], rounds
             assert got == tuple_1wl(graphs, individualised), trial
+
+    def test_1wl_rounds_that_sort_only_split_classes(self, monkeypatch):
+        # these rounds are small enough to be ranked whole by default
+        monkeypatch.setattr(wl, "_SPLIT_MIN_ENTRIES", 0)
+        self.test_1wl_ids_equal_the_sorted_signature_tuples()
+
+    def test_kwl_ids_equal_the_sorted_signature_tuples(self, monkeypatch):
+        # so that these small rounds sort only the classes that split
+        monkeypatch.setattr(wl, "_SPLIT_MIN_ENTRIES", 0)
+        rng = random.Random(660)
+        for trial in range(48):
+            k = 2 + trial % 2
+            n = rng.randint(0, 7)
+            p = rng.choice([0.2, 0.5])
+            graphs = []
+            for i in (0, 1):
+                colours = {v: rng.randrange(3) for v in range(n)} if trial % 4 >= 2 else None
+                graphs.append(er_graph(n, p, 6900 + 2 * trial + i, colours=colours))
+            if trial % 3 == 0:
+                graphs[1] = relabelled_copy(graphs[0], 6990 + trial)
+            cols, rounds = _joint_refine_kwl(graphs, k, DEFAULT_WL_BUDGET)
+            got = [[int(c) for c in col] for col in cols], rounds
+            assert got == tuple_kwl(graphs, k), trial
 
     @given(graph_and_permutation(), st.sampled_from([2, 3]))
     @settings(max_examples=60, deadline=None)
@@ -344,6 +410,83 @@ class TestIndependentOracles:
             assert distinguishes == (wl_hash(g) != wl_hash(h)), (g, h)
             outcomes.append(distinguishes)
         assert 20 <= sum(outcomes) <= len(outcomes) - 14
+
+
+def coloured_rows(rng, sizes, splits, width):
+    """Rows whose column 0 is a dense colouring with classes of the given
+    sizes, in a seeded shuffled order.  The rows of a class in `splits`
+    take at least two distinct tails; the rows of any other class share
+    one.  Entries lie in [-1, 2], so -1 stands for 1-WL's padding."""
+    blocks = []
+    for c, size in enumerate(sizes):
+        if c in splits:
+            while True:
+                tails = rng.integers(-1, 3, (size, width - 1))
+                if len({tuple(t) for t in tails.tolist()}) > 1:
+                    break
+        else:
+            tails = np.repeat(rng.integers(-1, 3, (1, width - 1)), size, axis=0)
+        blocks.append(np.column_stack([np.full(size, c), tails]))
+    rows = np.concatenate(blocks) if blocks else np.zeros((0, width), dtype=np.int64)
+    rows = rows[rng.permutation(len(rows))].astype(np.int64)
+    return rows, rows[:, 0].copy(), len(sizes)
+
+
+def sorted_tuple_ranks(rows):
+    distinct = sorted({tuple(r) for r in rows.tolist()})
+    rank = {r: i for i, r in enumerate(distinct)}
+    return [rank[tuple(r)] for r in rows.tolist()], len(distinct)
+
+
+class TestSplitRanking:
+    """`_split_ranks`, which sorts only the classes that split, against the
+    full lexsort of `_rank_rows` and against sorted Python tuples."""
+
+    @pytest.fixture(autouse=True)
+    def small_rounds_split(self, monkeypatch):
+        monkeypatch.setattr(wl, "_SPLIT_MIN_ENTRIES", 0)
+
+    CASES = {
+        "zero-rows": ([], set()),
+        "one-row": ([1], set()),
+        "no-class-splits": ([3, 1, 4, 2, 2], set()),
+        "every-class-splits": ([3, 2, 4, 2], {0, 1, 2, 3}),
+        "one-class-of-many-splits": ([3] * 8, {5}),
+        "one-large-class-splits": ([1, 9, 1, 1], {1}),
+        "singletons-and-one-split": ([1] * 6 + [4], {6}),
+        "half-the-rows-split": ([2, 2, 4], {2}),
+    }
+
+    def check(self, rows, cols, classes):
+        expected = sorted_tuple_ranks(rows)
+        ranks, count = _split_ranks(rows, cols, classes)
+        full, full_count = _rank_rows(rows)
+        assert ranks.dtype == np.int64
+        assert (ranks.tolist(), count) == (full.tolist(), full_count) == expected
+        return ranks
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_named_cases(self, name):
+        sizes, splits = self.CASES[name]
+        rng = np.random.default_rng(sorted(self.CASES).index(name))
+        for width in (1, 2, 5):
+            rows, cols, classes = coloured_rows(rng, sizes, splits if width > 1 else set(), width)
+            ranks = self.check(rows, cols, classes)
+            if not splits or width == 1:
+                assert ranks is cols  # stable: nothing was sorted
+
+    def test_seeded_matrices_on_both_sides_of_the_half_rule(self):
+        rng = np.random.default_rng(670)
+        moved_fractions = []
+        for _ in range(60):
+            sizes = rng.integers(1, 6, rng.integers(1, 12)).tolist()
+            splits = {c for c, size in enumerate(sizes) if size > 1 and rng.random() < 0.4}
+            rows, cols, classes = coloured_rows(rng, sizes, splits, int(rng.integers(2, 7)))
+            self.check(rows, cols, classes)
+            moved_fractions.append(sum(sizes[c] for c in splits) / sum(sizes))
+        below = sum(0 < f <= 0.5 for f in moved_fractions)
+        above = sum(f > 0.5 for f in moved_fractions)
+        assert below >= 10 and above >= 10, moved_fractions
 
 
 class TestHistogram:

@@ -74,6 +74,13 @@ class TestColourRefinement:
         sc = colour_refinement(path_graph(4))
         assert sum(sc.histogram.values()) == 4
 
+    def test_leaves_adjacency_uncached(self):
+        # 1-WL reads the edges, so no frozenset per vertex stays on a graph
+        g, h = er_graph(9, 0.5, 95), er_graph(9, 0.5, 96)
+        wl_compare(g, h, 1)
+        colour_refinement(g, (0, 4))
+        assert "adj" not in vars(g) and "adj" not in vars(h)
+
 
 class TestKwlStable:
     def test_k1_matches_colour_refinement(self):
