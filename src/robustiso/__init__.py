@@ -8,7 +8,7 @@ from .graphs import (
     edit_cost,
     edit_distance_bruteforce,
     is_isomorphic_bruteforce,
-    mixed_neighbourhood,
+    neighbour_masks,
     parse_graph,
     partial_injection,
     serialize_graph,

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, VerificationError
-from .graphs import Graph, blowup, parse_graph, serialize_graph
+from .graphs import Graph, blowup, neighbour_masks, parse_graph, serialize_graph
 from .qap import QapInstance
 from .setsystems import neighbourhood_system, vc_dimension_exact
 
@@ -48,18 +48,17 @@ class InstanceBundle:
             raise ValueError("bundle graphs must have equal order")
 
 
-def _is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = {0}
-    queue = [0]
-    while queue:
-        v = queue.pop()
-        for w in g.adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == g.n
+def _is_connected(rows: list) -> bool:
+    """Whether the graph with neighbourhood bitmasks `rows` is connected."""
+    seen = frontier = 1 if rows else 0
+    while frontier:
+        reached = 0
+        for v in range(len(rows)):
+            if frontier >> v & 1:
+                reached |= rows[v]
+        frontier = reached & ~seen
+        seen |= frontier
+    return seen == (1 << len(rows)) - 1
 
 
 def stock_base(name: str) -> Graph:
@@ -77,9 +76,10 @@ def cfi_graph(base: Graph, twisted_edges=()) -> Graph:
     contributes ids 4n+4i..4n+4i+3 as (lower endpoint, side 0/1, then upper
     endpoint).  Colours: one class per base vertex, one per base edge.
     """
-    if any(len(base.adj[v]) != 3 for v in range(base.n)):
+    rows = neighbour_masks(base)
+    if any(row.bit_count() != 3 for row in rows):
         raise ValueError("base graph must be 3-regular")
-    if not _is_connected(base):
+    if not _is_connected(rows):
         raise ValueError("base graph must be connected")
     edges = sorted(base.edges)
     edge_index = {e: i for i, e in enumerate(edges)}

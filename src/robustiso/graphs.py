@@ -3,9 +3,11 @@
 Vertices are dense 0-based integers.  Edge weights are exact rationals; an
 unweighted graph is the graph with every edge of weight 1 and every non-edge
 of weight 0.  Vertex colours are small non-negative integers; a colourless
-graph is one colour class.  Every edit cost reads one integer form of two
-graphs' weights (weight_matrices), and both brute-force oracles minimise
-over one lexicographic enumeration of colour-preserving bijections.
+graph is one colour class.  A Graph holds only n, edges, weights and colours;
+set computations on neighbourhoods read the int bitmasks that neighbour_masks
+builds from the edges per call.  Every edit cost reads one integer form of two
+graphs' weights (weight_matrices), and both brute-force oracles minimise over
+one lexicographic enumeration of colour-preserving bijections.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -102,20 +103,6 @@ class Graph:
     # weights/colours are plain dicts, so Graph values must not be hashed.
     __hash__ = None
 
-    @cached_property
-    def adj(self) -> tuple:
-        """Adjacency as a tuple of frozensets, computed once per graph."""
-        nbrs = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
-
-    def neighbourhood(self, v: int) -> frozenset:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range")
-        return self.adj[v]
-
     @property
     def edge_weights(self) -> dict:
         """Effective weight of every edge: the stored one, or 1 when unweighted."""
@@ -141,6 +128,15 @@ class Graph:
     def bound_b(self) -> Fraction:
         """Largest absolute effective edge weight (0 for an edgeless graph)."""
         return max(map(abs, self.edge_weights.values()), default=Fraction(0))
+
+
+def neighbour_masks(g: Graph) -> list:
+    """Each vertex's neighbourhood as an int bitmask, built from the edges per call."""
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
 
 
 @dataclass(frozen=True)
@@ -325,8 +321,9 @@ def is_isomorphic_bruteforce(g: Graph, h: Graph):
     except ValueError:
         return None
 
-    g_deg = [len(g.adj[v]) for v in range(g.n)]
-    h_deg = [len(h.adj[v]) for v in range(h.n)]
+    g_rows, h_rows = neighbour_masks(g), neighbour_masks(h)
+    g_deg = [row.bit_count() for row in g_rows]
+    h_deg = [row.bit_count() for row in h_rows]
     candidates = [
         [w for w in h_classes[g.colour_of(v)] if h_deg[w] == g_deg[v]]
         for v in range(g.n)
@@ -347,11 +344,10 @@ def is_isomorphic_bruteforce(g: Graph, h: Graph):
         if v in order:
             continue
         order.append(v)
-        queue.extend(sorted(g.adj[v].difference(order)))
+        queue.extend(u for u in range(g.n) if g_rows[v] >> u & 1 and u not in order)
 
     mapping = [-1] * g.n
     used = [False] * h.n
-    g_adj, h_adj = g.adj, h.adj
 
     def backtrack(i):
         if i == len(order):
@@ -361,7 +357,7 @@ def is_isomorphic_bruteforce(g: Graph, h: Graph):
             if used[w]:
                 continue
             # mapped neighbours and non-neighbours must keep their status
-            if any((u in g_adj[v]) != (mapping[u] in h_adj[w]) for u in order[:i]):
+            if any((g_rows[v] >> u & 1) != (h_rows[w] >> mapping[u] & 1) for u in order[:i]):
                 continue
             mapping[v] = w
             used[w] = True
@@ -374,11 +370,6 @@ def is_isomorphic_bruteforce(g: Graph, h: Graph):
     if backtrack(0):
         return Assignment(tuple(mapping))
     return None
-
-
-def mixed_neighbourhood(g: Graph, v: int, w: int) -> frozenset:
-    """Symmetric difference of the neighbourhoods of v and w."""
-    return g.neighbourhood(v) ^ g.neighbourhood(w)
 
 
 def threshold_graph(g: Graph, t) -> Graph:

@@ -1,7 +1,8 @@
 """Set systems, exact VC dimension, epsilon-nets and epsilon-approximations.
 
 Members of a set system are integer bitmasks over the ground set
-{0, ..., ground_size-1}; the family is deduplicated by construction.
+{0, ..., ground_size-1}; the family is deduplicated by construction.  A
+graph's neighbourhood systems take their members from graphs.neighbour_masks.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
-from .graphs import Graph, threshold_graph
+from .graphs import Graph, neighbour_masks, threshold_graph
 from .rationals import as_fraction
 
 
@@ -78,23 +79,14 @@ def _mask_of(subset, ground_size: int) -> int:
     return m
 
 
-def _neighbourhood_rows(g: Graph) -> list:
-    """Each vertex's neighbourhood as a bitmask, read from the edge set."""
-    rows = [0] * g.n
-    for u, v in g.edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return rows
-
-
 def neighbourhood_system(g: Graph) -> SetSystem:
     """The family of vertex neighbourhoods, deduplicated."""
-    return SetSystem(g.n, _neighbourhood_rows(g))
+    return SetSystem(g.n, neighbour_masks(g))
 
 
 def mixed_system(g: Graph) -> SetSystem:
     """All pairwise symmetric differences of neighbourhoods (incl. the empty set)."""
-    rows = _neighbourhood_rows(g)
+    rows = neighbour_masks(g)
     masks = {rows[v] ^ rows[w] for v in range(g.n) for w in range(v, g.n)}
     if g.n == 0:
         masks.add(0)
@@ -219,11 +211,10 @@ def weighted_graph_vc(g: Graph, budget: int | None = None) -> int:
     """
     weights = sorted(set(g.edge_weights.values()))
     thresholds = [(weights[0] - 1) if weights else Fraction(0)] + weights
-    best = 0
-    for t in thresholds:
-        sub = threshold_graph(g, t)
-        best = max(best, vc_dimension_exact(neighbourhood_system(sub), budget))
-    return best
+    return max(
+        vc_dimension_exact(neighbourhood_system(threshold_graph(g, t)), budget)
+        for t in thresholds
+    )
 
 
 def weak_vc_test(q, d: int, budget: int = 10_000_000) -> bool:

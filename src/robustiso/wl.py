@@ -16,7 +16,8 @@ A round's row starts with the current colour, so only the rows of a class
 that splits can change rank: each round compares every row with one row of
 its class, sorts only the classes that split (Berkholz, Bonsma & Grohe,
 ESA 2013), and stops without sorting when none does.  Colour histograms are
-`Histogram` mappings over one compact count array.
+`Histogram` mappings over one compact count array.  Homogenising checks
+compare mixed neighbourhoods N(v) ^ N(w) as graphs.neighbour_masks bitmasks.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
-from .graphs import Graph, mixed_neighbourhood
+from .graphs import Graph, neighbour_masks
 from .rationals import as_fraction
 from .setsystems import epsilon_net_greedy, mixed_system
 
@@ -236,8 +237,6 @@ def _joint_refine_1wl(graphs, individualised):
         rank = {v: i + 1 for i, v in enumerate(ind_sorted)}
         ranks += [rank.get(v, 0) for v in range(g.n)]
     starts = list(itertools.accumulate((g.n for g in graphs), initial=0))
-    # Built from the edges rather than `Graph.adj`, which would cache a
-    # frozenset per vertex on every graph compared.
     adj = [[] for _ in range(starts[-1])]
     for g, s in zip(graphs, starts):
         for u, v in g.edges:
@@ -391,10 +390,11 @@ def wl_compare(g: Graph, h: Graph, k: int, budget: int = DEFAULT_WL_BUDGET) -> W
 def _violations(g: Graph, gamma: StableColouring, limit):
     """The pairs v < w of one gamma class whose mixed neighbourhood has
     more than `limit` vertices."""
+    rows = neighbour_masks(g)
     for members in gamma.vertex_partition().values():
         for i, v in enumerate(members):
             for w in members[i + 1 :]:
-                if len(mixed_neighbourhood(g, v, w)) > limit:
+                if (rows[v] ^ rows[w]).bit_count() > limit:
                     yield v, w
 
 

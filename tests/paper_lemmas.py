@@ -1,7 +1,7 @@
 """Checks of the paper's lemmas that no command runs: the threshold grid and
-the mean-threshold interval for b_alpha, the Sauer-Shelah trace count, and
-the dimension-based size target of an eps-net.  The tests use them as
-oracles for the library's machinery."""
+the mean-threshold interval for b_alpha, the Sauer-Shelah trace count, the
+dimension-based size target of an eps-net, and the homogenising-set
+condition.  The tests use them as oracles for the library's machinery."""
 
 import itertools
 import math
@@ -105,3 +105,27 @@ def size_target(g, eps) -> float:
     eps = float(as_fraction(eps))
     d = max(vc_dimension_exact(mixed_system(g)), 0)
     return d / eps * max(1.0, math.log(1 / eps))
+
+
+def homogenising_reference(g, vertices, eps) -> bool:
+    """Whether vertices equal under 1-WL with `vertices` individualised have
+    mixed neighbourhoods N(v) ^ N(w) of at most eps * n vertices, over
+    frozensets read from g.edges and with a colour refinement of its own."""
+    nbrs = [frozenset(u for e in g.edges if v in e for u in e if u != v) for v in range(g.n)]
+    individualised = sorted(set(vertices))
+    colour = [
+        ((g.colours or {}).get(v, 0), individualised.index(v) + 1 if v in individualised else 0)
+        for v in range(g.n)
+    ]
+    while True:
+        signature = [(colour[v], tuple(sorted(colour[u] for u in nbrs[v]))) for v in range(g.n)]
+        rank = {s: i for i, s in enumerate(sorted(set(signature)))}
+        if len(rank) == len(set(colour)):
+            break
+        colour = [rank[s] for s in signature]
+    limit = Fraction(eps) * g.n
+    return all(
+        len(nbrs[v] ^ nbrs[w]) <= limit
+        for v, w in itertools.combinations(range(g.n), 2)
+        if colour[v] == colour[w]
+    )

@@ -69,6 +69,30 @@ def test_vc_search_runs_within_its_node_count():
     assert vc_dimension_exact(GNP10, budget=17) == 2
 
 
+def test_graph_keeps_no_derived_state():
+    # a Graph is a plain value: no cached_property on the class, and no
+    # module reads a per-graph adjacency attribute that could cache one
+    package = pathlib.Path(robustiso.__file__).parent
+    adj_reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "adj"
+    ]
+    assert adj_reads == []
+    (graph,) = [
+        node
+        for node in ast.parse((package / "graphs.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef) and node.name == "Graph"
+    ]
+    decorators = [
+        ast.unparse(d)
+        for item in graph.body if isinstance(item, ast.FunctionDef)
+        for d in item.decorator_list
+    ]
+    assert not any(d.endswith("cached_property") for d in decorators), decorators
+
+
 def test_one_rule_constructs_every_budget_error():
     # BudgetExceededError.check raises through `cls`, so no module of the
     # package names the class as a constructor or raises it bare

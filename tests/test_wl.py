@@ -11,7 +11,7 @@ from conftest import (
     path_graph,
     relabelled_copy,
 )
-from paper_lemmas import size_target
+from paper_lemmas import homogenising_reference, size_target
 from robustiso import (
     Graph,
     blowup,
@@ -22,7 +22,7 @@ from robustiso import (
     is_homogenising,
     is_isomorphic_bruteforce,
     k_wl_stable,
-    mixed_neighbourhood,
+    neighbour_masks,
     robust_gi,
 )
 from robustiso import setsystems, wl
@@ -32,6 +32,12 @@ from robustiso.wl import wl_compare
 
 C6 = cycle_graph(6)
 TWO_C3 = Graph(6, {(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)})
+
+
+def disjoint_union(g, h):
+    colours = {v: x.colour_of(v - s) for x, s in ((g, 0), (h, g.n)) for v in range(s, s + x.n)}
+    edges = g.edges | {(u + g.n, v + g.n) for u, v in h.edges}
+    return Graph(g.n + h.n, edges, colours=colours if g.is_coloured else None)
 
 
 def coloured_pair(n, class_size, seed, isomorphic):
@@ -73,13 +79,6 @@ class TestColourRefinement:
     def test_histogram_counts_vertices(self):
         sc = colour_refinement(path_graph(4))
         assert sum(sc.histogram.values()) == 4
-
-    def test_leaves_adjacency_uncached(self):
-        # 1-WL reads the edges, so no frozenset per vertex stays on a graph
-        g, h = er_graph(9, 0.5, 95), er_graph(9, 0.5, 96)
-        wl_compare(g, h, 1)
-        colour_refinement(g, (0, 4))
-        assert "adj" not in vars(g) and "adj" not in vars(h)
 
 
 class TestKwlStable:
@@ -184,10 +183,8 @@ def random_tree(n, seed):
 
 
 def triangle_count(g):
-    total = 0
-    for u, v in g.edges:
-        total += len(g.adj[u] & g.adj[v])
-    return total // 3
+    rows = neighbour_masks(g)
+    return sum((rows[u] & rows[v]).bit_count() for u, v in g.edges) // 3
 
 
 class TestKnownSeparations:
@@ -210,8 +207,8 @@ class TestKnownSeparations:
             n = rng.randint(3, 8)
             g = er_graph(n, 0.5, rng.randrange(10**9))
             h = er_graph(n, 0.5, rng.randrange(10**9))
-            degs = sorted(len(g.adj[v]) for v in range(n))
-            degs_h = sorted(len(h.adj[v]) for v in range(n))
+            degs = sorted(row.bit_count() for row in neighbour_masks(g))
+            degs_h = sorted(row.bit_count() for row in neighbour_masks(h))
             if degs == degs_h:
                 continue
             assert wl_compare(g, h, 1).distinguishes
@@ -246,6 +243,24 @@ class TestHomogenising:
         # all vertices equal-coloured but mixed neighbourhoods of size 4 exist
         assert not is_homogenising(C6, (), Fraction(1, 12))
 
+    def test_agrees_with_the_frozenset_reference(self):
+        rng = random.Random(96)
+        answers = []
+        for trial in range(80):
+            n = rng.randint(0, 6)
+            colours = {v: rng.randrange(2) for v in range(n)} if trial % 2 else None
+            g = er_graph(n, rng.choice([0.2, 0.5, 0.8]), 4600 + trial, colours=colours)
+            if trial % 4 < 2:
+                # beside a relabelled copy, every class of 1-WL has two or more vertices
+                g = disjoint_union(g, relabelled_copy(g, 4700 + trial))
+            vertices = tuple(rng.sample(range(g.n), min(g.n, rng.choice((0, 0, 1, 3)))))
+            # limits of 1 to 4 vertices, so that a mixed neighbourhood can meet one
+            eps = Fraction(rng.randint(1, 3), max(g.n, 4))
+            answer = is_homogenising(g, vertices, eps)
+            assert answer == homogenising_reference(g, vertices, eps), trial
+            answers.append(answer)
+        assert 20 <= sum(answers) <= 60
+
 
 class TestNetConstruction:
     def test_edgeless_gives_empty_set(self):
@@ -256,11 +271,12 @@ class TestNetConstruction:
         k4 = complete_graph(4)
         hom = homogenising_set_net(k4, Fraction(2, 5))
         assert len(hom.vertices) <= 3
-        hit = set(hom.vertices)
+        hit = sum(1 << v for v in hom.vertices)
+        rows = neighbour_masks(k4)
         for v in range(4):
             for w in range(v + 1, 4):
-                m = mixed_neighbourhood(k4, v, w)
-                if len(m) > Fraction(2, 5) * 4:
+                m = rows[v] ^ rows[w]
+                if m.bit_count() > Fraction(2, 5) * 4:
                     assert m & hit
 
     def test_cycle_verified(self):
@@ -291,12 +307,12 @@ class TestNetConstruction:
             eps = Fraction(rng.randint(1, 3), 4)
             hom = homogenising_set_net(g, eps)
             gamma = colour_refinement(g, hom.vertices)
+            hit = sum(1 << v for v in hom.vertices)
+            rows = neighbour_masks(g)
             for members in gamma.vertex_partition().values():
                 for i, v in enumerate(members):
                     for w in members[i + 1 :]:
-                        assert not (
-                            set(hom.vertices) & mixed_neighbourhood(g, v, w)
-                        )
+                        assert not hit & (rows[v] ^ rows[w])
 
 
 class TestColouredGreedy:
