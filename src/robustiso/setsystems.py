@@ -132,9 +132,11 @@ def vc_dimension_exact(system: SetSystem, budget: int | None = None) -> int:
     Branch and bound over shattered sets, in the style of Bron & Kerbosch
     (1973) and Tomita, Tanaka & Takahashi (2006).  Elements with equal
     family membership are collapsed first.  A shattered set X is tracked as
-    the partition of the family by trace on X (bitmasks over family
-    indices); X + x is shattered iff x splits every class, and extending X
-    by later candidates only visits each shattered set once.
+    the partition of the family by trace on X, each class a bitmask over
+    family indices carried with its member count; X + x is shattered iff x
+    splits every class, and extending X by later candidates only visits
+    each shattered set once.  Splitting a class of k members costs one
+    pop-count a of the inside part, the outside part having k - a.
 
     Growing X by k more elements needs 2^k members in every class.  So a
     node stops once its size plus min(candidates left, floor(log2 of its
@@ -142,7 +144,9 @@ def vc_dimension_exact(system: SetSystem, budget: int | None = None) -> int:
     but not expanded when it cannot.  A child that must grow by `need` to
     beat the best keeps only those of its parent's later candidates that
     split each of its classes into parts of at least 2^(need-1) members:
-    any other candidate fails a class of every larger shattered set.
+    any other candidate fails a class of every larger shattered set.  The
+    child's classes are sorted by size, so that filter tests the smallest,
+    most selective class first and stops at the first class that fails.
 
     Each nonempty shattered set built is a search node.  The node past
     `budget` (default unbounded) raises BudgetExceededError with the node
@@ -182,23 +186,32 @@ def vc_dimension_exact(system: SetSystem, budget: int | None = None) -> int:
             lim = 1 << need
             smallest = len(family)
             split = []
-            for c in classes:
+            for c, k in classes:
                 inside = c & sig
-                outside = c ^ inside
-                smallest = min(smallest, inside.bit_count(), outside.bit_count())
+                a = inside.bit_count()
+                b = k - a
+                if a < smallest:
+                    smallest = a
+                if b < smallest:
+                    smallest = b
                 if smallest < lim:
                     break
-                split += (inside, outside)
+                split += ((inside, a), (c ^ inside, b))
             else:
+                # smallest classes first: they reject the most candidates
+                split.sort(key=operator.itemgetter(1))
                 half = lim >> 1
-                rest = [
-                    s for s in cands[i + 1:]
-                    if all((c & s).bit_count() >= half <= (c & ~s).bit_count()
-                           for c in split)
-                ]
+                rest = []
+                for s in cands[i + 1:]:
+                    for c, k in split:
+                        a = (c & s).bit_count()
+                        if a < half or k - a < half:
+                            break
+                    else:
+                        rest.append(s)
                 extend(split, size + 1, rest, smallest.bit_length() - 1)
 
-    extend([full], 0, sigs, len(family).bit_length() - 1)
+    extend([(full, len(family))], 0, sigs, len(family).bit_length() - 1)
     return best
 
 

@@ -12,7 +12,10 @@ import pytest
 
 import robustiso
 import robustiso.cli
-from robustiso import parse_graph, serialize_graph
+from conftest import random_weighted_graph
+from robustiso import (
+    ged_to_qap, parse_graph, serialize_graph, serialize_qap, weighted_ged_to_qap,
+)
 from robustiso.generators import (
     gen_blowup_pair, gen_cfi_pair, gen_random_graph, save_bundle,
 )
@@ -249,6 +252,41 @@ class TestApproximationOutputsPinned:
         assert code == 0 and json.loads(out) == {
             "kind": "qap", "cost": "1180591620717411303424/1", "assignment": [0, 1],
         }
+
+
+class TestVcOutputsPinned:
+    # the sha256 of stdout and stderr, joined by a NUL, of `vc` on seeded
+    # inputs, recorded before the VC search carried class sizes; the budget
+    # run's message names the node count of the unbounded search (295)
+    @pytest.mark.parametrize("argv, env, code, digest", [
+        (["vc", "--graph", "gnp40.graph"], None, 0, "f8624ff798f91eb91af8c299703f5d5451d47484731130933e880ffc081b1126"),
+        (["vc", "--graph", "gnp16.graph", "--mixed"], None, 0, "92507e642fff70afe50f42f54904144287bc90517138270b2b7bde986316c1c2"),
+        (["vc", "--graph", "w12.graph", "--weighted"], None, 0, "385b909b9831ab304fce3514a749ef09e98907a5ec7d38fd96d3b7aa65636748"),
+        (["vc", "--qap", "ged8.qap", "--threshold", "0"], None, 0, "bb6cd55a4c24c77e5665bd6daff5920607e71863bd949272267c95b4b3c4c709"),
+        (["vc", "--qap", "wged6.qap", "--threshold", "1/2"], None, 0, "4b9a63d6ddbd229395aebe2be02c834958b04c3203f04e4e66105edecb949c81"),
+        (["vc", "--graph", "gnp40.graph"], {"ROBUSTISO_BUDGET": "294"}, 3, "bd404e983d400de5994b9a74ab56105a80923bd928ac5ce37ef391a4462fe514"),
+    ])
+    def test_output_digest(self, tmp_path, capsys, monkeypatch, argv, env, code, digest):
+        inputs = {
+            "gnp40.graph": serialize_graph(gen_random_graph(40, seed=1)),
+            "gnp16.graph": serialize_graph(gen_random_graph(16, seed=1)),
+            "w12.graph": serialize_graph(random_weighted_graph(12, 5)),
+            "ged8.qap": serialize_qap(
+                ged_to_qap(gen_random_graph(8, seed=0), gen_random_graph(8, seed=100))
+            ),
+            "wged6.qap": serialize_qap(weighted_ged_to_qap(
+                random_weighted_graph(6, 7), random_weighted_graph(6, 8)
+            )),
+        }
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)  # the payload names its input
+        monkeypatch.delenv("ROBUSTISO_BUDGET", raising=False)
+        for key, value in (env or {}).items():
+            monkeypatch.setenv(key, value)
+        got, out, err = run_main(argv, capsys)
+        assert got == code, err
+        assert hashlib.sha256(f"{out}\0{err}".encode()).hexdigest() == digest, (out, err)
 
 
 class TestRobustGiCommand:

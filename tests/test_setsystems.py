@@ -32,7 +32,7 @@ from robustiso import (
     weighted_graph_vc,
 )
 from robustiso.errors import BudgetExceededError
-from robustiso.generators import gen_vc_gap_qap
+from robustiso.generators import gen_random_graph, gen_vc_gap_qap
 from robustiso.setsystems import verify_epsilon_approximation
 
 
@@ -302,6 +302,45 @@ class TestVcAgainstReference:
         for k in (3, 4, 5):
             system = planted_family(rng, 9, k, 1 << k)
             assert vc_dimension_exact(system) == reference_vc_dimension(system)[0]
+
+
+def seeded_system(kind, seed):
+    if kind == "nbhd-gnp40":
+        return neighbourhood_system(gen_random_graph(40, seed=seed))
+    if kind == "mixed-gnp16":
+        return mixed_system(gen_random_graph(16, seed=seed))
+    if kind == "ged-gnp8-t0":
+        g, h = gen_random_graph(8, seed=seed), gen_random_graph(8, seed=seed + 100)
+        return qap_threshold_system(ged_to_qap(g, h), 0)
+    system = planted_family(random.Random(seed), 20, 6, 200)
+    assert len(system) > 64
+    return system
+
+
+class TestVcNodeCounts:
+    """The search tree, pinned by its size: each search answers with a
+    budget of exactly its node count and refuses one node less.  The counts
+    were recorded with the search that pop-counted both parts of every
+    split and tested classes in split order."""
+
+    @pytest.mark.parametrize("kind, seed, dimension, nodes", [
+        ("nbhd-gnp40", 0, 4, 340),
+        ("nbhd-gnp40", 1, 4, 295),
+        ("nbhd-gnp40", 2, 4, 364),
+        ("mixed-gnp16", 0, 6, 11),
+        ("mixed-gnp16", 1, 6, 210),
+        ("mixed-gnp16", 2, 6, 40),
+        ("ged-gnp8-t0", 0, 5, 617),
+        ("ged-gnp8-t0", 1, 5, 557),
+        ("ged-gnp8-t0", 2, 5, 57),
+        ("planted-200", 43, 6, 1105),
+    ])
+    def test_node_count(self, kind, seed, dimension, nodes):
+        system = seeded_system(kind, seed)
+        assert vc_dimension_exact(system, budget=nodes) == dimension
+        with pytest.raises(BudgetExceededError) as err:
+            vc_dimension_exact(system, budget=nodes - 1)
+        assert err.value.attempted == nodes
 
 
 class TestWeightedGraphVc:
