@@ -108,12 +108,6 @@ class StableColouring:
     histogram: Mapping
     rounds: int
 
-    def colour_of(self, vertices) -> int:
-        idx = 0
-        for v in vertices:
-            idx = idx * self.n + v
-        return self.colours[idx]
-
     def num_classes(self) -> int:
         return len(self.histogram)
 
@@ -220,7 +214,10 @@ def _refine(rows, signatures):
 
 def _vertex_colours(graphs):
     """The vertex colours of all graphs, concatenated and ranked jointly, so
-    they keep their order and fit in int64."""
+    they keep their order and fit in int64.  Every WL run starts here, and WL
+    reads no edge weight, so a weighted graph is refused."""
+    if any(g.is_weighted for g in graphs):
+        raise ValueError("Weisfeiler-Leman takes unweighted graphs only")
     colours = [g.colour_of(v) for g in graphs for v in range(g.n)]
     rank = {c: r for r, c in enumerate(sorted(set(colours)))}
     return [rank[c] for c in colours]
@@ -482,7 +479,8 @@ def robust_gi(
     Computes an (eps/3)-homogenising set S in g and answers Far exactly when
     (|S|+1)-WL distinguishes the graphs.  Unconditionally, Far implies the
     graphs are non-isomorphic and Isomorphic implies edit distance at most
-    eps * n^2.
+    eps * n^2.  Both graphs must be unweighted, since WL reads no edge
+    weight; a weighted one raises ValueError.
     """
     if g.n != h.n:
         raise ValueError("graphs have different orders")

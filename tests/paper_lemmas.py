@@ -10,9 +10,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from robustiso import b_alpha, mixed_system, vc_dimension_exact
 from robustiso.errors import BudgetExceededError
+from robustiso.qap import b_alpha
 from robustiso.rationals import as_fraction
+from robustiso.setsystems import mixed_system, vc_dimension_exact
 
 
 @dataclass(frozen=True)

@@ -16,37 +16,25 @@ from fractions import Fraction
 
 from conftest import chunk_colouring, er_graph, lp_value, random_qap, relabelled_copy
 from paper_lemmas import mean_threshold_estimate, threshold_grid
-from robustiso import (
-    Assignment,
-    approximate_ged,
-    b_alpha,
+from robustiso import Assignment
+from robustiso.approx import approximate_ged, build_alpha_lp, lp_model, m_bound, solve_lp
+from robustiso.errors import VerificationError
+from robustiso.generators import gen_blowup_pair, gen_cfi_pair, gen_random_graph, gen_vc_gap_qap
+from robustiso.graphs import (
     blowup,
-    build_alpha_lp,
     edit_cost,
     edit_distance_bruteforce,
-    ged_to_qap,
-    gen_blowup_pair,
-    gen_cfi_pair,
-    gen_vc_gap_qap,
-    homogenising_set_coloured,
-    is_homogenising,
     is_isomorphic_bruteforce,
-    lp_model,
-    m_bound,
     neighbour_masks,
-    neighbourhood_system,
-    qap_bruteforce,
-    qap_cost,
-    qap_threshold_system,
-    robust_gi,
-    solve_lp,
-    vc_dimension_exact,
-    weighted_ged_to_qap,
 )
-from robustiso.errors import VerificationError
-from robustiso.generators import gen_random_graph
-from robustiso.setsystems import epsilon_approximation_sample
-from robustiso.wl import wl_compare
+from robustiso.qap import b_alpha, ged_to_qap, qap_bruteforce, qap_cost, weighted_ged_to_qap
+from robustiso.setsystems import (
+    epsilon_approximation_sample,
+    neighbourhood_system,
+    qap_threshold_system,
+    vc_dimension_exact,
+)
+from robustiso.wl import homogenising_set_coloured, is_homogenising, robust_gi, wl_compare
 
 
 def report(line):

@@ -25,28 +25,21 @@ from conftest import (
     relabelled_copy,
 )
 from paper_lemmas import threshold_grid
-from robustiso import (
-    Assignment,
-    Graph,
-    QapInstance,
+from robustiso import Assignment, Graph, QapInstance, approx, simplex
+from robustiso.approx import (
     approximate_ged,
     approximate_qap,
-    b_alpha,
     build_alpha_lp,
     complete_matching,
-    edit_distance_bruteforce,
-    ged_to_qap,
     lp_model,
     m_bound,
-    qap_bruteforce,
-    qap_cost,
     round_apec,
     solve_lp,
-    weighted_ged_to_qap,
 )
-from robustiso import approx, simplex
 from robustiso.errors import BudgetExceededError
 from robustiso.generators import gen_random_graph
+from robustiso.graphs import edit_distance_bruteforce
+from robustiso.qap import b_alpha, ged_to_qap, qap_bruteforce, qap_cost, weighted_ged_to_qap
 
 
 K3 = complete_graph(3)
@@ -284,6 +277,41 @@ class TestSolveLp:
             assert x == fresh_list_solve(lp)
         feasible = sum(x is not None for x in answers)
         assert feasible >= 10 and len(lps) - feasible >= 10
+
+    def test_refused_thread_count_is_retried_with_zero(self, monkeypatch):
+        # a solver with threads=2 starts this thread's HiGHS scheduler with two
+        # threads; the thread's own solver then has its run refused at
+        # threads=1, and runs again at threads=0, which takes that scheduler
+        model = lp_model(ged_to_qap(gen_random_graph(6, seed=1), gen_random_graph(6, seed=2)))
+        lps = [build_alpha_lp(model, ((v, w),), 4) for v in range(2) for w in range(3)]
+        clean = [solve_lp(lp, "highs") for lp in lps]
+        assert all(x is not None for x in clean)
+        real = approx._highs._Highs
+        threads, answers, errors = [], [], []
+
+        class Recorded(real):
+            def setOptionValue(self, name, value):
+                if name == "threads":
+                    threads.append(value)
+                return super().setOptionValue(name, value)
+
+        def solve_after_two_threads():
+            other = real()
+            other.setOptionValue("output_flag", False)
+            other.setOptionValue("threads", 2)
+            other.run()
+            monkeypatch.setattr(approx._highs, "_Highs", Recorded)
+            try:
+                answers.extend(solve_lp(lp, "highs") for lp in lps)
+            except Exception as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=solve_after_two_threads)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive() and errors == []
+        assert threads == [1, 0]
+        assert answers == clean
 
     def test_both_simplex_stops_raise_with_the_status(self, monkeypatch):
         strategies = []
@@ -1194,6 +1222,10 @@ class TestApproximateQap:
         with pytest.raises(ValueError):
             approximate_qap(QapInstance(2, {}), 1, 0, seed=1)
 
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode 'random'"):
+            approximate_qap(QapInstance(2, {}), 1, 1, seed=1, mode="random")
+
     def test_alpha_budget(self):
         with pytest.raises(BudgetExceededError):
             approximate_qap(ged_to_qap(K3, PATH3), 1, 2, seed=1, budget=3)
@@ -1376,7 +1408,8 @@ class TestWorkerPool:
         # on that scheduler and give the same report
         script = (
             "from robustiso import Graph, approx\n"
-            "from robustiso import approximate_qap, build_alpha_lp, ged_to_qap, lp_model\n"
+            "from robustiso.approx import approximate_qap, build_alpha_lp, lp_model\n"
+            "from robustiso.qap import ged_to_qap\n"
             "c6 = Graph(6, {(i, (i + 1) % 6) for i in range(6)})\n"
             "tc3 = Graph(6, {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)})\n"
             "q = ged_to_qap(c6, tc3)\n"

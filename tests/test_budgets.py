@@ -10,19 +10,13 @@ import pytest
 from conftest import complete_graph, cycle_graph, er_graph, path_graph
 from paper_lemmas import sauer_shelah_check
 import robustiso
-from robustiso import (
-    Graph,
-    QapInstance,
-    approximate_qap,
-    edit_distance_bruteforce,
-    ged_to_qap,
-    k_wl_stable,
-    neighbourhood_system,
-    qap_bruteforce,
-    vc_dimension_exact,
-    weak_vc_test,
-)
+from robustiso import Graph, QapInstance
+from robustiso.approx import approximate_qap
 from robustiso.errors import BudgetExceededError
+from robustiso.graphs import edit_distance_bruteforce
+from robustiso.qap import ged_to_qap, qap_bruteforce
+from robustiso.setsystems import neighbourhood_system, vc_dimension_exact, weak_vc_test
+from robustiso.wl import k_wl_stable
 
 K3_P3 = ged_to_qap(complete_graph(3), path_graph(3))
 # VC dimension 2; the search builds 17 nonempty shattered sets

@@ -13,12 +13,9 @@ import pytest
 import robustiso
 import robustiso.cli
 from conftest import random_weighted_graph
-from robustiso import (
-    ged_to_qap, parse_graph, serialize_graph, serialize_qap, weighted_ged_to_qap,
-)
-from robustiso.generators import (
-    gen_blowup_pair, gen_cfi_pair, gen_random_graph, save_bundle,
-)
+from robustiso.generators import gen_blowup_pair, gen_cfi_pair, gen_random_graph, save_bundle
+from robustiso.graphs import parse_graph, serialize_graph
+from robustiso.qap import ged_to_qap, serialize_qap, weighted_ged_to_qap
 
 
 def run_cli(args, env=None):
@@ -317,6 +314,26 @@ class TestRobustGiCommand:
         assert res.returncode == 0
         assert payload(res)["k"] == 1
 
+    def test_weighted_graphs_are_usage_error(self, tmp_path):
+        # WL reads no weight: this pair was answered "isomorphic" with exit 0,
+        # although its edit distance 12 passes eps * n^2 = 4
+        paths = write_weighted_paths(tmp_path)
+        res = run_cli(["robust-gi", *paths, "--eps", "1/4"])
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == "error: Weisfeiler-Leman takes unweighted graphs only\n"
+        res = run_cli(["oracle", "ged", *paths])
+        assert payload(res)["cost"] == "12/1"
+
+
+def write_weighted_paths(tmp_path):
+    """Files of the path 0-1-2-3 with every weight 1 and with every weight 5."""
+    paths = []
+    for w in (1, 5):
+        path = tmp_path / f"path-w{w}.graph"
+        path.write_text("n 4\n" + "".join(f"e {v} {v + 1} {w}\n" for v in range(3)))
+        paths.append(str(path))
+    return paths
+
 
 class TestWlCommand:
     def test_single_graph_summary(self, files):
@@ -363,6 +380,14 @@ class TestWlCommand:
             env={"ROBUSTISO_BUDGET": "10"},
         )
         assert res.returncode == 3
+
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_weighted_graphs_are_usage_error(self, tmp_path, k):
+        ones, fives = write_weighted_paths(tmp_path)
+        for graphs in ([fives], [ones, fives]):
+            res = run_cli(["wl", *graphs, "--k", k])
+            assert res.returncode == 2 and res.stdout == ""
+            assert res.stderr == "error: Weisfeiler-Leman takes unweighted graphs only\n"
 
 
 class TestGenCommand:
@@ -760,4 +785,26 @@ class TestStartUp:
             ["vc", 0, False, False],
             ["gen", 0, False, False],
             ["ged", 0, False, False],
+        ]
+
+
+class TestPackageRoot:
+    def test_import_binds_the_value_types_and_loads_no_algorithm(self):
+        # a fresh interpreter, since this test process has loaded every module;
+        # every other name is imported from its own module
+        script = (
+            "import json, sys, types\n"
+            "import robustiso\n"
+            "names = sorted(n for n, v in vars(robustiso).items()\n"
+            "               if not n.startswith('__') and not isinstance(v, types.ModuleType))\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('robustiso.'))\n"
+            "print(json.dumps([names, robustiso.__version__, loaded]))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        names, version, loaded = json.loads(res.stdout)
+        assert names == ["Assignment", "Graph", "QapInstance"]
+        assert version == "0.1.0"
+        assert loaded == [
+            "robustiso.errors", "robustiso.graphs", "robustiso.qap", "robustiso.rationals",
         ]

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from robustiso import Graph, QapInstance, parse_graph, parse_qap
-from robustiso import serialize_graph, serialize_qap
+from robustiso import Graph, QapInstance
 from robustiso.errors import ParseError
-from robustiso.graphs import parse_int, parse_value, read_records
-from robustiso.rationals import parse_rational
+from robustiso.graphs import parse_graph, parse_int, parse_value, read_records, serialize_graph
+from robustiso.qap import parse_qap, serialize_qap
+from robustiso.rationals import as_fraction, parse_rational
 
 FORMS = {"e": "e <u> <v> [weight]", "c": "c <v> <colour>"}
 # a 22-byte file whose weight literal takes seconds to expand unless refused
@@ -72,6 +72,17 @@ class TestTokens:
         for bad in ("1/0", "x", "1.5.5", "nan"):
             with pytest.raises(ParseError, match="line 3: invalid value"):
                 parse_value(bad, 3)
+
+
+class TestAsFraction:
+    def test_float_goes_through_its_shortest_repr(self):
+        assert as_fraction(0.3) == Fraction(3, 10)
+        assert as_fraction(-2.5e-3) == Fraction(-1, 400)
+
+    @pytest.mark.parametrize("value", [None, [1, 2], 1j])
+    def test_unsupported_type_rejected(self, value):
+        with pytest.raises(TypeError, match="cannot interpret"):
+            as_fraction(value)
 
 
 class TestExponentLimit:

@@ -5,30 +5,31 @@ from fractions import Fraction
 
 import pytest
 
-from robustiso import (
-    Assignment,
-    edit_distance_bruteforce,
-    is_isomorphic_bruteforce,
-    is_shattered,
-    neighbour_masks,
-    neighbourhood_system,
-    qap_threshold_system,
-    vc_dimension_exact,
-)
-from robustiso import generators
+from robustiso import Assignment, generators
 from robustiso.errors import BudgetExceededError, VerificationError
 from robustiso.generators import (
     InstanceBundle,
     cfi_graph,
     gen_blowup_pair,
     gen_cfi_pair,
-    gen_vc_gap_qap,
     gen_random_graph,
+    gen_vc_gap_qap,
     load_bundle,
     save_bundle,
     stock_base,
 )
-from robustiso.graphs import Graph
+from robustiso.graphs import (
+    Graph,
+    edit_distance_bruteforce,
+    is_isomorphic_bruteforce,
+    neighbour_masks,
+)
+from robustiso.setsystems import (
+    is_shattered,
+    neighbourhood_system,
+    qap_threshold_system,
+    vc_dimension_exact,
+)
 from robustiso.wl import wl_compare
 
 
@@ -87,6 +88,12 @@ class TestCfi:
         )
         with pytest.raises(ValueError, match="connected"):
             cfi_graph(two_k4)
+
+    def test_rejects_twisted_non_edge(self):
+        base = stock_base("prism")
+        non_edge = next(e for e in itertools.combinations(range(base.n), 2) if e not in base.edges)
+        with pytest.raises(ValueError, match="not in the base graph"):
+            cfi_graph(base, twisted_edges=[non_edge])
 
     def test_pair_shape(self):
         bundle = gen_cfi_pair("k4")
@@ -162,6 +169,16 @@ class TestRandomGraphs:
     def test_extreme_probabilities(self):
         assert gen_random_graph(5, edge_prob=0, seed=1).edges == frozenset()
         assert len(gen_random_graph(5, edge_prob=1, seed=1).edges) == 10
+
+    @pytest.mark.parametrize("n, p, match", [
+        (0, None, "n must be >= 1"),
+        (-2, None, "n must be >= 1"),
+        (5, -0.25, "edge probability must lie in"),
+        (5, 1.5, "edge probability must lie in"),
+    ])
+    def test_bad_order_or_probability_rejected(self, n, p, match):
+        with pytest.raises(ValueError, match=match):
+            gen_random_graph(n, edge_prob=p, seed=1)
 
     def test_seeded_determinism(self):
         a = gen_random_graph(12, edge_prob=0.5, seed=7)

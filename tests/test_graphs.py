@@ -19,33 +19,26 @@ from conftest import (
     random_weighted_graph,
     relabelled_copy,
 )
-from robustiso import (
-    Assignment,
-    Graph,
-    QapInstance,
-    approximate_ged,
+from robustiso import Assignment, Graph, QapInstance
+from robustiso.approx import approximate_ged
+from robustiso.errors import BudgetExceededError, ParseError
+from robustiso.generators import gen_cfi_pair
+from robustiso.graphs import (
+    BIJECTION_CHUNK,
     blowup,
-    colour_refinement,
+    colour_preserving_bijections,
     edit_cost,
     edit_distance_bruteforce,
-    ged_to_qap,
-    gen_cfi_pair,
     is_isomorphic_bruteforce,
-    mixed_system,
     neighbour_masks,
-    neighbourhood_system,
     parse_graph,
     partial_injection,
-    qap_bruteforce,
-    robust_gi,
     serialize_graph,
     threshold_graph,
-    weighted_ged_to_qap,
-    weighted_graph_vc,
 )
-from robustiso.errors import BudgetExceededError, ParseError
-from robustiso.graphs import BIJECTION_CHUNK, colour_preserving_bijections
-from robustiso.wl import wl_compare
+from robustiso.qap import ged_to_qap, qap_bruteforce, weighted_ged_to_qap
+from robustiso.setsystems import mixed_system, neighbourhood_system, weighted_graph_vc
+from robustiso.wl import colour_refinement, robust_gi, wl_compare
 
 
 K3 = complete_graph(3)
@@ -102,6 +95,14 @@ class TestGraphConstruction:
     def test_colours_completed_with_zero(self):
         g = Graph(3, {(0, 1)}, colours={2: 5})
         assert g.colour_of(0) == 0 and g.colour_of(2) == 5
+
+    def test_rejects_colour_of_unknown_vertex(self):
+        with pytest.raises(ValueError, match="colour given for unknown vertex 3"):
+            Graph(3, colours={3: 1})
+
+    def test_rejects_negative_colour(self):
+        with pytest.raises(ValueError, match="colours must be non-negative"):
+            Graph(3, colours={0: -1})
 
     def test_order_past_the_vertex_cap_is_refused(self):
         # refused before the colour map is completed over range(n)
@@ -513,6 +514,16 @@ class TestGraphFiles:
     def test_duplicate_edge(self):
         with pytest.raises(ParseError, match="duplicate edge"):
             parse_graph("n 2\ne 0 1\ne 1 0")
+
+    @pytest.mark.parametrize("text, match", [
+        ("n 2\nc 0 -1", "line 2: colour must be non-negative"),
+        ("n 2\nc 1 1\nc 1 2", "line 3: duplicate colour for vertex 1"),
+        ("n 2\ne 0 1 0", "line 2: edge weight must be nonzero"),
+        ("n 3\ne 0 1\ne 1 2 0/7", "line 3: edge weight must be nonzero"),
+    ])
+    def test_bad_colour_or_weight_reports_line(self, text, match):
+        with pytest.raises(ParseError, match=match):
+            parse_graph(text)
 
     def test_vertex_out_of_range(self):
         with pytest.raises(ParseError, match="out of range"):

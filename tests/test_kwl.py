@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle_graph, er_graph, relabelled_copy
-from robustiso import Graph, k_wl_stable, wl
+from robustiso import Graph, wl
 from robustiso.generators import gen_blowup_pair, gen_cfi_pair
 from robustiso.wl import (
     DEFAULT_WL_BUDGET,
@@ -24,6 +24,7 @@ from robustiso.wl import (
     _rank_rows,
     _split_ranks,
     colour_refinement,
+    k_wl_stable,
     wl_compare,
 )
 

@@ -15,12 +15,13 @@ from conftest import (
     relabelled_copy,
 )
 from paper_lemmas import mean_threshold_estimate, threshold_grid
-from robustiso import (
-    Assignment,
-    QapInstance,
+from robustiso import Assignment, QapInstance, qap
+from robustiso.approx import approximate_qap, m_bound
+from robustiso.errors import BudgetExceededError, ParseError
+from robustiso.generators import gen_vc_gap_qap
+from robustiso.graphs import Graph, edit_cost, edit_distance_bruteforce
+from robustiso.qap import (
     b_alpha,
-    edit_cost,
-    edit_distance_bruteforce,
     ged_to_qap,
     parse_qap,
     qap_bruteforce,
@@ -28,11 +29,6 @@ from robustiso import (
     serialize_qap,
     weighted_ged_to_qap,
 )
-from robustiso import qap
-from robustiso.approx import approximate_qap, m_bound
-from robustiso.errors import BudgetExceededError, ParseError
-from robustiso.generators import gen_vc_gap_qap
-from robustiso.graphs import Graph
 from robustiso.setsystems import qap_threshold_system, weak_vc_test
 
 

@@ -14,26 +14,23 @@ from conftest import (
     random_weighted_graph,
 )
 from paper_lemmas import sauer_shelah_check
-from robustiso import (
-    Assignment,
-    Graph,
-    QapInstance,
+from robustiso import Assignment, Graph, QapInstance
+from robustiso.errors import BudgetExceededError
+from robustiso.generators import gen_random_graph, gen_vc_gap_qap
+from robustiso.qap import ged_to_qap, weighted_ged_to_qap
+from robustiso.setsystems import (
     SetSystem,
     epsilon_approximation_sample,
     epsilon_net_greedy,
-    ged_to_qap,
     is_shattered,
     mixed_system,
     neighbourhood_system,
     qap_threshold_system,
     vc_dimension_exact,
+    verify_epsilon_approximation,
     weak_vc_test,
-    weighted_ged_to_qap,
     weighted_graph_vc,
 )
-from robustiso.errors import BudgetExceededError
-from robustiso.generators import gen_random_graph, gen_vc_gap_qap
-from robustiso.setsystems import verify_epsilon_approximation
 
 
 def powerset_system(k):
@@ -359,7 +356,7 @@ class TestWeightedGraphVc:
         g = Graph(3, {(0, 1), (0, 2), (1, 2)},
                   weights={(0, 1): 1, (0, 2): 2, (1, 2): 3})
         # oracle: max over the four distinct threshold graphs
-        from robustiso import threshold_graph
+        from robustiso.graphs import threshold_graph
 
         expected = max(
             vc_dimension_exact(neighbourhood_system(threshold_graph(g, t)))
@@ -463,6 +460,10 @@ class TestWeakVcTest:
     def test_zero_instance(self):
         assert weak_vc_test(QapInstance(3, {}), 0) is True
 
+    def test_negative_d_rejected(self):
+        with pytest.raises(ValueError, match="d must be non-negative"):
+            weak_vc_test(QapInstance(3, {}), -1)
+
     def test_log_gap_instance_weakly_one_dimensional(self):
         q = gen_vc_gap_qap(4)
         assert weak_vc_test(q, 1) is True
@@ -528,6 +529,19 @@ class TestEpsilonNets:
     def test_eps_validation(self):
         with pytest.raises(ValueError):
             epsilon_net_greedy(SetSystem(1, frozenset()), 0)
+
+    def test_members_of_exactly_eps_n_elements_need_no_hit(self):
+        s = SetSystem.from_iterables(4, [[0, 1]])
+        assert epsilon_net_greedy(s, Fraction(1, 2)) == ()
+        assert epsilon_net_greedy(s, Fraction(1, 4)) == (0,)
+
+    def test_ties_go_to_the_smallest_element(self):
+        s = SetSystem.from_iterables(4, [[1, 2, 3]])
+        assert epsilon_net_greedy(s, Fraction(1, 2)) == (1,)
+
+    def test_empty_family_has_the_empty_net(self):
+        # ln|H| is undefined for no members: the size bound is not checked
+        assert epsilon_net_greedy(SetSystem(4, ()), Fraction(1, 2)) == ()
 
 
 class TestEpsilonApproximation:

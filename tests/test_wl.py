@@ -12,22 +12,23 @@ from conftest import (
     relabelled_copy,
 )
 from paper_lemmas import homogenising_reference, size_target
-from robustiso import (
-    Graph,
+from robustiso import Graph, setsystems, wl
+from robustiso.errors import BudgetExceededError
+from robustiso.graphs import (
     blowup,
-    colour_refinement,
     edit_distance_bruteforce,
+    is_isomorphic_bruteforce,
+    neighbour_masks,
+)
+from robustiso.wl import (
+    colour_refinement,
     homogenising_set_coloured,
     homogenising_set_net,
     is_homogenising,
-    is_isomorphic_bruteforce,
     k_wl_stable,
-    neighbour_masks,
     robust_gi,
+    wl_compare,
 )
-from robustiso import setsystems, wl
-from robustiso.errors import BudgetExceededError
-from robustiso.wl import wl_compare
 
 
 C6 = cycle_graph(6)
@@ -430,3 +431,31 @@ class TestRobustGi:
         # the n^(k+1) pairs of a round, the figure compared with the budget
         attempted = err.value.attempted
         assert attempted > 1000 and attempted in {14**e for e in range(3, 16)}
+
+
+class TestWeightedGraphsRefused:
+    # WL reads no edge weight.  It saw the path with every weight 1 and the
+    # same path with every weight 5 as isomorphic, so robust_gi answered
+    # "isomorphic" at eps = 1/4 although their distance 12 passes eps * n^2 = 4
+    EDGES = {(0, 1), (1, 2), (2, 3)}
+    ONES = Graph(4, EDGES, weights=dict.fromkeys(EDGES, 1))
+    FIVES = Graph(4, EDGES, weights=dict.fromkeys(EDGES, 5))
+    PAIRS = [(ONES, FIVES), (path_graph(4), FIVES), (FIVES, path_graph(4))]
+
+    @pytest.mark.parametrize("g, h", PAIRS)
+    def test_robust_gi_refuses(self, g, h):
+        with pytest.raises(ValueError, match="unweighted graphs only"):
+            robust_gi(g, h, Fraction(1, 4))
+
+    @pytest.mark.parametrize("g, h", PAIRS)
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_wl_compare_refuses(self, g, h, k):
+        with pytest.raises(ValueError, match="unweighted graphs only"):
+            wl_compare(g, h, k)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_one_graph_runs_refuse(self, k):
+        with pytest.raises(ValueError, match="unweighted graphs only"):
+            k_wl_stable(self.FIVES, k)
+        with pytest.raises(ValueError, match="unweighted graphs only"):
+            colour_refinement(self.ONES, individualised=(0,))
