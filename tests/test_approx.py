@@ -633,6 +633,90 @@ def test_wide_tableau_gives_the_same_exact_solutions(monkeypatch):
         assert solve_lp(lp, "exact") == sol
 
 
+def vertex_pin_instances():
+    """(kind, q) for the exact-vertex pin: unweighted G(n, 1/2) pairs at
+    n = 4..6, pairs weighted in halves at n = 4, 5, and pairs weighted in
+    halves times 2^52 (int64 block) and times 2^62 (object block), whose
+    row bounds pass 2^53 and so are Python ints."""
+    instances = [
+        ("ged", ged_to_qap(er_graph(n, 0.5, 9_900 + n), er_graph(n, 0.5, 9_950 + n)))
+        for n in (4, 5, 6)
+    ]
+    for n in (4, 5):
+        g, h = (random_weighted_graph(n, seed + n, wmax=3) for seed in (9_910, 9_960))
+        instances.append(("halves", weighted_ged_to_qap(g, h)))
+    for n, scale in ((4, 2**52), (3, 2**62)):
+        g, h = (random_weighted_graph(n, seed + n) for seed in (9_920, 9_970))
+        g, h = (Graph(n, x.edges, weights={e: w * scale for e, w in x.weights.items()})
+                for x in (g, h))
+        instances.append(("wide", weighted_ged_to_qap(g, h)))
+    return instances
+
+
+def vertex_pin_solves():
+    """(kind, lp, exact solution) for seeded alphas of sizes 1 and 2, four
+    per eps in B, 2B and 3B, on every vertex pin instance."""
+    solves = []
+    for i, (kind, q) in enumerate(vertex_pin_instances()):
+        model = lp_model(q)
+        rng = random.Random(9_990 + i)
+        n = q.n
+        for eps in (q.bound_b, 2 * q.bound_b, 3 * q.bound_b):
+            for _ in range(4):
+                size = rng.randint(1, 2)
+                pairs = zip(rng.sample(range(n), size), rng.sample(range(n), size))
+                lp = build_alpha_lp(model, tuple(pairs), eps)
+                solves.append((kind, lp, solve_lp(lp, "exact")))
+    return solves
+
+
+def test_exact_vertices_pinned():
+    # sha256 of every vertex above, recorded with the Fraction bounds that
+    # solve_lp passed the simplex before it read the integer block directly
+    lines, kinds = [], collections.Counter()
+    for kind, lp, x in vertex_pin_solves():
+        wide = lp.integer_bounds[0].dtype == object
+        assert wide == (kind == "wide")
+        kinds[kind, x is None] += 1
+        lines.append("infeasible" if x is None else " ".join(map(str, x)))
+    for kind in ("ged", "halves", "wide"):
+        assert kinds[kind, False] and kinds[kind, True], kind
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "a340cccd0fed07bd9551489f213da7140fdaabb8878930e5ae5dbed884ed7d6d"
+
+
+def exact_trace_lines():
+    """cost, mapping, counts and every trace entry of approximate_ged with
+    the exact backend: exhaustive m = 1 and sampled m = 2, on G(n, 1/2)
+    pairs at n = 4, 5 and on pairs weighted in halves at n = 4, 5."""
+    pairs = []
+    for n in (4, 5):
+        pairs.append((er_graph(n, 0.5, 9_930 + n), er_graph(n, 0.5, 9_980 + n)))
+        pairs.append((random_weighted_graph(n, 9_940 + n, wmax=3),
+                      random_weighted_graph(n, 9_990 + n, wmax=3)))
+    lines = []
+    for g, h in pairs:
+        for mode, m in (("exhaustive", 1), ("sampled", 2)):
+            res = approximate_ged(
+                g, h, 1, m, seed=5, mode=mode, lp_method="exact", keep_trace=True
+            )
+            report = res.report
+            lines.append(" ".join(map(str, (
+                res.cost, res.assignment.mapping, report.alphas_tried, report.lps_infeasible
+            ))))
+            lines += map(str, report.trace)
+    return lines
+
+
+def test_exact_traces_pinned():
+    # sha256 of the traces above, recorded as for test_exact_vertices_pinned
+    lines = exact_trace_lines()
+    assert sum("'ok'" in line for line in lines) >= 20
+    assert sum("'infeasible'" in line for line in lines) >= 5
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "12dc4706d8090d536cb2c53447f0182a2c045d0a3e81ca181c752101c6f00a3a"
+
+
 def small_alphas(n):
     """Every alpha of size 1 and 2 on n vertices."""
     for size in (1, 2):
