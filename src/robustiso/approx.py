@@ -11,8 +11,10 @@ seeded source set S of size m, and every injective image of S.
 
 The constraint matrix does not depend on alpha, so it is built once per
 instance (LpModel), as exact integers that both LP backends read; each
-alpha adds only its objective and row bounds (LinearProgram).  HiGHS reads
-it as numpy arrays without the last target row, which the other assignment
+alpha adds only its objective and row bounds (LinearProgram), integers over
+one denominator.  The exact simplex takes the block rows and those bounds
+as integers, with no Fraction between them.  HiGHS reads the matrix as
+numpy arrays without the last target row, which the other assignment
 rows imply, and so runs without presolve (and retries with the primal
 simplex if its dual simplex stops short of a verdict).  Each thread keeps
 one HiGHS solver object, and each LP is passed to it afresh and solved cold.
@@ -81,10 +83,9 @@ class LpModel:
     Variables are x(v, v') indexed v*n + v'.  Row v*n + v' of `block` is the
     coefficient vector a(v, v') (entry w*n + w' is c(v, v', w, w')), times the
     common denominator `denom`, so the block is exact.  The exact simplex
-    reads the block's rows as they are with all 2n assignment rows
-    (`exact_rows`), HiGHS its float `csc`, which leaves out the implied last
-    target row; no Fraction copy exists.  Per alpha only the objective and
-    the row bounds change.
+    reads the block and all 2n assignment rows as integers (solve_lp), HiGHS
+    the float `csc`, which leaves out the implied last target row; no other
+    copy is kept.  Per alpha only the objective and the row bounds change.
     """
 
     n: int
@@ -119,18 +120,6 @@ class LpModel:
         value = [c / denom for c in columns[col, row].tolist()]
         return (start.astype(np.int32), row.astype(np.int32),
                 np.array(value, dtype=np.float64))
-
-    @cached_property
-    def exact_rows(self):
-        """(<= rows, equality rows) of the exact backend as Python ints.
-
-        Each block row is followed by its negation, so a ranged row is two <=
-        rows; the equalities are the assignment rows.  Shared by every alpha.
-        """
-        rows = []
-        for row in self.block.tolist():
-            rows += (tuple(row), tuple(-c for c in row))
-        return tuple(rows), tuple(map(tuple, self.assignment.tolist()))
 
     @cached_property
     def extent(self) -> int:
@@ -395,19 +384,22 @@ def solve_lp(lp: LinearProgram, method: str = "exact"):
     Both backends read the instance's shared LpModel, and every LP is solved
     cold: no basis carries over between alphas, so a solution depends on its
     own alpha alone, whichever thread solves it.  "exact" runs the rational
-    simplex (deterministic Bland pivoting, zero tolerance) on the block's
-    integer rows, each ranged row split into two <= rows with its bounds
-    scaled by denom, and on the integer objective b_num; the bounds are
-    computed as integers over one denominator, and the simplex reduces each
-    row itself.  Its tableau is int64 numpy while that cannot overflow and
-    Python ints after; it holds the GIL for most of a solve, so
-    approximate_qap calls it inline.  "highs" passes the ranged rows and the
-    first 2n - 1 assignment equalities (LpModel.csc; they imply the last)
-    straight to scipy's bundled HiGHS, one thread per solve, without
-    presolve, with a primal simplex retry (_highs_solve); its solution stays
-    floats, unverified, and round_apec compares them exactly with its floor.
-    HiGHS releases the GIL while it solves, so approximate_qap calls this on
-    worker threads when more than one core is usable.
+    simplex (deterministic Bland pivoting, zero tolerance) on integers only:
+    each ranged row lo / den <= a(v, v') . x <= hi / den becomes the two <=
+    rows of block row times den, right-hand side hi * denom, and of its
+    negation, right-hand side -lo * denom, in the dtype of the integer
+    bounds; then the assignment rows as equalities, and the integer
+    objective b_num.  The simplex reduces each row to its primitive form,
+    which a positive multiple of the row shares.  Its tableau is int64 numpy
+    while that cannot overflow and Python ints after; it holds the GIL for
+    most of a solve, so approximate_qap calls it inline.  "highs" passes the
+    ranged rows and the first 2n - 1 assignment equalities (LpModel.csc;
+    they imply the last) straight to scipy's bundled HiGHS, one thread per
+    solve, without presolve, with a primal simplex retry (_highs_solve); its
+    solution stays floats, unverified, and round_apec compares them exactly
+    with its floor.  HiGHS releases the GIL while it solves, so
+    approximate_qap calls this on worker threads when more than one core is
+    usable.
 
     Before either backend runs, an LP that _refutes proves infeasible from
     the rows' ranges over the polytope gives None without a solve: the exact
@@ -420,16 +412,16 @@ def solve_lp(lp: LinearProgram, method: str = "exact"):
     if _refutes(lp, model.tight_row_ranges if method == "highs" else model.row_ranges):
         return None
     n = lp.n
-    denom = model.denom
     lows, highs, den = lp.integer_bounds
     if method == "exact":
-        a_ub, a_eq = model.exact_rows
-        b_ub = []
-        # a(v, v') . x <= hi  <=>  block row . x <= hi * denom
-        for lo, hi in zip(lows.tolist(), highs.tolist()):
-            b_ub += (Fraction(hi * denom, den), Fraction(-lo * denom, den))
+        # lo / den <= block row . x / denom <= hi / den, times den * denom;
+        # integer_bounds' guards keep the int64 products exact
+        rows = model.block.astype(lows.dtype) * den
+        a_ub = np.stack([rows, -rows], axis=1).reshape(2 * n * n, n * n)
+        b_ub = np.stack([highs, -lows], axis=1).reshape(-1) * model.denom
         status, x, _ = simplex.simplex_min(
-            lp.b_num.tolist(), a_ub, b_ub, a_eq, [1] * (2 * n)
+            lp.b_num.tolist(), a_ub.tolist(), b_ub.tolist(),
+            model.assignment.tolist(), [1] * (2 * n),
         )
         return None if status == simplex.INFEASIBLE else tuple(x)
     # one correctly rounded division each: in float64 for int64 bounds (all

@@ -93,20 +93,14 @@ def mixed_system(g: Graph) -> SetSystem:
     return SetSystem(g.n, masks)
 
 
-def qap_threshold_system(q, t, phi=None) -> SetSystem:
+def qap_threshold_system(q, t) -> SetSystem:
     """Threshold hypothesis system of a QAP instance.
 
-    Without phi the ground set is [n] x [n] (pair (w,w') encoded as w*n+w')
-    and the member for (v,v') collects the pairs with coefficient > t.  With
-    phi the ground set is the graph of phi, encoded by its source w.
+    The ground set is [n] x [n] (pair (w,w') encoded as w*n+w'), and the
+    member for (v,v') collects the pairs with coefficient > t.
     """
-    n = q.n
-    above = q.exceeds(t)
-    if phi is not None:
-        images = np.array([phi[w] for w in range(n)], dtype=int)
-        above = above[:, np.arange(n) * n + images]
-    ground = above.shape[1]
-    masks = (_mask_of(np.flatnonzero(row).tolist(), ground) for row in above)
+    ground = q.n * q.n
+    masks = (_mask_of(np.flatnonzero(row).tolist(), ground) for row in q.exceeds(t))
     return SetSystem(ground, masks)
 
 

@@ -258,15 +258,15 @@ def _joint_refine_1wl(graphs, individualised):
     return [cols[a:b] for a, b in itertools.pairwise(starts)], rounds
 
 
-def _atomic_types(graphs, k, n):
+def _atomic_types(graphs, vertex_colours, k, n):
     """One integer row per k-tuple (base-n index order) of each graph, in
     the order of the tuple (eq, adj, colours): k*k equality bits, k*k
-    adjacency bits, then the k vertex colours."""
+    adjacency bits, then the k vertex colours (_vertex_colours)."""
     digits = np.indices((n,) * k).reshape(k, -1)
     pairs = [(i, j) for i in range(k) for j in range(k)]
     eq = [digits[i] == digits[j] for i, j in pairs]
     blocks = []
-    colours = np.array(_vertex_colours(graphs), dtype=np.int64).reshape(len(graphs), n)
+    colours = np.array(vertex_colours, dtype=np.int64).reshape(len(graphs), n)
     for g, colour in zip(graphs, colours):
         adj = np.zeros((n, n), dtype=bool)
         if g.edges:
@@ -285,6 +285,9 @@ def _joint_refine_kwl(graphs, k, budget):
     """Joint k-WL over all k-tuples of graphs of one order; returns (one
     colour array per graph, indexed by base-n tuple index; rounds)."""
     n = graphs[0].n
+    # a weighted graph is refused before the budget, which would refuse it
+    # as too large at a large k
+    vertex_colours = _vertex_colours(graphs)
     BudgetExceededError.check(n ** (k + 1), budget, f"(tuple, vertex) pairs per {k}-WL round")
     shape = (len(graphs),) + (n,) * k
 
@@ -323,7 +326,7 @@ def _joint_refine_kwl(graphs, k, budget):
         codes.sort(axis=-1)
         return rows
 
-    cols, rounds = _refine(_atomic_types(graphs, k, n), signatures)
+    cols, rounds = _refine(_atomic_types(graphs, vertex_colours, k, n), signatures)
     return list(cols.reshape(len(graphs), -1)), rounds
 
 

@@ -1,7 +1,8 @@
 """Checks of the paper's lemmas that no command runs: the threshold grid and
-the mean-threshold interval for b_alpha, the Sauer-Shelah trace count, the
-dimension-based size target of an eps-net, and the homogenising-set
-condition.  The tests use them as oracles for the library's machinery."""
+the mean-threshold interval for b_alpha, the threshold system restricted to
+a bijection, the Sauer-Shelah trace count, the dimension-based size target
+of an eps-net, and the homogenising-set condition.  The tests use them as
+oracles for the library's machinery."""
 
 import itertools
 import math
@@ -13,7 +14,12 @@ import numpy as np
 from robustiso.errors import BudgetExceededError
 from robustiso.qap import b_alpha
 from robustiso.rationals import as_fraction
-from robustiso.setsystems import mixed_system, vc_dimension_exact
+from robustiso.setsystems import (
+    SetSystem,
+    mixed_system,
+    qap_threshold_system,
+    vc_dimension_exact,
+)
 
 
 @dataclass(frozen=True)
@@ -74,6 +80,18 @@ def mean_threshold_estimate(q, alpha, grid: ThresholdGrid, v: int, vp: int):
     centre = grid.step * scale * total - grid.b * n
     half = grid.step * n
     return MeanThresholdEstimate(b_alpha(q, alpha, v, vp), centre - half, centre + half)
+
+
+def restricted_threshold_system(q, t, phi) -> SetSystem:
+    """The threshold system of q (qap_threshold_system) restricted to the
+    graph of the bijection phi, whose pair (w, phi(w)) is encoded by w: the
+    member for (v, v') collects the w with c(v, v', w, phi(w)) > t."""
+    n = q.n
+    cells = [w * n + phi[w] for w in range(n)]
+    return SetSystem(n, (
+        sum((m >> cell & 1) << w for w, cell in enumerate(cells))
+        for m in qap_threshold_system(q, t).sets
+    ))
 
 
 def sauer_shelah_check(system, s: int, budget: int = 2_000_000) -> bool:

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from conftest import chunk_colouring, er_graph, lp_value, random_qap, relabelled_copy
-from paper_lemmas import mean_threshold_estimate, threshold_grid
+from paper_lemmas import mean_threshold_estimate, restricted_threshold_system, threshold_grid
 from robustiso import Assignment
 from robustiso.approx import approximate_ged, build_alpha_lp, lp_model, m_bound, solve_lp
 from robustiso.errors import VerificationError
@@ -86,7 +86,7 @@ def test_vc_sandwich_between_graph_and_reduction_systems():
             perm = list(range(n))
             rng.shuffle(perm)
             restricted = vc_dimension_exact(
-                qap_threshold_system(q, 0, Assignment(tuple(perm)))
+                restricted_threshold_system(q, 0, Assignment(tuple(perm)))
             )
             assert d <= restricted <= full
         done += 1
@@ -104,7 +104,7 @@ def test_log_gap_construction_dimensions():
             rng.shuffle(perm)
             bijections.append(tuple(perm))
         for mapping in bijections:
-            s = qap_threshold_system(q, 0, Assignment(mapping))
+            s = restricted_threshold_system(q, 0, Assignment(mapping))
             assert vc_dimension_exact(s) <= 1
     report("log-gap construction: full VC = floor(log2 n), restrictions <= 1 (n in {4,8,16})")
 

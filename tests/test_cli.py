@@ -381,7 +381,8 @@ class TestWlCommand:
         )
         assert res.returncode == 3
 
-    @pytest.mark.parametrize("k", ["1", "2"])
+    # at k = 12 the budget (4^13 pairs) would refuse the graphs as too large
+    @pytest.mark.parametrize("k", ["1", "2", "12"])
     def test_weighted_graphs_are_usage_error(self, tmp_path, k):
         ones, fives = write_weighted_paths(tmp_path)
         for graphs in ([fives], [ones, fives]):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from paper_lemmas import restricted_threshold_system
 from robustiso import Assignment, generators
 from robustiso.errors import BudgetExceededError, VerificationError
 from robustiso.generators import (
@@ -54,7 +55,7 @@ class TestLogGapInstance:
             rng.shuffle(perm)
             bijections.append(tuple(perm))
         for mapping in bijections:
-            s = qap_threshold_system(q, 0, Assignment(mapping))
+            s = restricted_threshold_system(q, 0, Assignment(mapping))
             assert vc_dimension_exact(s) <= 1
 
     def test_named_shattered_row_exists(self):

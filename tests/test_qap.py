@@ -14,7 +14,7 @@ from conftest import (
     random_weighted_graph,
     relabelled_copy,
 )
-from paper_lemmas import mean_threshold_estimate, threshold_grid
+from paper_lemmas import mean_threshold_estimate, restricted_threshold_system, threshold_grid
 from robustiso import Assignment, QapInstance, qap
 from robustiso.approx import approximate_qap, m_bound
 from robustiso.errors import BudgetExceededError, ParseError
@@ -522,8 +522,8 @@ def pinned_records(q, rng):
             str(b_alpha(q, alpha, v, vp)) for v in range(n) for vp in range(n)
         ]
     for t in (-1, Fraction(-1, 3), 0, Fraction(1, 2), 1):
-        for phi in (None, perms[-1]):
-            system = qap_threshold_system(q, t, phi)
+        restricted = restricted_threshold_system(q, t, perms[-1])
+        for system in (qap_threshold_system(q, t), restricted):
             records["qap_threshold_system"].append(
                 f"{system.ground_size} {sorted(system.sets)}"
             )

@@ -13,7 +13,7 @@ from conftest import (
     random_qap,
     random_weighted_graph,
 )
-from paper_lemmas import sauer_shelah_check
+from paper_lemmas import restricted_threshold_system, sauer_shelah_check
 from robustiso import Assignment, Graph, QapInstance
 from robustiso.errors import BudgetExceededError
 from robustiso.generators import gen_random_graph, gen_vc_gap_qap
@@ -287,7 +287,7 @@ class TestVcAgainstReference:
                 h = er_graph(n, 0.5, 4400 + 10 * n + trial)
                 q = ged_to_qap(g, h)
                 systems.append(qap_threshold_system(q, 0))
-                systems.append(qap_threshold_system(q, 0, Assignment.identity(n)))
+                systems.append(restricted_threshold_system(q, 0, Assignment.identity(n)))
             q = random_qap(n, 4500 + n, fill=0.3)
             systems.extend(qap_threshold_system(q, t) for t in sorted(q.value_set()))
         self.check(systems, {2, 3, 4})
@@ -401,7 +401,7 @@ class TestQapThresholdSystems:
             perm = list(range(n))
             rng.shuffle(perm)
             restricted = vc_dimension_exact(
-                qap_threshold_system(q, 0, Assignment(tuple(perm)))
+                restricted_threshold_system(q, 0, Assignment(tuple(perm)))
             )
             assert restricted <= full
 
@@ -439,7 +439,7 @@ class TestQapThresholdSystems:
             perm = list(range(n))
             rng.shuffle(perm)
             restricted = vc_dimension_exact(
-                qap_threshold_system(q, 0, Assignment(tuple(perm)))
+                restricted_threshold_system(q, 0, Assignment(tuple(perm)))
             )
             assert d <= restricted <= full <= 10 * d
             done += 1
@@ -459,6 +459,13 @@ class TestQapThresholdSystems:
 class TestWeakVcTest:
     def test_zero_instance(self):
         assert weak_vc_test(QapInstance(3, {}), 0) is True
+
+    def test_maps_of_size_n_are_tested(self):
+        # d + 1 = n: the one threshold 0 shatters {0, 1} under the identity,
+        # with traces {}, {0}, {1} and {0, 1} at (0, 0), (0, 1), (1, 0), (1, 1)
+        cells = [(0, 1, 0, 0), (1, 0, 1, 1), (1, 1, 0, 0), (1, 1, 1, 1)]
+        q = QapInstance(2, dict.fromkeys(cells, 1))
+        assert weak_vc_test(q, 1) is False
 
     def test_negative_d_rejected(self):
         with pytest.raises(ValueError, match="d must be non-negative"):
@@ -490,7 +497,7 @@ class TestWeakVcTest:
                 thresholds = [thresholds[0] - 1] + thresholds
                 for t in thresholds:
                     for perm in itertools.permutations(range(n)):
-                        s = qap_threshold_system(q, t, Assignment(perm))
+                        s = restricted_threshold_system(q, t, Assignment(perm))
                         if vc_dimension_exact(s) > d:
                             expected = False
                 assert weak_vc_test(q, d) is expected, (trial, d)
@@ -586,6 +593,15 @@ class TestEpsilonApproximation:
             epsilon_approximation_sample(s, 1, Fraction(1, 2), 1)
         with pytest.raises(ValueError):
             epsilon_approximation_sample(s, Fraction(1, 2), 0, 1)
+        with pytest.raises(ValueError):
+            epsilon_approximation_sample(s, Fraction(1, 2), 1, 1)
+
+    @pytest.mark.parametrize("sample", [(0,), (2,)])
+    def test_interval_ends_are_inside(self, sample):
+        # {0, 1} of 4 has size 2, and eps * n = 2: sample (0,) estimates 4,
+        # (2,) estimates 0, each 2 away, at the interval's lower and upper end
+        s = SetSystem(4, [0b11])
+        assert verify_epsilon_approximation(s, sample, Fraction(1, 2)) is True
 
 
 class TestSauerShelah:

@@ -76,10 +76,18 @@ class TestColourRefinement:
     def test_individualised_out_of_range(self):
         with pytest.raises(ValueError):
             colour_refinement(C6, individualised=(9,))
+        # the first vertex past the graph
+        with pytest.raises(ValueError, match="out of range"):
+            colour_refinement(path_graph(3), (3,))
 
     def test_histogram_counts_vertices(self):
         sc = colour_refinement(path_graph(4))
         assert sum(sc.histogram.values()) == 4
+
+    def test_histogram_lookup_past_the_last_colour(self):
+        # a histogram is a mapping: a colour one past its counts is a KeyError
+        with pytest.raises(KeyError):
+            wl.Histogram([1, 2])[2]
 
 
 class TestKwlStable:
@@ -280,6 +288,11 @@ class TestNetConstruction:
                 if m.bit_count() > Fraction(2, 5) * 4:
                     assert m & hit
 
+    def test_zero_eps_rejected(self):
+        # refused here, not by the net's own (0, 1] check
+        with pytest.raises(ValueError, match="positive"):
+            homogenising_set_net(C6, 0)
+
     def test_cycle_verified(self):
         hom = homogenising_set_net(C6, Fraction(1, 2))
         assert is_homogenising(C6, hom.vertices, Fraction(1, 2))
@@ -321,6 +334,11 @@ class TestColouredGreedy:
         g = Graph(4, {(0, 1)}, colours={v: v for v in range(4)})
         hom = homogenising_set_coloured(g, Fraction(1, 2))
         assert hom.vertices == ()
+
+    def test_zero_eps_rejected(self):
+        g = Graph(4, {(0, 1)}, colours={0: 0, 1: 0, 2: 1, 3: 1})
+        with pytest.raises(ValueError, match="positive"):
+            homogenising_set_coloured(g, 0)
 
     def test_requires_colours(self):
         with pytest.raises(ValueError):
